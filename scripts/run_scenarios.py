@@ -3,7 +3,7 @@
 verdict table.
 
 Usage:
-    python3 scripts/run_scenarios.py [--out reports] [--threads 4]
+    python3 scripts/run_scenarios.py [--out reports] [--resolution-scale 1.0]
 
 Writes one JSON report and one diagnostics CSV per scenario into --out and
 summarises verdict + worst margin per check on stdout.  Exit code is 1 if
@@ -30,7 +30,6 @@ def worst_margin(check_body):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "reports"))
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--resolution-scale", type=float, default=1.0)
     args = ap.parse_args(argv)
 
@@ -45,7 +44,6 @@ def main(argv=None):
     for path in scenario_files:
         code = cli.main([
             "all", "--scenario", str(path), "--out", str(outdir),
-            "--threads", str(args.threads),
             "--resolution-scale", str(args.resolution_scale),
         ])
         reports = sorted(outdir.glob("*-all.json"), key=lambda p: p.stat().st_mtime)

@@ -8,10 +8,9 @@ CONDITIONAL-PASS, 1 on any FAIL, 2 on configuration errors, 3 on
 numerical aborts (integrator failure, no admissible parameters).
 
 Flags may also be set by environment variables with the ``LFGEOM_``
-prefix (``LFGEOM_SCENARIO``, ``LFGEOM_OUT``, ``LFGEOM_THREADS``,
-``LFGEOM_SEED``, ``LFGEOM_RESOLUTION_SCALE``); explicit flags win.
-Reports are byte-identical across runs and thread counts: all parallel
-reductions are ordered, and no timestamps are embedded.
+prefix (``LFGEOM_SCENARIO``, ``LFGEOM_OUT``, ``LFGEOM_SEED``,
+``LFGEOM_RESOLUTION_SCALE``); explicit flags win.  Reports are
+byte-identical across runs: no timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ def _build_parser():
         sp.add_argument("--scenario",
                         default=_env_default("scenario", str, None))
         sp.add_argument("--out", default=_env_default("out", str, "."))
-        sp.add_argument("--threads", type=int,
-                        default=_env_default("threads", int, 1))
         sp.add_argument("--seed", type=int,
                         default=_env_default("seed", int, 0))
         sp.add_argument("--resolution-scale", type=float,
@@ -92,8 +89,6 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
         "scenario": scen.name,
         "model": scenario_fields(scen.model),
         "sclv": scenario_fields(scen.sclv),
-        # thread count deliberately not embedded: reports are byte-identical
-        # across --threads (ordered reductions)
         "numerics": {**scenario_fields(scen.numerics),
                      "resolution_scale": args.resolution_scale,
                      "seed": args.seed},
@@ -192,7 +187,7 @@ def _geodesic_rows(scen: Scenario, args):
 
 
 def _radial_scalars(scen: Scenario, args):
-    """Scalars along the patch-center geodesic (curvature/jacobi data)."""
+    """(model, scalars) along the patch-center geodesic (curvature/jacobi data)."""
     m = scen.model.build()
     sclv = scen.sclv.build()
     cfg = _scaled(scen, args)
@@ -200,11 +195,10 @@ def _radial_scalars(scen: Scenario, args):
     path = jacobi_variational(m, sclv.apex, v0, sclv.cut,
                               rtol=cfg["rtol"], atol=cfg["atol"])
     ts = np.linspace(sclv.cut / 64, sclv.cut, 64)
-    return m, path, riccati_quantities(path, ts)
+    return m, riccati_quantities(path, ts)
 
 
-def _curvature_cmd(scen: Scenario, args):
-    m, _, sc = _radial_scalars(scen, args)
+def _curvature_cmd(scen: Scenario, m, sc):
     N = scen.checks.bg.N if scen.checks.bg else m.n + 2.0
     ricN = sc.ric + sc.d2psi - sc.dpsi**2 / (N - m.n)
     header = ["t", "ric", "ric_inf", f"ric_N_{N:g}", "psi", "dpsi", "d2psi"]
@@ -217,8 +211,7 @@ def _curvature_cmd(scen: Scenario, args):
     return report, [(header, rows)]
 
 
-def _jacobi_cmd(scen: Scenario, args):
-    m, _, sc = _radial_scalars(scen, args)
+def _jacobi_cmd(scen: Scenario, m, sc):
     N = scen.checks.bg.N if scen.checks.bg else m.n + 2.0
     c_flag = scen.checks.gunther.c if (scen.checks.gunther and
                                        scen.checks.gunther.c is not None) else 0.0
@@ -243,23 +236,21 @@ def _sclv_data(scen: Scenario, args):
     return data, cfg
 
 
-def _run_check(name, scen: Scenario, data, cfg, args):
+def _run_check(name, scen: Scenario, data, cfg):
     ck = scen.checks
     tn = cfg["t_volume"]
     if name == "bg":
         rep = cmp.bishop_gromov_check(data, ck.bg.N, ck.bg.pairs, c=ck.bg.c,
-                                      tnodes=tn, threads=args.threads)
+                                      tnodes=tn)
     elif name == "gunther":
         rep = cmp.gunther_check(data, c=ck.gunther.c, k=ck.gunther.k,
-                                tnodes=tn, threads=args.threads)
+                                tnodes=tn)
     elif name == "bg_inf":
         rep = cmp.bg_infinity_check(data, ck.bg_inf.pairs, c=ck.bg_inf.c,
-                                    a=ck.bg_inf.a, tnodes=tn,
-                                    threads=args.threads)
+                                    a=ck.bg_inf.a, tnodes=tn)
     elif name == "ball":
         rep = cmp.ball_bound_check(data, ck.ball.eps, ck.ball.r_grid,
-                                   c=ck.ball.c, tnodes=tn,
-                                   threads=args.threads)
+                                   c=ck.ball.c, tnodes=tn)
     else:
         raise ConfigError(f"unknown check {name}")
     return rep
@@ -303,8 +294,6 @@ _CHECK_NAMES = {"bg": "bg", "gunther": "gunther", "bg-inf": "bg_inf",
 def run(args) -> int:
     if args.scenario is None:
         raise ConfigError("--scenario is required (or set LFGEOM_SCENARIO)")
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     if args.resolution_scale <= 0:
         raise ConfigError("--resolution-scale must be positive")
     scen = load_scenario(args.scenario)
@@ -321,10 +310,10 @@ def run(args) -> int:
         body, csv_blocks = _geodesic_rows(scen, args)
         report["geodesic"] = body
     elif args.command == "curvature":
-        body, csv_blocks = _curvature_cmd(scen, args)
+        body, csv_blocks = _curvature_cmd(scen, *_radial_scalars(scen, args))
         report["curvature"] = body
     elif args.command == "jacobi":
-        body, csv_blocks = _jacobi_cmd(scen, args)
+        body, csv_blocks = _jacobi_cmd(scen, *_radial_scalars(scen, args))
         report["jacobi"] = body
     elif args.command in _CHECK_NAMES:
         key = _CHECK_NAMES[args.command]
@@ -332,24 +321,24 @@ def run(args) -> int:
             raise ConfigError(f"scenario {scen.name} does not configure "
                               f"the {args.command} check")
         data, cfg = _sclv_data(scen, args)
-        report["checks"] = {key: _run_check(key, scen, data, cfg, args).to_dict()}
+        report["checks"] = {key: _run_check(key, scen, data, cfg).to_dict()}
         csv_blocks = [_diagnostic_rows(data, scen)]
     elif args.command == "all":
         body, _ = _validate_model(scen, args)
         report["validate_model"] = body
         geo, geo_csv = _geodesic_rows(scen, args)
         report["geodesic"] = geo
-        curv, _ = _curvature_cmd(scen, args)
+        radial = _radial_scalars(scen, args)
+        curv, _ = _curvature_cmd(scen, *radial)
         report["curvature"] = curv
-        jac, jac_csv = _jacobi_cmd(scen, args)
+        jac, jac_csv = _jacobi_cmd(scen, *radial)
         report["jacobi"] = jac
         requested = scen.checks.requested()
         if requested:
             data, cfg = _sclv_data(scen, args)
             report["checks"] = {}
             for key in requested:
-                report["checks"][key] = _run_check(key, scen, data, cfg,
-                                                   args).to_dict()
+                report["checks"][key] = _run_check(key, scen, data, cfg).to_dict()
             if scen.numerics.oracle:
                 report["volume_oracle"] = _oracle_entry(scen, data)
             csv_blocks = [_diagnostic_rows(data, scen)]

@@ -3,10 +3,10 @@ r"""SCLV direction quadrature, polar volumes, and volume-comparison checks.
 A star-shaped causally-localized set is described radially: an apex, a
 compact patch of unit future-timelike directions (chart: spatial offset
 p = center + s u on the slice {w0 = 1}, then v = w/F(w) onto {F = 1}),
-and a cut value b giving the per-direction radial extent.  Volumes are
+and a constant cut value b giving the radial extent.  Volumes are
 computed by the polar decomposition
 
-    rho(U) = \int_patch \int_0^{b(v)} e^{-psi(t)} det A(t) dt dsigma(v),
+    rho(U) = \int_patch \int_0^b e^{-psi(t)} det A(t) dt dsigma(v),
 
 where sigma is the g_v-induced area form on the unit hyperboloid and A
 is the frame Jacobi tensor.  An independent coordinate-space route
@@ -21,7 +21,6 @@ pointwise residual checks, and PASS / CONDITIONAL-PASS / FAIL verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +28,11 @@ from scipy.integrate import simpson
 from scipy.special import dawsn, erf, erfcx
 
 from . import jets as jr
-from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, find_validity_times, radial_flow
+from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
 from .jacobi import (
     JacobiPath,
     PathScalars,
+    ValidityExit,
     check_concavity,
     check_hric,
     gunther_f,
@@ -85,7 +85,6 @@ class SCLVSpec:
     radius: float                  # chart radius of the direction patch
     cut: float                     # constant cut value b
     center: np.ndarray | None = None   # spatial chart offset of patch center
-    constant_cut: bool = True
 
     def __post_init__(self):
         self.apex = np.asarray(self.apex, dtype=float)
@@ -204,9 +203,9 @@ class SCLVData:
     model: FinslerModel
     sclv: SCLVSpec
     quad: DirectionQuadrature
-    b: np.ndarray                      # (Q,) per-node cut
+    b: float                           # cut value
     paths: list                        # JacobiPath per node
-    scan_grids: list
+    scan_grid: np.ndarray              # scan sample times, shared by all nodes
     scalars: list                      # PathScalars per node (scan grid)
     flag_min: np.ndarray               # (Q,) min frame-flag eigenvalue
     flag_max: np.ndarray               # (Q,)
@@ -219,22 +218,25 @@ class SCLVData:
 
 def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
                     t_scan=T_SCAN, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> SCLVData:
-    """Quadrature + validity guard + Jacobi paths + scan scalars, built once."""
+    """Quadrature + Jacobi paths + scan scalars, built once.
+
+    The fan is integrated once, and the validity of the cut is read off
+    that same flow: a direction leaving the valid region before b, or a
+    conjugate point before b, means the set is not an SCLV.
+    """
     quad = build_quadrature(m, sclv, scale)
-    Q = quad.nodes.shape[0]
-    b = np.full(Q, float(sclv.cut))
-    t_val, reasons = find_validity_times(m, sclv.apex, quad.nodes,
-                                         float(np.max(b)) * 1.02,
-                                         rtol=rtol, atol=atol)
-    short = np.nonzero(t_val < b)[0]
-    if short.size:
-        i = int(short[np.argmin(t_val[short])])
+    b = float(sclv.cut)
+    try:
+        paths = variational_paths(m, sclv.apex, quad.nodes,
+                                  np.full(quad.nodes.shape[0], b),
+                                  rtol=rtol, atol=atol)
+    except ValidityExit as exc:
         raise ValueError(
-            f"cut b={b[i]:.6g} exceeds the valid range of direction {i} "
-            f"(reaches t={t_val[i]:.6g}, {reasons[i]}); not an SCLV")
-    paths = variational_paths(m, sclv.apex, quad.nodes, b, rtol=rtol, atol=atol)
-    grids = [sample_grid(float(bi), t_scan) for bi in b]
-    scalars, flag_lo, flag_hi = scalars_for_paths(paths, grids, flag_range=True)
+            f"cut b={b:.6g} exceeds the valid range of direction {exc.index} "
+            f"(reaches t={exc.t:.6g}, {exc.reason}); not an SCLV") from None
+    grid = sample_grid(b, t_scan)
+    scalars, flag_lo, flag_hi = scalars_for_paths(paths, [grid] * len(paths),
+                                                  flag_range=True)
     for i, s in enumerate(scalars):
         if np.min(s.detA) <= 0:
             t_bad = s.ts[int(np.argmax(s.detA <= 0))]
@@ -242,72 +244,48 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
                 f"conjugate point before the cut on direction {i} "
                 f"(det A <= 0 near t={t_bad:.6g}); not an SCLV")
     return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths,
-                    scan_grids=grids, scalars=scalars,
+                    scan_grid=grid, scalars=scalars,
                     flag_min=flag_lo, flag_max=flag_hi)
 
 
 # ----------------------------------------------------------------- volumes
 
 
-def _dir_integrals(data: SCLVData, t_upper, tnodes, threads=None):
-    r"""Per-direction \int_0^{T_i} e^{-psi} det A dt by Gauss-Legendre."""
+def _dir_integrals(data: SCLVData, T, tnodes):
+    r"""Per-direction \int_0^T e^{-psi} det A dt by Gauss-Legendre."""
     xi, wi = np.polynomial.legendre.leggauss(tnodes)
     xi01 = 0.5 * (xi + 1.0)
     wi01 = 0.5 * wi
-    m = data.model
-    t_upper = np.asarray(t_upper, dtype=float)
-
-    if t_upper.size and np.ptp(t_upper) == 0.0 and t_upper[0] > 0:
-        # common upper limit: one dense evaluation for the whole fan
-        T = float(t_upper[0])
-        samples = sample_all(data.paths, T * xi01)
-        return np.array([T * float(np.sum(wi01 * np.exp(-weight(m, s.x, s.v))
-                                          * s.detA)) for s in samples])
-
-    def one(i):
-        T = float(t_upper[i])
-        if T <= 0:
-            return 0.0
-        ts = T * xi01
-        s = data.paths[i].sample(ts)
-        psi = weight(m, s.x, s.v)
-        return T * float(np.sum(wi01 * np.exp(-psi) * s.detA))
-
-    idx = range(len(data.paths))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(one, idx))
-    else:
-        vals = [one(i) for i in idx]
-    return np.array(vals)
+    samples = sample_all(data.paths, T * xi01)
+    return np.array([T * float(np.sum(wi01 * np.exp(-weight(data.model, s.x, s.v))
+                                      * s.detA)) for s in samples])
 
 
-def _polar_volume(data: SCLVData, t_upper, *, tnodes=T_VOLUME, threads=None):
+def _polar_volume(data: SCLVData, T, *, tnodes=T_VOLUME):
     """(volume, error estimate) with the error from t-resolution halving."""
-    full = _dir_integrals(data, t_upper, tnodes, threads)
-    half = _dir_integrals(data, t_upper, max(tnodes // 2, 4), threads)
+    full = _dir_integrals(data, T, tnodes)
+    half = _dir_integrals(data, T, max(tnodes // 2, 4))
     vol = float(np.sum(data.quad.weights * full))
     vol_half = float(np.sum(data.quad.weights * half))
     return vol, abs(vol - vol_half)
 
 
-def sclv_volume(data: SCLVData, r, *, tnodes=T_VOLUME, threads=None):
-    """rho(U_x(r)): star-scaled volume, per-direction upper limit r b(v)."""
+def sclv_volume(data: SCLVData, r, *, tnodes=T_VOLUME):
+    """rho(U_x(r)): star-scaled volume, upper limit r b."""
     if not 0.0 < r <= 1.0:
         raise ValueError("the scaling parameter r lies in (0, 1]")
     key = ("star", float(r), tnodes)
     if key not in data.vol_cache:
-        data.vol_cache[key] = _polar_volume(data, r * data.b,
-                                            tnodes=tnodes, threads=threads)
+        data.vol_cache[key] = _polar_volume(data, r * data.b, tnodes=tnodes)
     return data.vol_cache[key]
 
 
-def ball_volume(data: SCLVData, r, *, tnodes=T_VOLUME, threads=None):
+def ball_volume(data: SCLVData, r, *, tnodes=T_VOLUME):
     """rho of the forward ball {v in U_x : F(v) < r} (clipped at the cut)."""
     key = ("ball", float(r), tnodes)
     if key not in data.vol_cache:
-        data.vol_cache[key] = _polar_volume(
-            data, np.minimum(float(r), data.b), tnodes=tnodes, threads=threads)
+        data.vol_cache[key] = _polar_volume(data, min(float(r), data.b),
+                                            tnodes=tnodes)
     return data.vol_cache[key]
 
 
@@ -327,7 +305,7 @@ def radial_bound_scan(data: SCLVData, N=None) -> dict:
         "inf_flag": float(np.min(data.flag_min)),
         "sup_psi": float(np.max(psi)),
         "inf_dpsi": float(np.min(d1)),
-        "t_samples": int(data.scan_grids[0].size),
+        "t_samples": int(data.scan_grid.size),
         "directions": int(len(data.paths)),
     }
     if N is not None:
@@ -368,7 +346,7 @@ def _quad_meta(data: SCLVData) -> dict:
         "directions": int(data.quad.nodes.shape[0]),
         "counts": list(data.quad.counts),
         "sigma": data.sigma,
-        "cut": float(data.b[0]),
+        "cut": data.b,
     }
 
 
@@ -428,14 +406,11 @@ def _verdict(ok: bool, conditional: bool) -> str:
 
 
 def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
-                        tnodes=T_VOLUME, threads=None,
-                        dense=T_DENSE) -> ComparisonReport:
+                        tnodes=T_VOLUME, dense=T_DENSE) -> ComparisonReport:
     """Volume-ratio lower bound for effective dimension N in (n, oo)."""
     m, n = data.model, data.model.n
     if not (np.isfinite(N) and N > n):
         raise ValueError(f"the ratio bound needs N in (n, oo), got N={N}")
-    if not data.sclv.constant_cut:
-        raise ValueError("the ratio bound requires a constant cut")
     scan = radial_bound_scan(data, N=N)
     c_cert = scan["inf_ric_N"]
     conditional = False
@@ -445,12 +420,12 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
     elif c > c_cert + 1e-12:
         conditional = True
         notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
-    b = float(data.b[0])
+    b = data.b
     Tx = b if c <= 0 else min(b, np.pi * np.sqrt(N / c))
 
     vols = {}
     for r in sorted({x for pair in pairs for x in pair}):
-        vols[r] = sclv_volume(data, r, tnodes=tnodes, threads=threads)
+        vols[r] = sclv_volume(data, r, tnodes=tnodes)
     results, ok = [], True
     for (r, R) in pairs:
         if not (0 < r <= R <= 1):
@@ -495,8 +470,8 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
         quadrature=_quad_meta(data), notes=notes)
 
 
-def gunther_check(data: SCLVData, *, c=None, k=None, tnodes=T_VOLUME,
-                  threads=None) -> ComparisonReport:
+def gunther_check(data: SCLVData, *, c=None, k=None,
+                  tnodes=T_VOLUME) -> ComparisonReport:
     """Volume lower bound from a flag-curvature upper bound K <= -c, c >= 0."""
     scan = radial_bound_scan(data)
     c_cert = -scan["sup_flag"]
@@ -521,10 +496,9 @@ def gunther_check(data: SCLVData, *, c=None, k=None, tnodes=T_VOLUME,
         conditional = True
         notes.append(f"user bound k={k:.6g} stronger than scanned {k_cert:.6g}")
 
-    b_inf = float(np.min(data.b))
-    lhs, err = _polar_volume(data, data.b, tnodes=tnodes, threads=threads)
+    lhs, err = _polar_volume(data, data.b, tnodes=tnodes)
     rhs = np.exp(-k) * data.sigma * _gauss_integral(
-        lambda t: s_kappa(-c, t) ** data.model.n, 0.0, b_inf)
+        lambda t: s_kappa(-c, t) ** data.model.n, 0.0, data.b)
     tol = RATIO_TOL_FLOOR + err
     margin = lhs - rhs
     f_min = min(float(np.min(gunther_f(s, c))) for s in data.scalars)
@@ -541,11 +515,9 @@ def gunther_check(data: SCLVData, *, c=None, k=None, tnodes=T_VOLUME,
 
 
 def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
-                      tnodes=T_VOLUME, threads=None) -> ComparisonReport:
+                      tnodes=T_VOLUME) -> ComparisonReport:
     """Volume-ratio bound at N = infinity with weight-slope parameter a."""
     m, n = data.model, data.model.n
-    if not data.sclv.constant_cut:
-        raise ValueError("the ratio bound requires a constant cut")
     scan = radial_bound_scan(data)
     c_cert = scan["inf_ric_inf"] / n
     a_cert = -scan["inf_dpsi"]
@@ -561,12 +533,12 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
     elif a < a_cert - 1e-12:
         conditional = True
         notes.append(f"user bound a={a:.6g} stronger than scanned {a_cert:.6g}")
-    b = float(data.b[0])
+    b = data.b
     Tx = b if c <= 0 else min(b, 0.5 * np.pi / np.sqrt(c))
 
     vols = {}
     for r in sorted({x for pair in pairs for x in pair}):
-        vols[r] = sclv_volume(data, r, tnodes=tnodes, threads=threads)
+        vols[r] = sclv_volume(data, r, tnodes=tnodes)
     results, ok = [], True
     for (r, R) in pairs:
         vr, er = vols[r]
@@ -604,7 +576,7 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
 
 
 def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
-                     tnodes=T_VOLUME, threads=None) -> ComparisonReport:
+                     tnodes=T_VOLUME) -> ComparisonReport:
     r"""Future-ball volume growth bound under Ric_inf >= c.
 
     Each row compares lhs = the volume of the ball of radius r with
@@ -618,8 +590,8 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     """
     m = data.model
     r_grid = np.asarray(r_grid, dtype=float)
-    if np.max(r_grid) > np.min(data.b) + 1e-12:
-        raise ValueError("r grid exceeds the per-direction validity range")
+    if np.max(r_grid) > data.b + 1e-12:
+        raise ValueError("r grid exceeds the validity range (the cut b)")
     scan = radial_bound_scan(data)
     c_cert = scan["inf_ric_inf"]
     conditional = False
@@ -654,12 +626,12 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     if C0 <= 0:
         raise ComparisonAbort(f"growth constant C0={C0:.6g} is not positive")
 
-    base, base_err = ball_volume(data, 4 * eps_ok, tnodes=tnodes, threads=threads)
+    base, base_err = ball_volume(data, 4 * eps_ok, tnodes=tnodes)
     results, ok = [], True
     for r in r_grid:
         if r <= 4 * eps_ok:
             continue
-        vol, err = ball_volume(data, r, tnodes=tnodes, threads=threads)
+        vol, err = ball_volume(data, r, tnodes=tnodes)
         bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
         tol = RATIO_TOL_FLOOR + err + base_err
         margin = bound - vol

@@ -16,10 +16,11 @@ V' = -M V with the transport matrix M.
 single fused ODE system: per-direction time is rescaled onto s in [0,1]
 (so heterogeneous integration horizons batch cleanly), and a terminal
 event watches chart distance, causal character, and metric conditioning
-for every direction at once.  When some direction hits a boundary it is
-peeled off (its reach is recorded) and the remaining directions continue
-from the event state.  If the batched solver ever fails outright, the
-survivors are re-integrated one at a time.
+for every direction at once.  The fused flow stops at the first validity
+event: the directions on the boundary record their exit, and the others
+stop there too (reason "stopped"), since every caller needs each direction
+to reach its target.  If the batched solver ever fails outright, the
+directions are continued one at a time from the failure state.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 METRIC_COND_FLOOR = 1e-9   # min|eig|/max|eig| of g below this counts as degenerate
 CAUSAL_FLOOR = 1e-10       # -L/|L0| below this counts as leaving the cone
-PEEL_TOL = 1e-8            # margin slack used to decide which directions exited
+EXIT_TOL = 1e-8            # margin slack used to decide which directions exited
+STOPPED = "stopped"        # exit reason of a direction halted by another's exit
 SCAN_POINTS = 1024         # dense-output margin scan resolution
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
 
@@ -77,7 +79,7 @@ def _margins(m: FinslerModel, x, v, L0, parts=False):
 
 def _exit_label(m, x, v, L0val):
     chart, cond, causal = _margins(m, x, v, L0val, parts=True)
-    return "chart-exit" if chart <= min(cond, causal) + PEEL_TOL else "degenerate-or-cone"
+    return "chart-exit" if chart <= min(cond, causal) + EXIT_TOL else "degenerate-or-cone"
 
 
 def _first_margin_crossing(margin_fn, ts, ms):
@@ -115,7 +117,7 @@ def _refine_crossing(margin_fn, lo, hi):
     if flo <= 0.0:
         return lo
     if fhi > 0.0:
-        return hi if fhi < PEEL_TOL else None
+        return hi if fhi < EXIT_TOL else None
     return float(brentq(margin_fn, lo, hi, xtol=1e-12))
 
 
@@ -252,8 +254,9 @@ class RadialFlow:
     """Dense fused solution for a fan of geodesics out of one base point.
 
     Per direction i the data are valid for t in [0, t_reached[i]]; if
-    t_reached[i] < t_target[i], exit_reason[i] says why the direction was
-    peeled off early.
+    t_reached[i] < t_target[i], exit_reason[i] says why the direction ended
+    early: its own exit label, or STOPPED when the fused flow stopped at
+    the exit of another direction.
     """
 
     model: FinslerModel
@@ -347,8 +350,7 @@ def _fused_rhs(m, layout, Tscale, order):
 
 
 def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=None,
-                rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, post_scan=False,
-                _allow_fallback=True) -> RadialFlow:
+                rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, post_scan=False) -> RadialFlow:
     """Fused geodesic/transport/Jacobi flow for many directions from x0.
 
     frames: optional (B, k, d) vectors to parallel-transport along each
@@ -387,7 +389,7 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
         raise ValueError("initial state already violates a validity margin")
     flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
                       t_reached=t_target.copy(), exit_reason=[None] * B, layout=layout)
-    _peel_loop(m, flow, order, np.arange(B), Y0, 0.0, rtol, atol, L0, _allow_fallback)
+    _advance(m, flow, order, np.arange(B), Y0, 0.0, rtol, atol, L0)
     if post_scan:
         _post_scan_flow(m, flow, L0)
     return flow
@@ -427,64 +429,60 @@ def _post_scan_flow(m, flow, L0):
             flow.exit_reason[i] = _exit_label(m, stt["eta"][0], stt["etadot"][0], L0[i])
 
 
-def _peel_loop(m, flow, order, active, state, s_start, rtol, atol, L0, allow_fallback):
-    """Advance the fused system over s, peeling exited directions at events."""
+def _advance(m, flow, order, active, state, s_start, rtol, atol, L0):
+    """Advance the fused system over s, stopping at the first validity event."""
     layout = flow.layout
-    t_target = flow.t_target
-    while active.size and s_start < 1.0:
-        rhs = _fused_rhs(m, layout, t_target[active], order)
-        sub = L0[active]
+    T = flow.t_target[active]
+    rhs = _fused_rhs(m, layout, T, order)
+    sub = L0[active]
 
-        def margin_event(s, yflat, sub=sub):
-            stt = layout.unpack(yflat.reshape(-1, layout.width))
-            return float(np.min(_margins(m, stt["eta"], stt["etadot"], sub)))
+    def margin_event(s, yflat):
+        stt = layout.unpack(yflat.reshape(-1, layout.width))
+        return float(np.min(_margins(m, stt["eta"], stt["etadot"], sub)))
 
-        margin_event.terminal = True
-        margin_event.direction = -1
-        sol = solve_ivp(rhs, (s_start, 1.0), state.ravel(), method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True, events=margin_event)
-        s_end = float(sol.t[-1])
-        if s_end > s_start:
-            flow.segments.append((s_start, s_end, sol.sol, active.copy()))
-        if sol.status == 0:
-            return
-        end = sol.y[:, -1].reshape(-1, layout.width)
+    margin_event.terminal = True
+    margin_event.direction = -1
+    sol = solve_ivp(rhs, (s_start, 1.0), state.ravel(), method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True, events=margin_event)
+    s_end = float(sol.t[-1])
+    if s_end > s_start:
+        flow.segments.append((s_start, s_end, sol.sol, active.copy()))
+    if sol.status == 0:
+        return
+    end = sol.y[:, -1].reshape(-1, layout.width)
+    if sol.status == -1 and active.size > 1:
+        for r in range(active.size):
+            _advance(m, flow, order, active[r:r + 1], end[r:r + 1].copy(),
+                     s_end, rtol, atol, L0)
+        return
 
-        if sol.status == -1:
-            if allow_fallback and active.size > 1:
-                for r in range(active.size):
-                    _peel_loop(m, flow, order, active[r:r + 1], end[r:r + 1].copy(),
-                               s_end, rtol, atol, L0, False)
-            else:
-                for i in active:
-                    flow.t_reached[i] = s_end * t_target[i]
-                    flow.exit_reason[i] = "solver-failure"
-            return
-
-        # terminal event: peel the directions sitting on the boundary
-        stt = layout.unpack(end)
-        mg = _margins(m, stt["eta"], stt["etadot"], L0[active])
-        hit = mg <= PEEL_TOL
-        if not np.any(hit):
-            hit = mg == mg.min()
-        for r in np.nonzero(hit)[0]:
-            i = active[r]
-            flow.t_reached[i] = s_end * t_target[i]
-            flow.exit_reason[i] = _exit_label(m, stt["eta"][r], stt["etadot"][r], L0[i])
-        active = active[~hit]
-        state = end[~hit]
-        s_start = s_end
+    flow.t_reached[active] = s_end * T
+    if sol.status == -1:
+        flow.exit_reason[active[0]] = "solver-failure"
+        return
+    # terminal event: label the directions sitting on the boundary
+    stt = layout.unpack(end)
+    mg = _margins(m, stt["eta"], stt["etadot"], sub)
+    hit = mg <= EXIT_TOL
+    if not np.any(hit):
+        hit = mg == mg.min()
+    for r, i in enumerate(active):
+        flow.exit_reason[i] = (_exit_label(m, stt["eta"][r], stt["etadot"][r], sub[r])
+                               if hit[r] else STOPPED)
 
 
 def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):
     """Largest parameter time each direction stays inside the valid region.
 
-    Returns (t_valid, reasons); reasons entries are None for directions
-    that reach the cap untroubled.
+    Each direction runs as its own flow, so one exit does not stop the
+    others.  Returns (t_valid, reasons); reasons entries are None for
+    directions that reach the cap untroubled.
     """
     kw.setdefault("post_scan", True)
-    flow = radial_flow(m, x0, dirs, np.full(len(dirs), float(t_cap)), **kw)
-    return flow.t_reached.copy(), list(flow.exit_reason)
+    flows = [radial_flow(m, x0, v[None], float(t_cap), **kw)
+             for v in np.asarray(dirs, dtype=float)]
+    return (np.array([f.t_reached[0] for f in flows]),
+            [f.exit_reason[0] for f in flows])
 
 
 def tangent_flow(m: FinslerModel, x0, v0, t_max, dx_seeds, dv_seeds, **kw) -> RadialFlow:

@@ -29,13 +29,14 @@ from scipy.interpolate import BarycentricInterpolator
 
 from .connection import eval_connection
 from .curvature import riemann_matrix, weight_along
-from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, RadialFlow, radial_flow
+from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, radial_flow
 from .models import FinslerModel, fundamental_tensor
 
 __all__ = [
     "JacobiPath",
     "JacobiSamples",
     "PathScalars",
+    "ValidityExit",
     "build_frame",
     "frame_gram_det",
     "jacobi_variational",
@@ -178,9 +179,23 @@ def _check_unit(m, x0, v0):
         raise ValueError(f"Jacobi paths assume unit parametrization, got L={L}")
 
 
+class ValidityExit(ValueError):
+    """A direction leaves the valid region before its requested end time."""
+
+    def __init__(self, index, t, reason, t_end):
+        super().__init__(f"direction {index} leaves validity at t={t:.6g} "
+                         f"({reason}) before requested t={t_end:.6g}")
+        self.index, self.t, self.reason = index, t, reason
+
+
 def variational_paths(m: FinslerModel, x0, dirs, t_ends, *, frames=None,
                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[JacobiPath]:
-    """Variational-route paths for a fan of unit directions sharing one flow."""
+    """Variational-route paths for a fan of unit directions sharing one flow.
+
+    The flow stops at the first validity event and its dense output is
+    scanned for margin dips; a direction that leaves the valid region
+    before its end time raises ValidityExit, naming the earliest exit.
+    """
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     t_ends = np.asarray(t_ends, dtype=float)
@@ -189,13 +204,12 @@ def variational_paths(m: FinslerModel, x0, dirs, t_ends, *, frames=None,
     B, n, d = frames.shape
     seeds = (np.zeros((B, d, n)), np.swapaxes(frames, -1, -2).copy())
     flow = radial_flow(m, x0, dirs, t_ends, frames=frames, jac_seeds=seeds,
-                       rtol=rtol, atol=atol)
-    bad = [i for i in range(B) if flow.t_reached[i] < t_ends[i] - 1e-9]
-    if bad:
-        i = bad[0]
-        raise ValueError(
-            f"direction {i} leaves validity at t={flow.t_reached[i]:.6g} "
-            f"({flow.exit_reason[i]}) before requested t={t_ends[i]:.6g}")
+                       rtol=rtol, atol=atol, post_scan=True)
+    exits = [i for i in range(B) if flow.t_reached[i] < t_ends[i] - 1e-9
+             and flow.exit_reason[i] != STOPPED]
+    if exits:
+        i = min(exits, key=lambda i: flow.t_reached[i])
+        raise ValidityExit(i, flow.t_reached[i], flow.exit_reason[i], t_ends[i])
     return [JacobiPath(model=m, x0=x0, v0=dirs[i], frame0=frames[i],
                        t_end=float(t_ends[i]), route="variational",
                        flow=flow, index=i) for i in range(B)]
@@ -280,25 +294,12 @@ class PathScalars:
     d2psi: np.ndarray
 
 
-def _scalars_from_arrays(m, ts, xs, vs, A, Adot) -> PathScalars:
-    C = np.swapaxes(np.linalg.solve(np.swapaxes(A, -1, -2),
-                                    np.swapaxes(Adot, -1, -2)), -1, -2)
-    lam = np.einsum("...ii->...", C)
-    trC2 = np.einsum("...ij,...ji->...", C, C)
-    ric = riemann_matrix(m, xs, vs).ric
-    psi, dpsi, d2psi = weight_along(m, xs, vs)
-    return PathScalars(n=m.n, ts=ts, detA=np.linalg.det(A), lam=lam, trC2=trC2,
-                       lam_prime=-ric - trC2, ric=ric, psi=psi, dpsi=dpsi,
-                       d2psi=d2psi)
-
-
 def riccati_quantities(path: JacobiPath, ts) -> PathScalars:
     """Expansion scalars of one path at strictly positive sample times."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.min() <= 0:
         raise ValueError("expansion scalars need t > 0 (A(0) is singular)")
-    s = path.sample(ts)
-    return _scalars_from_arrays(path.model, ts, s.x, s.v, s.A, s.Adot)
+    return scalars_for_paths([path], [ts])[0]
 
 
 def scalars_for_paths(paths: list[JacobiPath], ts_list, *, flag_range=False):
@@ -311,9 +312,10 @@ def scalars_for_paths(paths: list[JacobiPath], ts_list, *, flag_range=False):
     if not paths:
         return ([], np.empty(0), np.empty(0)) if flag_range else []
     m = paths[0].model
+    flow = paths[0].flow
     ts0 = np.atleast_1d(np.asarray(ts_list[0], dtype=float))
-    shared = (all(p.route == "variational" and p.flow is paths[0].flow
-                  for p in paths)
+    shared = (all(p.route == "variational" and p.flow is flow for p in paths)
+              and np.ptp(flow.t_target) == 0.0
               and all(np.array_equal(ts0, np.atleast_1d(np.asarray(t, dtype=float)))
                       for t in ts_list))
     if shared:

@@ -1,5 +1,5 @@
 """Scenario parsing and the command-line front door (exit codes, report
-schema, determinism across thread counts)."""
+schema, run-to-run determinism)."""
 
 import json
 from pathlib import Path
@@ -196,14 +196,14 @@ def test_geodesic_and_curvature_reports(mini_scenario, tmp_path):
     assert lines[0].startswith("t,ric,ric_inf,ric_N")
 
 
-def test_all_is_deterministic_across_threads(mini_scenario, tmp_path):
-    out1, out4 = tmp_path / "t1", tmp_path / "t4"
+def test_all_is_deterministic_across_runs(mini_scenario, tmp_path):
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert cli.main(["all", "--scenario", str(mini_scenario), "--out",
-                     str(out1), "--threads", "1"]) == 0
+                     str(out1)]) == 0
     assert cli.main(["all", "--scenario", str(mini_scenario), "--out",
-                     str(out4), "--threads", "4"]) == 0
+                     str(out2)]) == 0
     for name in ("mini-all.json", "mini-all.csv"):
-        assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     rep = json.loads((out1 / "mini-all.json").read_text())
     assert set(rep["checks"]) == {"bg", "gunther", "bg_inf", "ball"}
     assert rep["volume_oracle"]["verdict"] == "PASS"

@@ -110,13 +110,6 @@ def test_constant_weight_scales_volume(mink1):
     assert abs(vw - np.exp(-0.7) * v0) < 1e-12 * v0
 
 
-def test_volume_thread_count_is_invisible(mink2):
-    _, _, data = mink2
-    a = cmp.sclv_volume(data, 0.9, threads=1)
-    b = cmp.sclv_volume(data, 0.9, threads=4)
-    assert a == b
-
-
 def test_volume_rejects_bad_scale(mink1):
     _, _, data = mink1
     with pytest.raises(ValueError):
@@ -343,6 +336,22 @@ def test_cut_beyond_conjugate_point_is_rejected():
                         cut=4.5, center=np.array([0.0, 0.375]))
     with pytest.raises(ValueError, match="conjugate"):
         cmp.build_sclv_data(m, sclv, scale=0.5)
+
+
+def test_sclv_fan_is_integrated_once(monkeypatch):
+    from lfgeom import geodesics, jacobi
+    real, fans = geodesics.radial_flow, []
+
+    def counting(m, x0, dirs, *args, **kw):
+        fans.append(len(dirs))
+        return real(m, x0, dirs, *args, **kw)
+
+    for mod in (geodesics, jacobi, cmp):
+        monkeypatch.setattr(mod, "radial_flow", counting)
+    m = models.model_library("minkowski", 1)
+    sclv = cmp.SCLVSpec(apex=np.zeros(2), radius=0.6, cut=2.0)
+    data = cmp.build_sclv_data(m, sclv, scale=0.25)
+    assert fans == [len(data.paths)]
 
 
 # ---------------------------------------------------------------- reports

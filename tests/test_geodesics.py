@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lfgeom.geodesics import (
+    STOPPED,
     conjugate_scan,
     exp_map,
     find_validity_times,
@@ -136,17 +137,25 @@ def test_radial_flow_agrees_with_single_geodesics():
         assert np.allclose(st["etadot"], vs, atol=1e-8)
 
 
-def test_radial_flow_peels_heterogeneous_chart_exits():
+def test_validity_times_of_heterogeneous_chart_exits():
     m = model_library("minkowski", n=2)
     dirs = np.array([[2.0, 0.2, 0.0], [1.0, 0.5, 0.0], [0.5, 0.1, 0.0]])
     t_valid, reasons = find_validity_times(m, np.zeros(3), dirs, 30.0)
     assert np.allclose(t_valid, [5.0, 10.0, 20.0], atol=1e-6)
     assert reasons == ["chart-exit"] * 3
+
+
+def test_radial_flow_stops_at_first_exit():
+    m = model_library("minkowski", n=2)
+    dirs = np.array([[2.0, 0.2, 0.0], [1.0, 0.5, 0.0], [0.5, 0.1, 0.0]])
     flow = radial_flow(m, np.zeros(3), dirs, np.full(3, 30.0))
+    assert np.allclose(flow.t_reached, 5.0, atol=1e-6)
+    assert flow.exit_reason == ["chart-exit", STOPPED, STOPPED]
+    assert len(flow.segments) == 1
+    st = flow.eval(2, np.array([0.0, 4.9]))
+    assert np.allclose(st["eta"][1], 4.9 * dirs[2], atol=1e-8)
     with pytest.raises(ValueError):
-        flow.eval(0, np.array([6.0]))
-    st = flow.eval(2, np.array([0.0, 19.9]))
-    assert np.allclose(st["eta"][1], 19.9 * dirs[2], atol=1e-8)
+        flow.eval(2, np.array([6.0]))
 
 
 def test_parallel_transport_preserves_pairings():

@@ -344,6 +344,13 @@ def test_batched_scalars_match_per_path():
         for field in ("ric", "lam_prime"):
             assert np.allclose(getattr(single, field), getattr(sc, field),
                                rtol=1e-9, atol=1e-9)
+    # one common grid on a flow whose target times differ
+    common = sample_grid(t_ends[0], 60)
+    for p, sc in zip(paths, scalars_for_paths(paths, [common] * 2)):
+        single = riccati_quantities(p, common)
+        for field in ("detA", "lam", "trC2", "psi", "dpsi", "d2psi"):
+            assert np.allclose(getattr(single, field), getattr(sc, field),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_validity_violation_is_reported():
