@@ -7,16 +7,19 @@ Everything here derives from one batched jet evaluation of L over joint
     Gamma~^a_bc = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
     G^a         = Gamma~^a_bc v^b v^c              (spray)
     N^a_b       = (1/2) dG^a/dv^b                  (nonlinear connection)
+    dN^a_b/dx^c = (1/2) d^2 G^a/dx^c dv^b          (outer derivatives of N,
+    dN^a_b/dv^c = (1/2) d^2 G^a/dv^c dv^b           for the curvature)
     Gamma^a_bc  = Chern connection (Gamma~ corrected by the Cartan tensor
                   contracted with N)
 
 The spray is assembled *inside* jet arithmetic (the metric inverse is
-computed by LDL^T factorization over the jet ring), so dG/dx and N come
-out exact to round-off rather than via finite differences.  By Euler's
-theorem for the 2-homogeneous spray, sum_b N^a_b v^b = G^a; the
-transport matrix M^a_c = Gamma^a_bc(v) v^b needed for parallel transport
-reduces to Gamma~ v minus a single Cartan term in G because the Cartan
-tensor annihilates v in every slot.
+computed by LDL^T factorization over the jet ring), so dG/dx, N and the
+outer derivatives of N come out exact to round-off rather than via
+finite differences: an order-k pass carries the spray jets to order
+k - 3.  By Euler's theorem for the 2-homogeneous spray,
+sum_b N^a_b v^b = G^a; the transport matrix M^a_c = Gamma^a_bc(v) v^b
+needed for parallel transport reduces to Gamma~ v minus a single Cartan
+term in G because the Cartan tensor annihilates v in every slot.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, gradient, jet_derivative, jetspace, lift
+from .jets import Jet, gradient, jet_derivative, jetspace, lift, partial
 from .models import CausalityError, FinslerModel, components
 
 __all__ = [
@@ -102,8 +105,9 @@ class ConnectionData:
     """Values of the connection pipeline at (x, v); leading axes are batch.
 
     Index conventions: dg_dx[..., c, a, b] = d g_ab / d x^c and likewise
-    dg_dv; dG_dx[..., a, b] = d G^a / d x^b.  Fields beyond the requested
-    order are None.
+    dg_dv; dG_dx[..., a, b] = d G^a / d x^b; dN_dx[..., c, a, b] =
+    d N^a_b / d x^c and likewise dN_dv.  Fields beyond the requested order
+    are None.
     """
 
     L: np.ndarray
@@ -115,6 +119,8 @@ class ConnectionData:
     M: np.ndarray | None = None
     N: np.ndarray | None = None
     dG_dx: np.ndarray | None = None
+    dN_dx: np.ndarray | None = None
+    dN_dv: np.ndarray | None = None
 
 
 def _require_future_timelike(L, v):
@@ -131,10 +137,11 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
     """One pass of the jet pipeline at (x, v).
 
     order = 2: fundamental tensor only; order = 3 adds metric slopes,
-    the spray, and the transport matrix; order = 4 adds N and dG/dx.
+    the spray, and the transport matrix; order = 4 adds N and dG/dx;
+    order = 5 adds dN/dx and dN/dv.
     """
-    if order < 2 or order > 4:
-        raise ValueError("order must be 2, 3, or 4")
+    if order < 2 or order > 5:
+        raise ValueError("order must be 2, 3, 4, or 5")
     d = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -224,6 +231,18 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
             N[..., a, b] = 0.5 * np.broadcast_to(grad[d + b], batch)
     out.dG_dx = dG_dx
     out.N = N
+    if order == 4:
+        return out
+
+    # second-order coefficients of the spray jets: the outer derivatives of N
+    unit = np.eye(2 * d, dtype=int)
+    d2G = np.empty(batch + (2 * d, d, d))  # d^2 G^a / dy^c dv^b over y = (x, v)
+    for a in range(d):
+        for b in range(d):
+            for c in range(2 * d):
+                d2G[..., c, a, b] = np.broadcast_to(partial(Gj[a], unit[c] + unit[d + b]), batch)
+    out.dN_dx = 0.5 * d2G[..., :d, :, :]
+    out.dN_dv = 0.5 * d2G[..., d:, :, :]
     return out
 
 

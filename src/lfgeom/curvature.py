@@ -4,11 +4,12 @@ The curvature endomorphism at reference vector v is
 
     R^a_b = dG^a/dx^b - v^c dN^a_b/dx^c + G^c dN^a_b/dv^c - N^a_c N^c_b.
 
-dG/dx comes exactly out of the jet pipeline; the outer derivatives of N
-are taken by Richardson-extrapolated central differences, with the whole
-stencil evaluated as one batch.  Flag curvature follows the convention
-that makes it the squared frequency of the frame Jacobi equation
-A'' = -K A, i.e. an exponentially expanding warped product has K < 0 and
+(Shen, Lectures on Finsler Geometry, 2001).  dG/dx and the outer
+derivatives of N, dN^a_b/dx^c = (1/2) d^2 G^a/dx^c dv^b and
+dN^a_b/dv^c = (1/2) d^2 G^a/dv^c dv^b, come exactly out of one order-5
+pass of the jet pipeline.  Flag curvature follows the convention that
+makes it the squared frequency of the frame Jacobi equation A'' = -K A,
+i.e. an exponentially expanding warped product has K < 0 and
 a round static universe has K > 0 on tangential flags:
 
     K(v, w) = g_v(R(w), w) / (g_v(v,w)^2 - g_v(v,v) g_v(w,w)).
@@ -39,7 +40,6 @@ __all__ = [
     "ricci_weighted",
 ]
 
-FD_STEP = 1e-4
 DPSI_TOL = 1e-10
 
 
@@ -49,47 +49,25 @@ class CurvatureData:
 
     center: ConnectionData
     R: np.ndarray                # (..., a, b)
-    dN_dx: np.ndarray            # (..., c, a, b)
-    dN_dv: np.ndarray
 
     @property
     def ric(self):
         return np.einsum("...aa->...", self.R)
 
 
-def riemann_matrix(m: FinslerModel, x, v, *, h_rel=FD_STEP) -> CurvatureData:
+def riemann_matrix(m: FinslerModel, x, v) -> CurvatureData:
     """Curvature endomorphism R^a_b at (x, v); batched over leading axes."""
     d = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     batch = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
-    xb = np.broadcast_to(x, batch + (d,))
     vb = np.broadcast_to(v, batch + (d,))
-    c0 = eval_connection(m, xb, vb, order=4)
-
-    hx = h_rel * (1.0 + float(np.max(np.abs(x))))
-    hv = h_rel * (1.0 + float(np.max(np.abs(v))))
-    # stencil: per coordinate the four offsets (+h, -h, +h/2, -h/2)
-    offs_x = np.einsum("s,cd->csd", np.array([hx, -hx, hx / 2, -hx / 2]), np.eye(d))
-    offs_v = np.einsum("s,cd->csd", np.array([hv, -hv, hv / 2, -hv / 2]), np.eye(d))
-    X = np.concatenate([xb[..., None, None, :] + offs_x,
-                        np.broadcast_to(xb[..., None, None, :], batch + (d, 4, d))], axis=-3)
-    V = np.concatenate([np.broadcast_to(vb[..., None, None, :], batch + (d, 4, d)),
-                        vb[..., None, None, :] + offs_v], axis=-3)
-    Nst = eval_connection(m, X, V, order=4, validate=False).N  # (..., 2d, 4, d, d)
-
-    def richardson(block, h):
-        Dh = (block[..., 0, :, :] - block[..., 1, :, :]) / (2.0 * h)
-        Dh2 = (block[..., 2, :, :] - block[..., 3, :, :]) / h
-        return (4.0 * Dh2 - Dh) / 3.0
-
-    dN_dx = richardson(Nst[..., :d, :, :, :], hx)   # (..., c, a, b)
-    dN_dv = richardson(Nst[..., d:, :, :, :], hv)
-    R = (c0.dG_dx
-         - np.einsum("...c,...cab->...ab", vb, dN_dx)
-         + np.einsum("...c,...cab->...ab", c0.G, dN_dv)
-         - np.einsum("...ac,...cb->...ab", c0.N, c0.N))
-    return CurvatureData(center=c0, R=R, dN_dx=dN_dx, dN_dv=dN_dv)
+    c = eval_connection(m, np.broadcast_to(x, batch + (d,)), vb, order=5)
+    R = (c.dG_dx
+         - np.einsum("...c,...cab->...ab", vb, c.dN_dx)
+         + np.einsum("...c,...cab->...ab", c.G, c.dN_dv)
+         - np.einsum("...ac,...cb->...ab", c.N, c.N))
+    return CurvatureData(center=c, R=R)
 
 
 def flag_curvature(m: FinslerModel, x, v, w, data: CurvatureData | None = None):

@@ -326,7 +326,7 @@ def scalars_for_paths(paths: list[JacobiPath], ts_list, *, flag_range=False):
     vs = np.concatenate([s.v for s in samples])
     data = riemann_matrix(m, xs, vs)
     ric = data.ric
-    psi, dpsi, d2psi = weight_along(m, xs, vs)
+    psi, dpsi, d2psi = weight_along(m, xs, vs, conn=data.center)
     out, off = [], 0
     for s in samples:
         sl = slice(off, off + s.ts.size)

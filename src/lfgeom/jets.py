@@ -13,7 +13,7 @@ same function at any higher order.  Coefficient arrays may carry a
 trailing batch axis: operations broadcast over it, which is how the rest
 of the package evaluates geometry at many (point, vector) pairs at once.
 
-Orders up to at least 4 are supported (the connection layer needs fourth
+Orders up to at least 5 are supported (the curvature layer needs fifth
 derivatives of the Lagrangian); there is no hard upper limit beyond the
 combinatorial growth of the coefficient table.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iter_product
 
 import numpy as np
 import scipy.sparse as _sp
@@ -60,13 +59,18 @@ class OrderExceededError(ValueError):
     """Raised when a partial of higher degree than the truncation is requested."""
 
 
+def _compositions(dim: int, deg: int):
+    """Multi-indices of total degree ``deg`` in ascending lexicographic order."""
+    if dim == 1:
+        yield (deg,)
+        return
+    for first in range(deg + 1):
+        for rest in _compositions(dim - 1, deg - first):
+            yield (first,) + rest
+
+
 def _graded_multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for deg in range(order + 1):
-        block = [m for m in _iter_product(range(deg + 1), repeat=dim) if sum(m) == deg]
-        block.sort()
-        out.extend(block)
-    return out
+    return [m for deg in range(order + 1) for m in _compositions(dim, deg)]
 
 
 class JetSpace:
@@ -75,39 +79,42 @@ class JetSpace:
     def __init__(self, dim: int, order: int):
         if dim < 1 or order < 0:
             raise ValueError("jet space needs dim >= 1 and order >= 0")
+        if (order + 1) ** dim >= 2**63:
+            raise ValueError("jet space too large for int64 multi-index codes")
         self.dim = dim
         self.order = order
         self.mindex = _graded_multi_indices(dim, order)
         self.index_of = {m: i for i, m in enumerate(self.mindex)}
-        degrees = np.array([sum(m) for m in self.mindex])
+        midx = np.array(self.mindex, dtype=np.int64)
+        self.degrees = midx.sum(axis=1)
         # ncoef_at[k]: number of coefficients of an order-k jet (prefix length)
-        self.ncoef_at = [int(np.sum(degrees <= k)) for k in range(order + 1)]
+        self.ncoef_at = [int(np.sum(self.degrees <= k)) for k in range(order + 1)]
         self.ncoef = self.ncoef_at[order]
         # factorial(m) = prod_i m_i!, used when reading off partials
         self.fact = np.array([math.prod(math.factorial(mi) for mi in m) for m in self.mindex], dtype=float)
+        # mixed-radix codes add like multi-indices while no component exceeds the order
+        self._radix = (order + 1) ** np.arange(dim, dtype=np.int64)
+        self._code = midx @ self._radix
+        self._code_rank = np.argsort(self._code)
         self._mult_tables: dict[int, tuple[np.ndarray, np.ndarray, _sp.csr_matrix]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+    def _index_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        rank = self._code_rank
+        return rank[np.searchsorted(self._code[rank], codes)]
+
     def mult_table(self, out_order: int):
-        """Gather/scatter tables for the truncated product at a given order."""
+        """Gather/scatter tables for the truncated product at a given order.
+
+        Pairs (I, J) run i-major, j-minor; S scatters each to its product slot.
+        """
         tab = self._mult_tables.get(out_order)
         if tab is None:
             nc = self.ncoef_at[out_order]
-            I, J, K = [], [], []
-            for i, mi in enumerate(self.mindex[:nc]):
-                di = sum(mi)
-                for j, mj in enumerate(self.mindex[:nc]):
-                    if di + sum(mj) > out_order:
-                        continue
-                    I.append(i)
-                    J.append(j)
-                    K.append(self.index_of[tuple(a + b for a, b in zip(mi, mj))])
-            I = np.array(I, dtype=np.int64)
-            J = np.array(J, dtype=np.int64)
-            K = np.array(K, dtype=np.int64)
-            S = _sp.csr_matrix(
-                (np.ones(len(K)), (K, np.arange(len(K)))), shape=(nc, len(K))
-            )
+            deg = self.degrees[:nc]
+            I, J = np.nonzero(deg[:, None] + deg[None, :] <= out_order)
+            K = self._index_of_codes(self._code[I] + self._code[J])
+            S = _sp.csr_matrix((np.ones(len(K)), (K, np.arange(len(K)))), shape=(nc, len(K)))
             tab = (I, J, S)
             self._mult_tables[out_order] = tab
         return tab
@@ -123,13 +130,8 @@ class JetSpace:
         tab = self._deriv_tables.get(var)
         if tab is None:
             nc_out = self.ncoef_at[self.order - 1] if self.order >= 1 else 0
-            src = np.empty(nc_out, dtype=np.int64)
-            mult = np.empty(nc_out, dtype=float)
-            for d, m in enumerate(self.mindex[:nc_out]):
-                m_src = list(m)
-                m_src[var] += 1
-                src[d] = self.index_of[tuple(m_src)]
-                mult[d] = m[var] + 1
+            src = self._index_of_codes(self._code[:nc_out] + self._radix[var])
+            mult = np.array([m[var] + 1 for m in self.mindex[:nc_out]], dtype=float)
             tab = (src, mult)
             self._deriv_tables[var] = tab
         return tab

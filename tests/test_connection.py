@@ -243,6 +243,55 @@ def test_chern_differs_from_gamma_tilde_when_cartan_active():
     assert np.all(np.isfinite(ch))
 
 
+# ------------------------------------------------- order 5: outer derivatives of N
+
+
+ORDER5_MODELS = [
+    (model_library("minkowski", n=2), np.array([0.4, -1.0, 2.0]), np.array([1.3, 0.2, -0.4])),
+    (model_library("flrw", n=2, scale="affine", a0=1.2, q=0.3,
+                   weight=[("const", 0.2), ("linear_x0", 0.8), ("boost_ratio", 0.45)]),
+     np.array([0.1, 0.3, -0.2]), np.array([1.2, 0.3, 0.1])),
+    *MODEL_POINTS,
+    (model_library("einstein_static", n=3, radius=1.0),
+     np.array([0.1, 0.3, -0.2, 0.25]), np.array([1.0, 0.25, 0.35, -0.1])),
+]
+
+
+@pytest.mark.parametrize("m,x,v", ORDER5_MODELS, ids=lambda p: getattr(p, "name", None))
+def test_order5_dN_matches_richardson_of_N(m, x, v):
+    d = m.dim
+    c = eval_connection(m, x, v, order=5)
+    hx = 1e-4 * (1.0 + np.max(np.abs(x)))
+    hv = 1e-4 * (1.0 + np.max(np.abs(v)))
+    fd_x = np.stack([richardson_dir(lambda y: nonlinear_connection(m, y, v), x, np.eye(d)[k], hx)
+                     for k in range(d)])
+    fd_v = np.stack([richardson_dir(lambda w: nonlinear_connection(m, x, w), v, np.eye(d)[k], hv)
+                     for k in range(d)])
+    for got, want in ((c.dN_dx, fd_x), (c.dN_dv, fd_v)):
+        assert got.shape == (d, d, d)
+        assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("m,x,v", ORDER5_MODELS, ids=lambda p: getattr(p, "name", None))
+def test_order5_keeps_lower_fields_bit_identical(m, x, v):
+    rng = np.random.default_rng(5)
+    X = x + 0.05 * rng.uniform(-1.0, 1.0, size=(7, m.dim))
+    V = v + 0.05 * rng.uniform(-1.0, 1.0, size=(7, m.dim))
+    c4 = eval_connection(m, X, V, order=4)
+    c5 = eval_connection(m, X, V, order=5)
+    for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx"):
+        assert np.array_equal(getattr(c4, field), getattr(c5, field)), field
+    assert c4.dN_dx is None and c4.dN_dv is None
+
+
+def test_order_outside_2_to_5_is_rejected():
+    m = model_library("minkowski", n=2)
+    x, v = np.zeros(3), np.array([1.0, 0.1, 0.0])
+    for order in (1, 6):
+        with pytest.raises(ValueError):
+            eval_connection(m, x, v, order=order)
+
+
 # -------------------------------------------------------- covariant derivative
 
 

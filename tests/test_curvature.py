@@ -70,12 +70,30 @@ def test_warped_product_curvature_matrix(kwargs, a_of, da, dda):
     v = np.array([1.1, 0.3, -0.2])
     data = riemann_matrix(m, x, v)
     want = flrw_R_oracle(a_of(t0), da(t0), dda(t0), v)
-    assert np.allclose(data.R, want, atol=1e-7)
+    assert np.allclose(data.R, want, rtol=0.0, atol=1e-14)
     n = 2
     ric_want = (a_of(t0) * dda(t0) * np.sum(v[1:] ** 2)
                 - n * dda(t0) / a_of(t0) * v[0] ** 2
                 + (n - 1) * da(t0) ** 2 * np.sum(v[1:] ** 2))
-    assert abs(ricci(m, x, v, data=data) - ric_want) < 1e-7
+    assert abs(ricci(m, x, v, data=data) - ric_want) < 1e-14
+
+
+def test_riemann_matrix_makes_one_connection_call(monkeypatch):
+    import lfgeom.curvature as curvature
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order", args[3] if len(args) > 3 else None))
+        return eval_connection(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "eval_connection", counting)
+    m = model_library("quartic_flrw", n=3, eps=0.3, H=0.4)
+    x = np.array([0.15, 0.2, -0.1, 0.3])
+    V = np.array([[1.2, 0.3, -0.25, 0.1], [1.1, -0.2, 0.1, 0.05]])
+    data = riemann_matrix(m, x, V)
+    assert calls == [5]
+    assert data.R.shape == (2, 4, 4)
 
 
 def test_flat_and_position_independent_models_have_zero_curvature():

@@ -10,6 +10,7 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix as sp_csr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,55 @@ def test_batched_coefficients_broadcast():
         single = lift(sp, [x0[i], y0[i]], active=[0, 1])
         fs = jets.exp(single[0]) * single[1]
         assert np.allclose(f.coeffs[:, i], fs.coeffs)
+
+
+# ---------------------------------------------------------------- tables
+
+
+def reference_multi_indices(dim, order):
+    """Graded lexicographic multi-indices by filtering the full grid."""
+    out = []
+    for deg in range(order + 1):
+        block = [m for m in iproduct(range(deg + 1), repeat=dim) if sum(m) == deg]
+        block.sort()
+        out.extend(block)
+    return out
+
+
+def reference_mult_table(mindex, out_order):
+    """Product tables by looping over every coefficient pair."""
+    index_of = {m: i for i, m in enumerate(mindex)}
+    nc = sum(1 for m in mindex if sum(m) <= out_order)
+    I, J, K = [], [], []
+    for i, mi in enumerate(mindex[:nc]):
+        for j, mj in enumerate(mindex[:nc]):
+            if sum(mi) + sum(mj) <= out_order:
+                I.append(i)
+                J.append(j)
+                K.append(index_of[tuple(a + b for a, b in zip(mi, mj))])
+    S = sp_csr((np.ones(len(K)), (K, np.arange(len(K)))), shape=(nc, len(K)))
+    return np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), S
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_tables_match_loop_reference(dim):
+    for order in range(6):
+        space = jets.JetSpace(dim, order)
+        mindex = reference_multi_indices(dim, order)
+        assert space.mindex == mindex
+        for out_order in range(order + 1):
+            I, J, S = space.mult_table(out_order)
+            I_ref, J_ref, S_ref = reference_mult_table(mindex, out_order)
+            assert np.array_equal(I, I_ref) and np.array_equal(J, J_ref)
+            assert S.shape == S_ref.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(S, attr), getattr(S_ref, attr))
+        nc_out = space.ncoef_at[order - 1] if order >= 1 else 0
+        for var in range(dim):
+            src, mult = space.deriv_table(var)
+            lifted = [tuple(mi + (q == var) for q, mi in enumerate(m)) for m in mindex[:nc_out]]
+            assert src.tolist() == [mindex.index(m) for m in lifted]
+            assert mult.tolist() == [m[var] + 1 for m in mindex[:nc_out]]
 
 
 # ---------------------------------------------------------------- errors
