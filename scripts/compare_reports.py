@@ -6,11 +6,12 @@ Usage:
 
 Pairs the same-named ``*.json`` and ``*.csv`` files of the two
 directories and walks every JSON leaf and every CSV cell.  For each file
-it prints the worst relative float difference |a - b| / max(|a|, |b|, 1)
+it prints ``identical`` when the two files are byte-identical, and
+otherwise the worst relative float difference |a - b| / max(|a|, |b|, 1)
 and where it occurs.  Every other leaf -- a verdict, a count, a string,
 a key set or a list length -- must match exactly; each mismatch is
 printed.  Exit code 1 if the file sets differ or any such leaf differs,
-0 otherwise.
+2 if a directory is missing, 0 otherwise.
 """
 
 import csv
@@ -91,11 +92,18 @@ def main(argv=None):
         print("usage: compare_reports.py DIR_A DIR_B", file=sys.stderr)
         return 2
     dir_a, dir_b = Path(argv[0]), Path(argv[1])
+    for directory in (dir_a, dir_b):
+        if not directory.is_dir():
+            print(f"compare_reports.py: {directory} is not a directory", file=sys.stderr)
+            return 2
     names_a, names_b = _report_names(dir_a), _report_names(dir_b)
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {'A' if name in names_a else 'B'}")
     failed = names_a != names_b
     for name in sorted(names_a & names_b):
+        if (dir_a / name).read_bytes() == (dir_b / name).read_bytes():
+            print(f"{name}: identical")
+            continue
         worst, where, bad = compare_file(dir_a / name, dir_b / name)
         print(f"{name}: worst rel diff {worst:.3g} at {where}")
         for line in bad:

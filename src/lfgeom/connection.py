@@ -20,15 +20,21 @@ k - 3.  By Euler's theorem for the 2-homogeneous spray,
 sum_b N^a_b v^b = G^a; the transport matrix M^a_c = Gamma^a_bc(v) v^b
 needed for parallel transport reduces to Gamma~ v minus a single Cartan
 term in G because the Cartan tensor annihilates v in every slot.
+
+The jet part of the pass (`_jet_section`: L, the g-entry jets, the spray
+and its LDL^T solve) is recorded once per model and order (`jets.record`)
+and replayed on every call; the fields are gathered from its outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .jets import Jet, gradient, jet_derivative, jetspace, lift, partial
+from . import jets
+from .jets import Jet, gradient, jet_derivative, jetspace, lift
 from .models import CausalityError, FinslerModel, components
 
 __all__ = [
@@ -52,8 +58,9 @@ class DegenerateMetricError(ArithmeticError):
     """LDL^T pivot collapsed: g_v is numerically degenerate."""
 
 
-def _const_of(e):
-    return np.asarray(e.value) if isinstance(e, Jet) else np.asarray(e)
+def _check_pivot(j, pivot, scale):
+    if np.min(np.abs(pivot)) <= PIVOT_TOL * scale:
+        raise DegenerateMetricError(f"pivot {j} below tolerance; g_v degenerate")
 
 
 def ldl_factor(mat):
@@ -66,16 +73,15 @@ def ldl_factor(mat):
     the signature is indefinite, so pivots change sign).
     """
     d = len(mat)
-    scale = max(float(np.max(np.abs(_const_of(mat[i][j]))))
-                for i in range(d) for j in range(i + 1)) or 1.0
+    scale = jets.apply(lambda *entries: max(float(np.max(np.abs(e))) for e in entries) or 1.0,
+                       *[mat[i][j] for i in range(d) for j in range(i + 1)])
     L = [[None] * d for _ in range(d)]
     D = [None] * d
     for j in range(d):
         pivot = mat[j][j]
         for k in range(j):
             pivot = pivot - L[j][k] * L[j][k] * D[k]
-        if np.min(np.abs(_const_of(pivot))) <= PIVOT_TOL * scale:
-            raise DegenerateMetricError(f"pivot {j} below tolerance; g_v degenerate")
+        jets.apply(partial(_check_pivot, j), pivot, scale, check=True)
         D[j] = pivot
         for i in range(j + 1, d):
             acc = mat[i][j]
@@ -133,8 +139,50 @@ def _require_future_timelike(L, v):
         )
 
 
+def _jet_section(m: FinslerModel, order: int):
+    """The jet part of the pipeline, to record: from the lifted x and v, the
+    L jet, the g-entry jets (upper triangle, row-major) and, for order >= 3,
+    the spray jets G^a (carried to order ``order - 3``)."""
+    d = m.dim
+
+    def section(inputs):
+        Lj = m.L_fn(inputs[:d], inputs[d:])
+        # second v-derivatives of the L jet: order-(order-2) jets of g entries
+        gj = [[None] * d for _ in range(d)]
+        for a in range(d):
+            da = jet_derivative(Lj, d + a)
+            for b in range(a, d):
+                gj[a][b] = gj[b][a] = 0.5 * jet_derivative(da, d + b)
+        out = [Lj] + [gj[a][b] for a in range(d) for b in range(a, d)]
+        if order == 2:
+            return out
+
+        # spray, assembled in jet arithmetic at the remaining order
+        rem = order - 3
+        vj = [inputs[d + k].truncated(rem) for k in range(d)]
+        dgx = [[[jet_derivative(gj[a][b], c).truncated(rem) for b in range(d)]
+                for a in range(d)] for c in range(d)]
+        P = [[vj[bq] * vj[cq] for cq in range(d)] for bq in range(d)]
+        rhs = []
+        for dq in range(d):
+            acc = None
+            for bq in range(d):
+                for cq in range(d):
+                    term = dgx[bq][dq][cq] * P[bq][cq] - 0.5 * (dgx[dq][bq][cq] * P[bq][cq])
+                    acc = term if acc is None else acc + term
+            rhs.append(acc)
+        gj_t = [[gj[i][j].truncated(rem) for j in range(d)] for i in range(d)]
+        return out + ldl_apply(*ldl_factor(gj_t), rhs)
+
+    return section
+
+
+def _batch_first(arr, k):  # the k leading (index) axes of arr go behind its batch axes
+    return np.ascontiguousarray(arr.transpose(tuple(range(k, arr.ndim)) + tuple(range(k))))
+
+
 def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True) -> ConnectionData:
-    """One pass of the jet pipeline at (x, v).
+    """One pass of the connection pipeline at (x, v).
 
     order = 2: fundamental tensor only; order = 3 adds metric slopes,
     the spray, and the transport matrix; order = 4 adds N and dG/dx;
@@ -145,31 +193,31 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
     d = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
-    sp = jetspace(2 * d, order)
-    lifted = lift(sp, list(components(x, d)) + list(components(v, d)), active=list(range(2 * d)))
-    Lj = m.L_fn(lifted[:d], lifted[d:])
+    values = components(x, d) + components(v, d)
+    program = m.program(("connection", order), lambda: jets.record(
+        _jet_section(m, order), jetspace(2 * d, order), list(range(2 * d)),
+        [np.ravel(c)[:1] for c in values]))
+    return _connection_data(program.run(values), m, v, order, validate)
 
-    Lval = np.broadcast_to(Lj.value, batch)
+
+def _connection_data(outputs, m: FinslerModel, v, order: int, validate: bool) -> ConnectionData:
+    """ConnectionData from the output coefficient arrays of `_jet_section`."""
+    d = m.dim
+    upper = [(a, b) for a in range(d) for b in range(a, d)]  # the g-entry outputs
+    Lc, gc, Gc = outputs[0], outputs[1:1 + len(upper)], outputs[1 + len(upper):]
+    sym = np.array([[upper.index((min(a, b), max(a, b))) for b in range(d)] for a in range(d)])
+    first = 2 * d - np.arange(2 * d)  # graded-lex row of d/dy over y = (x, v)
+    batch = Lc.shape[1:]
+    Lval = np.array(Lc[0])
     if validate:
         _require_future_timelike(Lval, np.broadcast_to(v, batch + (d,)))
 
-    # second v-derivatives of the L jet: order-(order-2) jets of g entries
-    gj = [[None] * d for _ in range(d)]
-    for a in range(d):
-        da = jet_derivative(Lj, d + a)
-        for b in range(a, d):
-            gj[a][b] = gj[b][a] = 0.5 * jet_derivative(da, d + b)
-
-    g = np.empty(batch + (d, d))
-    for a in range(d):
-        for b in range(a, d):
-            g[..., a, b] = g[..., b, a] = np.broadcast_to(gj[a][b].value, batch)
+    gv = np.stack([c[:2 * d + 1] for c in gc])  # [entry, row] + batch
+    g = _batch_first(gv[sym, 0], 2)
 
     gfac = ldl_factor([[g[..., i, j] for j in range(d)] for i in range(d)])
     eye = np.eye(d)
-    ginv_cols = [ldl_apply(*gfac, [np.broadcast_to(eye[i, j], batch) for i in range(d)])
-                 for j in range(d)]
+    ginv_cols = [ldl_apply(*gfac, [eye[i, j] for i in range(d)]) for j in range(d)]
     ginv = np.stack([np.stack(col, axis=-1) for col in ginv_cols], axis=-1)
     # ginv[..., i, j]: stacked solves of unit columns; symmetric to round-off
 
@@ -177,38 +225,11 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
     if order == 2:
         return out
 
-    # metric slopes (values)
-    dg_dx = np.empty(batch + (d, d, d))
-    dg_dv = np.empty(batch + (d, d, d))
-    for a in range(d):
-        for b in range(a, d):
-            for c in range(d):
-                dg_dx[..., c, a, b] = dg_dx[..., c, b, a] = np.broadcast_to(
-                    jet_derivative(gj[a][b], c).value, batch)
-                dg_dv[..., c, a, b] = dg_dv[..., c, b, a] = np.broadcast_to(
-                    jet_derivative(gj[a][b], d + c).value, batch)
-    out.dg_dx = dg_dx
-    out.dg_dv = dg_dv
-
-    # spray, assembled in jet arithmetic at the remaining order
-    rem = order - 3
-    vj = [lifted[d + k].truncated(rem) for k in range(d)]
-    dgx = [[[jet_derivative(gj[a][b], c).truncated(rem) for b in range(d)]
-            for a in range(d)] for c in range(d)]
-    P = [[vj[bq] * vj[cq] for cq in range(d)] for bq in range(d)]
-    rhs = []
-    for dq in range(d):
-        acc = None
-        for bq in range(d):
-            for cq in range(d):
-                term = dgx[bq][dq][cq] * P[bq][cq] - 0.5 * (dgx[dq][bq][cq] * P[bq][cq])
-                acc = term if acc is None else acc + term
-        rhs.append(acc)
-    gj_t = [[gj[i][j].truncated(rem) for j in range(d)] for i in range(d)]
-    Gj = ldl_apply(*ldl_factor(gj_t), rhs)
-
-    G = np.stack([np.broadcast_to(Gj[a].value, batch) for a in range(d)], axis=-1)
-    out.G = G
+    # metric slopes: dg[..., c, a, b] is row first[c] (c over x) or first[d + c] of entry (a, b)
+    out.dg_dx = dg_dx = _batch_first(gv[sym, first[:d, None, None]], 3)
+    out.dg_dv = dg_dv = _batch_first(gv[sym, first[d:, None, None]], 3)
+    Gs = np.stack(Gc)  # [a, row] + batch
+    out.G = G = _batch_first(Gs[:, 0], 1)
 
     # transport matrix M^a_c = Gamma^a_bc(v) v^b; only the first Cartan
     # term survives the contraction, with N v = G by Euler's theorem
@@ -222,25 +243,17 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
         return out
 
     # first-order coefficients of the spray jets: dG/dx and N
-    dG_dx = np.empty(batch + (d, d))
-    N = np.empty(batch + (d, d))
-    for a in range(d):
-        grad = gradient(Gj[a])
-        for b in range(d):
-            dG_dx[..., a, b] = np.broadcast_to(grad[b], batch)
-            N[..., a, b] = 0.5 * np.broadcast_to(grad[d + b], batch)
-    out.dG_dx = dG_dx
-    out.N = N
+    out.dG_dx = _batch_first(Gs[:, first[:d]], 2)
+    out.N = 0.5 * _batch_first(Gs[:, first[d:]], 2)
     if order == 4:
         return out
 
-    # second-order coefficients of the spray jets: the outer derivatives of N
-    unit = np.eye(2 * d, dtype=int)
-    d2G = np.empty(batch + (2 * d, d, d))  # d^2 G^a / dy^c dv^b over y = (x, v)
-    for a in range(d):
-        for b in range(d):
-            for c in range(2 * d):
-                d2G[..., c, a, b] = np.broadcast_to(partial(Gj[a], unit[c] + unit[d + b]), batch)
+    # second-order coefficients of the spray jets: d2G[..., c, a, b] = d^2 G^a / dy^c dv^b
+    sp, unit = jetspace(2 * d, order), np.eye(2 * d, dtype=int)
+    rows = np.array([[[sp.index_of[tuple(unit[c] + unit[d + b])] for b in range(d)]]
+                     for c in range(2 * d)])
+    fact = sp.fact[rows].reshape(rows.shape + (1,) * len(batch))
+    d2G = _batch_first(Gs[np.arange(d)[:, None], rows] * fact, 3)
     out.dN_dx = 0.5 * d2G[..., :d, :, :]
     out.dN_dv = 0.5 * d2G[..., d:, :, :]
     return out

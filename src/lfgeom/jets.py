@@ -16,12 +16,19 @@ of the package evaluates geometry at many (point, vector) pairs at once.
 Orders up to at least 5 are supported (the curvature layer needs fifth
 derivatives of the Lagrangian); there is no hard upper limit beyond the
 combinatorial growth of the coefficient table.
+
+`record` runs a function once on one batch row while every primitive
+also appends an op to a straight-line `Program` (a Taylor tape: Griewank &
+Walther, *Evaluating Derivatives*, SIAM 2008), with product tables pruned
+by which rows can be nonzero for any input.  `Program.run` replays it,
+checks included, bit-identical to evaluating the function on jets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +53,8 @@ __all__ = [
     "sinh",
     "cosh",
     "powr",
+    "apply",
+    "record",
 ]
 
 DIV_TOL = 1e-12  # constant-term magnitude below which division is refused
@@ -142,11 +151,7 @@ def jetspace(dim: int, order: int) -> JetSpace:
     return JetSpace(dim, order)
 
 
-def _as_batch(value, width):
-    arr = np.asarray(value, dtype=float)
-    if width is None:
-        return arr
-    return np.broadcast_to(arr, width).copy() if arr.shape != tuple(width) else arr
+_recorder: "_Recorder | None" = None  # active while `record` runs a function
 
 
 @dataclass(eq=False)
@@ -159,6 +164,7 @@ class Jet:
     space: JetSpace
     order: int
     coeffs: np.ndarray
+    slot: int | None = field(default=None, repr=False)  # while recorded
 
     __array_ufunc__ = None  # keep numpy from claiming mixed expressions
     __array_priority__ = 1000.0
@@ -184,7 +190,8 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.space, order, self.coeffs[: self.space.ncoef_at[order]])
+        nc = self.space.ncoef_at[order]
+        return _apply(lambda a: a[:nc], (self,), self.space, order, lambda m: m[:nc])
 
     def copy(self) -> "Jet":
         return Jet(self.space, self.order, self.coeffs.copy())
@@ -194,20 +201,23 @@ class Jet:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            c = self.coeffs.copy()
-            c[0] = c[0] + np.asarray(other, dtype=float)
-            return Jet(self.space, self.order, c)
+            row0 = lambda m, *_: m | _rows(len(m), 0)
+            if isinstance(other, _Value):
+                return _apply(_add_constant, (self, other), self.space, self.order, row0)
+            k = _scalar(other)
+            return _apply(lambda a: _add_constant(a, k), (self,), self.space, self.order, row0)
         order = min(self.order, o.order)
         nc = self.space.ncoef_at[order]
-        return Jet(self.space, order, self.coeffs[:nc] + o.coeffs[:nc])
+        return _apply(lambda a, b: a[:nc] + b[:nc], (self, o), self.space, order,
+                      lambda ma, mb: ma[:nc] | mb[:nc])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.space, self.order, -self.coeffs)
+        return _apply(np.negative, (self,), self.space, self.order, lambda m: m)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
+        return self + (-other if isinstance(other, (Jet, _Value)) else -np.asarray(other, dtype=float))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -215,8 +225,13 @@ class Jet:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return Jet(self.space, self.order, self.coeffs * np.asarray(other, dtype=float))
+            if isinstance(other, _Value):
+                return _apply(np.multiply, (self, other), self.space, self.order, lambda m, _: m)
+            k = _scalar(other)
+            return _apply(lambda a: a * k, (self,), self.space, self.order, lambda m: m)
         order = min(self.order, o.order)
+        if _recorder is not None:
+            return _recorder.product(self, o, order)
         I, J, S = self.space.mult_table(order)
         # Skip index pairs hitting all-zero coefficient rows: early pipeline
         # operands (lifted coordinates, constants) have only a couple of
@@ -241,7 +256,8 @@ class Jet:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return self * (1.0 / np.asarray(other, dtype=float))
+            return self * (1.0 / (other if isinstance(other, _Value)
+                                  else np.asarray(other, dtype=float)))
         return self * _reciprocal(o)
 
     def __rtruediv__(self, other):
@@ -263,16 +279,48 @@ class Jet:
         return powr(self, float(p))
 
 
+def _apply(fn, args, space, order, rule) -> Jet:
+    """The jet ``fn(*operand arrays)``, one op while recording (``rule`` maps row masks)."""
+    out = Jet(space, order, fn(*[a.coeffs if isinstance(a, Jet) else a.val for a in args]))
+    if _recorder is not None:
+        _recorder.emit(fn, args, out, rule)
+    return out
+
+
+def _add_constant(a, k):
+    row0 = a[0] + k
+    c = np.empty(a.shape[:1] + row0.shape)
+    c[...] = a  # a recorded constant's one column widens to k's batch
+    c[0] = row0
+    return c
+
+
+def _rows(n, *rows):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(rows)] = True
+    return mask
+
+
+def _scalar(value):
+    if _recorder is not None and np.ndim(value):
+        raise ValueError("an array operand of a recorded op must come from its inputs")
+    return np.asarray(value, dtype=float)
+
+
 # -- construction ---------------------------------------------------------
 
 
 def constant(space: JetSpace, value, order: int | None = None, like: Jet | None = None) -> Jet:
     order = space.order if order is None else order
     val = np.asarray(value, dtype=float)
-    shape = (space.ncoef_at[order],) + (like.batch_shape if like is not None else val.shape)
-    c = np.zeros(shape)
-    c[0] = val
-    return Jet(space, order, c)
+    nc = space.ncoef_at[order]
+
+    def fill(*ref):
+        c = np.zeros((nc,) + (ref[0].shape[1:] if ref else val.shape))
+        c[0] = val
+        return c
+
+    return _apply(fill, () if like is None else (like,), space, order, lambda *_: _rows(nc, 0))
 
 
 def lift(space: JetSpace, values, active, order: int | None = None) -> list[Jet]:
@@ -328,8 +376,10 @@ def jet_derivative(jet: Jet, var: int) -> Jet:
         raise OrderExceededError("cannot differentiate an order-0 jet")
     src, mult = jet.space.deriv_table(var)
     nc_out = jet.space.ncoef_at[jet.order - 1]
-    c = jet.coeffs[src[:nc_out]] * (mult[:nc_out].reshape((-1,) + (1,) * len(jet.batch_shape)))
-    return Jet(jet.space, jet.order - 1, c)
+    src = src[:nc_out]
+    mult = mult[:nc_out].reshape((-1,) + (1,) * len(jet.batch_shape))
+    return _apply(lambda a: a.take(src, 0) * mult, (jet,), jet.space, jet.order - 1,
+                  lambda m: m[src])
 
 
 # -- composition and elementary functions ----------------------------------
@@ -350,119 +400,295 @@ def _compose(jet: Jet, taylor: np.ndarray) -> Jet:
     return out
 
 
-def _reciprocal(jet: Jet) -> Jet:
+def _elementary(jet: Jet, check, taylor) -> Jet:
+    """f(jet) from ``taylor(a0, order)``, the f^(k)(a0)/k!; ``check(a0)``
+    raises JetDomainError outside the domain of f."""
+    if _recorder is not None:
+        return _recorder.elementary(jet, check, taylor)
     a0 = np.asarray(jet.value)
-    if np.any(np.abs(a0) < DIV_TOL):
-        raise JetDomainError("division by jet with near-zero constant term")
-    K = jet.order
-    taylor = np.stack([(-1.0) ** k / a0 ** (k + 1) for k in range(K + 1)])
-    return _compose(jet, taylor)
+    if check is not None:
+        check(a0)
+    return _compose(jet, taylor(a0, jet.order))
 
 
-def _dispatch(fn_jet, fn_np):
+def _domain(outside, message):
+    def check(a0):
+        if np.any(outside(a0)):
+            raise JetDomainError(message)
+    return check
+
+
+_nonzero = _domain(lambda a0: np.abs(a0) < DIV_TOL, "division by jet with near-zero constant term")
+
+
+def _positive(what):
+    return _domain(lambda a0: a0 <= 0.0, f"{what} of jet with non-positive constant term")
+
+
+def _reciprocal_taylor(a0, K):
+    return np.stack([(-1.0) ** k / a0 ** (k + 1) for k in range(K + 1)])
+
+
+def _reciprocal(jet: Jet) -> Jet:
+    return _elementary(jet, _nonzero, _reciprocal_taylor)
+
+
+def _powr_taylor(p):
+    def taylor(a0, K):
+        coef = []
+        c = 1.0
+        for k in range(K + 1):
+            coef.append(c / math.factorial(k))
+            c = c * (p - k)
+        shape = (-1,) + (1,) * a0.ndim
+        return np.array(coef).reshape(shape) * a0 ** (p - np.arange(K + 1).reshape(shape))
+    return taylor
+
+
+def _sqrt_taylor(a0, K):
+    shape = (-1,) + (1,) * a0.ndim
+    coef = np.stack([math.comb(2 * k, k) * (-1.0) ** (k + 1) / (4.0 ** k * (2 * k - 1))
+                     for k in range(K + 1)])  # binom(1/2, k)
+    return coef.reshape(shape) * a0 ** (0.5 - np.arange(K + 1).reshape(shape))
+
+
+def _exp_taylor(a0, K):
+    e = np.exp(a0)
+    return np.stack([e / math.factorial(k) for k in range(K + 1)])
+
+
+def _log_taylor(a0, K):
+    return np.stack([np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k) for k in range(1, K + 1)])
+
+
+def _sin_taylor(a0, K):
+    s, c = np.sin(a0), np.cos(a0)
+    return np.stack([(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(K + 1)])
+
+
+def _cos_taylor(a0, K):
+    s, c = np.sin(a0), np.cos(a0)
+    return np.stack([(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(K + 1)])
+
+
+def _sinh_taylor(a0, K):
+    return np.stack([(np.sinh(a0), np.cosh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
+
+
+def _cosh_taylor(a0, K):
+    return np.stack([(np.cosh(a0), np.sinh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
+
+
+def _dispatch(check, taylor, fn_np):
     def wrapped(x):
         if isinstance(x, Jet):
-            return fn_jet(x)
-        return fn_np(np.asarray(x, dtype=float))
+            return _elementary(x, check, taylor)
+        return fn_np(x if isinstance(x, _Value) else np.asarray(x, dtype=float))
 
     return wrapped
 
 
-def _sqrt_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    if np.any(a0 <= 0.0):
-        raise JetDomainError("sqrt of jet with non-positive constant term")
-    K = jet.order
-    coef = np.stack([math.comb(2 * k, k) * (-1.0) ** (k + 1) / (4.0 ** k * (2 * k - 1))
-                     for k in range(K + 1)])  # binom(1/2, k)
-    taylor = coef.reshape((-1,) + (1,) * a0.ndim) * a0 ** (0.5 - np.arange(K + 1).reshape((-1,) + (1,) * a0.ndim))
-    return _compose(jet, taylor)
-
-
-def _exp_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    e = np.exp(a0)
-    taylor = np.stack([e / math.factorial(k) for k in range(jet.order + 1)])
-    return _compose(jet, taylor)
-
-
-def _log_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    if np.any(a0 <= 0.0):
-        raise JetDomainError("log of jet with non-positive constant term")
-    taylor = [np.log(a0)]
-    for k in range(1, jet.order + 1):
-        taylor.append((-1.0) ** (k + 1) / (k * a0 ** k))
-    return _compose(jet, np.stack(taylor))
-
-
-def _trig_taylor(a0, order, pair):
-    f, g = pair  # f = value function, g = derivative partner with sign cycle
-    vals = []
-    for k in range(order + 1):
-        cyc = k % 4
-        if cyc == 0:
-            d = f(a0)
-        elif cyc == 1:
-            d = g(a0)
-        elif cyc == 2:
-            d = -f(a0)
-        else:
-            d = -g(a0)
-        vals.append(d / math.factorial(k))
-    return np.stack(vals)
-
-
-def _sin_jet(jet: Jet) -> Jet:
-    return _compose(jet, _trig_taylor(np.asarray(jet.value), jet.order, (np.sin, np.cos)))
-
-
-def _cos_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    vals = []
-    for k in range(jet.order + 1):
-        cyc = k % 4
-        d = (np.cos(a0), -np.sin(a0), -np.cos(a0), np.sin(a0))[cyc]
-        vals.append(d / math.factorial(k))
-    return _compose(jet, np.stack(vals))
-
-
-def _sinh_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    vals = [(np.sinh(a0) if k % 2 == 0 else np.cosh(a0)) / math.factorial(k)
-            for k in range(jet.order + 1)]
-    return _compose(jet, np.stack(vals))
-
-
-def _cosh_jet(jet: Jet) -> Jet:
-    a0 = np.asarray(jet.value)
-    vals = [(np.cosh(a0) if k % 2 == 0 else np.sinh(a0)) / math.factorial(k)
-            for k in range(jet.order + 1)]
-    return _compose(jet, np.stack(vals))
-
-
-sqrt = _dispatch(_sqrt_jet, np.sqrt)
-exp = _dispatch(_exp_jet, np.exp)
-log = _dispatch(_log_jet, np.log)
-sin = _dispatch(_sin_jet, np.sin)
-cos = _dispatch(_cos_jet, np.cos)
-sinh = _dispatch(_sinh_jet, np.sinh)
-cosh = _dispatch(_cosh_jet, np.cosh)
+sqrt = _dispatch(_positive("sqrt"), _sqrt_taylor, np.sqrt)
+exp = _dispatch(None, _exp_taylor, np.exp)
+log = _dispatch(_positive("log"), _log_taylor, np.log)
+sin = _dispatch(None, _sin_taylor, np.sin)
+cos = _dispatch(None, _cos_taylor, np.cos)
+sinh = _dispatch(None, _sinh_taylor, np.sinh)
+cosh = _dispatch(None, _cosh_taylor, np.cosh)
 
 
 def powr(x, p: float):
     """Real power with positive base (jets or arrays)."""
-    if not isinstance(x, Jet):
-        return np.asarray(x, dtype=float) ** p
-    a0 = np.asarray(x.value)
-    if np.any(a0 <= 0.0):
-        raise JetDomainError("real power of jet with non-positive constant term")
-    K = x.order
-    coef = []
-    c = 1.0
-    for k in range(K + 1):
-        coef.append(c / math.factorial(k))
-        c = c * (p - k)
-    coef = np.array(coef)
-    taylor = coef.reshape((-1,) + (1,) * a0.ndim) * a0 ** (p - np.arange(K + 1).reshape((-1,) + (1,) * a0.ndim))
-    return _compose(x, taylor)
+    if isinstance(x, Jet):
+        return _elementary(x, _positive("real power"), _powr_taylor(p))
+    return (x if isinstance(x, _Value) else np.asarray(x, dtype=float)) ** p
+
+
+# -- record and replay ------------------------------------------------------
+
+
+def apply(fn, *args, check=False):
+    """``fn`` of the constant terms of args (a jet's value, others as they
+    are); while recording, one op whose result is a runtime value.  A
+    ``check`` (``fn`` raises on failure) runs on every replay, not on the trace."""
+    if _recorder is not None and any(isinstance(a, (Jet, _Value)) for a in args):
+        return _recorder.value_op(fn, args, check)
+    return fn(*[np.asarray(a.value if isinstance(a, Jet) else a) for a in args])
+
+
+class _Value(np.lib.mixins.NDArrayOperatorsMixin):
+    """A runtime array in a recorded function (an input that is not lifted,
+    or a value computed from one); each ufunc applied to it is one op."""
+
+    def __init__(self, val, slot):
+        self.val, self.slot = val, slot
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs or any(isinstance(a, Jet) for a in args):
+            return NotImplemented
+        fn = operator.pow if ufunc is np.power else ufunc  # ndarray's ** has fast paths
+        return _recorder.value_op(fn, args)
+
+
+def _pair_sum(I, J, S, nc):
+    """A product over the pairs (I, J), summed by ``S`` in the unpruned
+    product's pair order (so bit-identically), and the rows it fills."""
+    if not len(I):
+        return (lambda a, b: np.zeros((nc,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))), \
+            np.zeros(nc, dtype=bool)
+    return (lambda a, b: S @ (a.take(I, 0) * b.take(J, 0))), np.diff(S.indptr) > 0
+
+
+class _Recorder:
+    """The ops (replay function, output slot, input slots, runs a check) of
+    one recorded function.  Each jet slot has a row mask, the rows that can
+    be nonzero for any input: lifted inputs have rows {0, seed}, and each op
+    maps masks to masks.  Until a runtime value scales a jet, zero rows hold
+    the same signed zeros for any input, so a slot with no nonzero row is a
+    constant: its one-column trace array."""
+
+    def __init__(self):
+        self.ops, self.inputs, self.masks = [], [], [None]  # slot 0 takes check results
+        self.consts, self.elementaries, self.fold = {}, {}, True
+
+    def new_slot(self, mask) -> int:
+        self.masks.append(mask)
+        return len(self.masks) - 1
+
+    def slot_of(self, x) -> int:
+        if x.slot is None:
+            raise ValueError("a jet from outside the recorded function reached a recorded op")
+        return x.slot
+
+    def emit(self, fn, args, out, rule, check=False):
+        ins = tuple(self.slot_of(a) for a in args)
+        mask = rule(*[self.masks[i] for i in ins])
+        self.fold &= not any(isinstance(a, _Value) for a in args)
+        out.slot = self.new_slot(mask)
+        if self.fold and not check and mask is not None and not mask.any():
+            self.consts[out.slot] = out.coeffs
+        else:
+            self.ops.append((fn, out.slot, ins, check))
+        return out
+
+    def product(self, a: Jet, b: Jet, order: int) -> Jet:
+        I, J, S = a.space.mult_table(order)
+        keep = self.masks[self.slot_of(a)][I] & self.masks[self.slot_of(b)][J]
+        fn, mask = _pair_sum(I[keep], J[keep], S[:, keep], a.space.ncoef_at[order])
+        return self.emit(fn, (a, b), Jet(a.space, order, fn(a.coeffs, b.coeffs)),
+                         lambda *_: mask)
+
+    def elementary(self, jet: Jet, check, taylor) -> Jet:
+        """`_compose` with step tables resolved now, once per (jet, function):
+        u = jet - a0 has the rows of ``jet`` but row 0."""
+        key = (self.slot_of(jet), taylor, check)
+        if key in self.elementaries:
+            return self.elementaries[key]
+        K, nc = jet.order, jet.space.ncoef_at[jet.order]
+        I, J, S = jet.space.mult_table(K)
+        mask_u, mask, steps = self.masks[jet.slot] & ~_rows(nc, 0), _rows(nc, 0), []
+        for _ in range(K):
+            keep = mask[I] & mask_u[J]
+            step, mask = _pair_sum(I[keep], J[keep], S[:, keep], nc)
+            mask[0] = True
+            steps.append(step)
+
+        def horner(a, coef):
+            out = np.zeros((nc,) + a.shape[1:])
+            out[0] = coef[K]
+            for k, step in zip(range(K - 1, -1, -1), steps):
+                out = step(out, a)  # a has the rows of u but row 0
+                out[0] = out[0] + coef[k]
+            return out
+
+        def replay(a):
+            if check is not None:
+                check(a[0])
+            return horner(a, taylor(a[0], K))
+
+        out = Jet(jet.space, K, horner(jet.coeffs, taylor(jet.coeffs[0], K)))
+        self.elementaries[key] = out
+        return self.emit(replay, (jet,), out, lambda *_: mask, check=check is not None)
+
+    def value_op(self, fn, args, check=False):
+        """An op computing ``fn`` of a jet's constant term or a `_Value`'s
+        array; any other argument is bound now."""
+        kinds = [1 if isinstance(a, Jet) else 0 if isinstance(a, _Value) else 2 for a in args]
+        if any(kind == 2 and np.ndim(a) for a, kind in zip(args, kinds)):
+            raise ValueError("an array operand of a recorded op must come from its inputs")
+        ins = tuple(self.slot_of(a) for a, kind in zip(args, kinds) if kind < 2)
+
+        def replay(*xs):
+            it = iter(xs)
+            return fn(*[a if kind == 2 else next(it)[0] if kind else next(it)
+                        for a, kind in zip(args, kinds)])
+
+        if check:
+            return self.ops.append((replay, 0, ins, True))
+        out = _Value(replay(*[a.coeffs if k else a.val for a, k in zip(args, kinds) if k < 2]),
+                     self.new_slot(None))
+        self.ops.append((replay, out.slot, ins, False))
+        return out
+
+
+class Program:
+    """A recorded straight-line jet program; `run` replays it on any batch."""
+
+    def __init__(self, space: JetSpace, seeds, rec: _Recorder, outputs):
+        self.space, self.seeds, self.outputs = space, seeds, outputs  # seeds: position -> row
+        last = {i: n for n, (_, _, ins, _) in enumerate(rec.ops) for i in ins}
+        for o in outputs:
+            last[o] = len(rec.ops)
+        release = {}  # op index -> slots whose last reader it is
+        for slot, n in last.items():
+            if slot not in rec.consts:
+                release.setdefault(n, []).append(slot)
+        self.ops = [(fn, out, ins, tuple(release.get(n, []) + ([out] if out not in last else [])))
+                    for n, (fn, out, ins, _) in enumerate(rec.ops)]
+        self.inputs = [(slot, pos) for slot, pos in rec.inputs if slot in last]
+        self.slots = [rec.consts.get(i) for i in range(len(rec.masks))]  # the constants
+
+    def run(self, values) -> list:
+        """The outputs at ``values`` (one scalar or batch array per input):
+        ``(ncoef,) + batch`` arrays for jets, ``batch`` arrays for values."""
+        vals = [np.asarray(v, dtype=float) for v in values]
+        batch = np.broadcast_shapes(*[v.shape for v in vals])
+        width = math.prod(batch)
+        s = self.slots.copy()
+        for slot, pos in self.inputs:  # as `lift` would, but only for the inputs read
+            s[slot] = val = np.broadcast_to(vals[pos], batch).reshape(width)
+            if pos in self.seeds:
+                s[slot] = np.zeros((self.space.ncoef, width))
+                s[slot][0], s[slot][self.seeds[pos]] = val, 1.0
+        for fn, out, ins, free in self.ops:
+            s[out] = fn(*[s[i] for i in ins])
+            for i in free:
+                s[i] = None
+        outs = [s[o] for o in self.outputs]  # a constant has one column: widen it
+        return [(x if x.shape[-1] == width else np.broadcast_to(x, x.shape[:-1] + (width,)))
+                .reshape(x.shape[:-1] + batch) for x in outs]
+
+
+def record(fn, space: JetSpace, active, sample) -> Program:
+    """Record ``fn`` into a `Program`.  ``fn`` takes one input per entry of
+    ``sample`` (the jet `lift` makes of it if its position is in ``active``,
+    else a runtime value) and returns a list of output jets or values.
+    ``sample`` is one batch row (zeros if empty): checks are recorded, not
+    run on it, and no value computed from it shapes the program."""
+    global _recorder
+    rec = _Recorder()
+    inputs, seeds = lift(space, [np.resize(v, 1) for v in sample], active), {}
+    for pos, x in enumerate(inputs):
+        if pos in active:  # rows 0 and the seed, where lift put a 1
+            seeds[pos] = 1 + np.flatnonzero(x.coeffs[1:, 0])[0]
+            x.slot = rec.new_slot(_rows(space.ncoef, 0, seeds[pos]))
+        else:
+            inputs[pos] = x = _Value(x.coeffs[0], rec.new_slot(None))
+        rec.inputs.append((x.slot, pos))
+    _recorder = rec
+    try:
+        with np.errstate(all="ignore"):
+            outputs = [rec.slot_of(o) for o in fn(inputs)]
+    finally:
+        _recorder = None
+    return Program(space, seeds, rec, outputs)

@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import jets
-from .jets import jetspace, lift, partial
+from .jets import jetspace
 
 __all__ = [
     "FinslerModel",
@@ -66,10 +66,18 @@ class FinslerModel:
     chart_lo: tuple = ()
     chart_hi: tuple = ()
     params: Mapping = field(default_factory=dict)
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    def program(self, key, record):
+        """This model's jet program ``key``, recorded by ``record()`` on first use."""
+        prog = self._programs.get(key)
+        if prog is None:
+            prog = self._programs[key] = record()
+        return prog
 
     def with_weight(self, weight_fn) -> "FinslerModel":
         return FinslerModel(self.name, self.n, self.L_fn, weight_fn,
@@ -231,21 +239,24 @@ def weight(m: FinslerModel, x, v):
 
 
 def fundamental_tensor(m: FinslerModel, x, v) -> np.ndarray:
-    """g_v = (1/2) Hessian_v L at (x, v); shape (..., 1+n, 1+n)."""
+    """g_v = (1/2) Hessian_v L at (x, v); shape (..., 1+n, 1+n) (recorded jets in v)."""
     d = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(np.all(v == 0.0, axis=-1)):
         raise ValueError("fundamental tensor is undefined at v = 0")
     sp = jetspace(d, 2)
-    vj = lift(sp, components(v, d), active=list(range(d)))
-    Lj = m.L_fn(components(x, d), vj)
-    batch = np.broadcast_shapes(x.shape[:-1], v.shape[:-1])
-    g = np.empty(batch + (d, d))
+
+    values = components(x, d) + components(v, d)
+    program = m.program(("fundamental_tensor", 2), lambda: jets.record(
+        lambda xv: [m.L_fn(xv[:d], xv[d:])], sp, list(range(d, 2 * d)),
+        [np.ravel(c)[:1] for c in values]))
+    (Lc,) = program.run(values)
+    g = np.empty(Lc.shape[1:] + (d, d))
     for a in range(d):
         for b in range(a, d):
-            midx = tuple((1 if k == a else 0) + (1 if k == b else 0) for k in range(d))
-            val = 0.5 * partial(Lj, midx)
+            k = sp.index_of[tuple((1 if q == a else 0) + (1 if q == b else 0) for q in range(d))]
+            val = 0.5 * (Lc[k] * sp.fact[k])
             g[..., a, b] = val
             g[..., b, a] = val
     return g

@@ -1,0 +1,48 @@
+"""scripts/compare_reports.py on two temporary report directories."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+
+
+def compare(a, b):
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write(directory, name, text):
+    directory.mkdir(exist_ok=True)
+    (directory / name).write_text(text)
+
+
+def test_identical_close_and_mismatched_reports(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    report = {"verdict": "PASS", "margin": 0.25, "rows": [1.0, 2.0]}
+    for d in (a, b):
+        write(d, "same.json", json.dumps(report))
+        write(d, "same.csv", "r,margin\n0.5,0.125\n")
+    write(a, "close.json", json.dumps(report))
+    write(b, "close.json", json.dumps({**report, "margin": 0.25 + 1e-13}))
+    status, out, _ = compare(a, b)
+    assert status == 0
+    assert "same.json: identical" in out and "same.csv: identical" in out
+    assert "close.json: worst rel diff 1e-13 at margin" in out
+
+    write(b, "close.json", json.dumps({**report, "verdict": "FAIL"}))
+    write(a, "extra.csv", "r\n1\n")
+    status, out, _ = compare(a, b)
+    assert status == 1
+    assert "MISMATCH verdict: 'PASS' != 'FAIL'" in out
+    assert "extra.csv: only in A" in out
+
+
+def test_missing_directory_is_reported_without_traceback(tmp_path):
+    (tmp_path / "a").mkdir()
+    status, out, err = compare(tmp_path / "a", tmp_path / "missing")
+    assert status == 2
+    assert "missing is not a directory" in err
+    assert "Traceback" not in err
