@@ -6,8 +6,10 @@ Usage:
     python3 scripts/run_scenarios.py [--out reports] [--resolution-scale 1.0]
 
 Writes one JSON report and one diagnostics CSV per scenario into --out and
-summarises verdict + worst margin per check on stdout.  Exit code is 1 if
-any scenario other than a deliberate negative control fails.
+summarises verdict + worst margin per check on stdout.  A scenario that
+exits 2 or 3 writes no report: its exit code is printed instead, and it
+counts as unexpected.  Exit code is 1 if any scenario other than a
+deliberate negative control fails.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 from lfgeom import cli
+from lfgeom.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 NEGATIVE_CONTROLS = {"boosted-sphere-gunther-fail"}
@@ -46,9 +49,12 @@ def main(argv=None):
             "all", "--scenario", str(path), "--out", str(outdir),
             "--resolution-scale", str(args.resolution_scale),
         ])
-        reports = sorted(outdir.glob("*-all.json"), key=lambda p: p.stat().st_mtime)
-        rep = json.loads(reports[-1].read_text())
-        name = rep["scenario"]
+        if code not in (0, 1):  # configuration error or numerical abort: no report
+            print(f"\n{path.stem}  (exit {code}, no report)")
+            bad.append(path.stem)
+            continue
+        name = load_scenario(path).name
+        rep = json.loads((outdir / f"{name}-all.json").read_text())
         control = name in NEGATIVE_CONTROLS
         print(f"\n{name}  (exit {code}{', negative control' if control else ''})")
         print(f"  overall: {rep['verdict']}")

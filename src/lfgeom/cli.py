@@ -5,7 +5,8 @@ gunther | bg-inf | ball | all.  Every run takes a scenario file and
 writes a versioned JSON report (``schema: 1``) plus CSV plot data into
 ``--out``.  Exit status: 0 when all verdicts are PASS or
 CONDITIONAL-PASS, 1 on any FAIL, 2 on configuration errors, 3 on
-numerical aborts (integrator failure, no admissible parameters).
+numerical aborts (integrator failure, no admissible parameters, an
+``ArithmeticError`` such as a degenerate metric).
 
 Flags may also be set by environment variables with the ``LFGEOM_``
 prefix (``LFGEOM_SCENARIO``, ``LFGEOM_OUT``, ``LFGEOM_SEED``,
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     except cmp.ComparisonAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
 

@@ -23,13 +23,15 @@ term in G because the Cartan tensor annihilates v in every slot.
 
 The jet part of the pass (`_jet_section`: L, the g-entry jets, the spray
 and its LDL^T solve) is recorded once per model and order (`jets.record`)
-and replayed on every call; the fields are gathered from its outputs.
+and replayed on every call; its outputs are truncated to the rows the
+fields read, so the replay computes nothing else.  The fields are gathered
+from those outputs; ginv and M are computed on first read, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -75,13 +77,22 @@ def ldl_factor(mat):
     d = len(mat)
     scale = jets.apply(lambda *entries: max(float(np.max(np.abs(e))) for e in entries) or 1.0,
                        *[mat[i][j] for i in range(d) for j in range(i + 1)])
+    return _ldl(mat, lambda j, pivot: jets.apply(partial(_check_pivot, j), pivot, scale,
+                                                 check=True))
+
+
+def _ldl(mat, check=None):
+    """The LDL^T factorization of `ldl_factor`; ``check(j, pivot)`` runs on
+    each pivot before it divides."""
+    d = len(mat)
     L = [[None] * d for _ in range(d)]
     D = [None] * d
     for j in range(d):
         pivot = mat[j][j]
         for k in range(j):
             pivot = pivot - L[j][k] * L[j][k] * D[k]
-        jets.apply(partial(_check_pivot, j), pivot, scale, check=True)
+        if check is not None:
+            check(j, pivot)
         D[j] = pivot
         for i in range(j + 1, d):
             acc = mat[i][j]
@@ -113,20 +124,63 @@ class ConnectionData:
     Index conventions: dg_dx[..., c, a, b] = d g_ab / d x^c and likewise
     dg_dv; dG_dx[..., a, b] = d G^a / d x^b; dN_dx[..., c, a, b] =
     d N^a_b / d x^c and likewise dN_dv.  Fields beyond the requested order
-    are None.
+    are None.  The metric slopes, ``ginv`` and ``M`` are computed on first
+    read, once; reading them never raises (every check ran in
+    `eval_connection`).
     """
 
     L: np.ndarray
     g: np.ndarray
-    ginv: np.ndarray
-    dg_dx: np.ndarray | None = None
-    dg_dv: np.ndarray | None = None
     G: np.ndarray | None = None
-    M: np.ndarray | None = None
     N: np.ndarray | None = None
     dG_dx: np.ndarray | None = None
     dN_dx: np.ndarray | None = None
     dN_dv: np.ndarray | None = None
+    v: np.ndarray | None = field(default=None, repr=False)  # the reference vectors, for M
+    gc: list | None = field(default=None, repr=False)  # the g-entry outputs, rows to order 1
+    gfac: tuple | None = field(default=None, repr=False)  # the checked LDL^T of g, at order 2
+
+    @cached_property
+    def dg_dx(self) -> np.ndarray | None:
+        return self._slopes(0)
+
+    @cached_property
+    def dg_dv(self) -> np.ndarray | None:
+        return self._slopes(1)
+
+    @cached_property
+    def _gv(self):
+        return np.stack(self.gc)  # [entry, row] + batch
+
+    def _slopes(self, half):
+        """dg[..., c, a, b]: row first[c] (c over x) or first[d + c] (over v) of entry (a, b)."""
+        if self.gc is None:
+            return None
+        d = self.g.shape[-1]
+        _, sym, first = _tables(d)
+        return _batch_first(self._gv[sym, first[half * d:(half + 1) * d, None, None]], 3)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        """Stacked LDL^T solves of unit columns; symmetric to round-off."""
+        d = self.g.shape[-1]
+        fac = self.gfac or _ldl([[self.g[..., i, j] for j in range(d)] for i in range(d)])
+        eye = np.eye(d)
+        cols = [ldl_apply(*fac, [eye[i, j] for i in range(d)]) for j in range(d)]
+        return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
+
+    @cached_property
+    def M(self) -> np.ndarray | None:
+        """M^a_c = Gamma^a_bc(v) v^b; only the first Cartan term survives the
+        contraction, with N v = G by Euler's theorem."""
+        if self.G is None:
+            return None
+        dg_dx, v = self.dg_dx, self.v
+        T1 = np.einsum("...bdg,...b->...dg", dg_dx, v)                             # d_b g_dg v^b
+        T2 = np.einsum("...gbd,...b->...dg", dg_dx, v)                             # d_g g_bd v^b
+        T3 = np.einsum("...dbg,...b->...dg", dg_dx, v)                             # d_d g_bg v^b
+        cartan_G = np.einsum("...mdg,...m->...dg", self.dg_dv, self.G)
+        return 0.5 * np.einsum("...ad,...dg->...ag", self.ginv, T1 + T2 - T3 - cartan_G)
 
 
 def _require_future_timelike(L, v):
@@ -140,9 +194,11 @@ def _require_future_timelike(L, v):
 
 
 def _jet_section(m: FinslerModel, order: int):
-    """The jet part of the pipeline, to record: from the lifted x and v, the
-    L jet, the g-entry jets (upper triangle, row-major) and, for order >= 3,
-    the spray jets G^a (carried to order ``order - 3``)."""
+    """The jet part of the pipeline, to record: from the lifted x and v, L
+    (order 0), the g-entry jets (upper triangle, row-major; order <= 1) and,
+    for order >= 3, the spray jets G^a (carried to order ``order - 3``); at
+    order 5 they stop at order 1 and are followed by their v^b-derivatives
+    (row-major in (a, b)), so the d^2 G / dx dx rows are never computed."""
     d = m.dim
 
     def section(inputs):
@@ -153,7 +209,7 @@ def _jet_section(m: FinslerModel, order: int):
             da = jet_derivative(Lj, d + a)
             for b in range(a, d):
                 gj[a][b] = gj[b][a] = 0.5 * jet_derivative(da, d + b)
-        out = [Lj] + [gj[a][b] for a in range(d) for b in range(a, d)]
+        out = [Lj.truncated(0)] + [gj[a][b].truncated(1) for a in range(d) for b in range(a, d)]
         if order == 2:
             return out
 
@@ -172,7 +228,11 @@ def _jet_section(m: FinslerModel, order: int):
                     acc = term if acc is None else acc + term
             rhs.append(acc)
         gj_t = [[gj[i][j].truncated(rem) for j in range(d)] for i in range(d)]
-        return out + ldl_apply(*ldl_factor(gj_t), rhs)
+        Gj = ldl_apply(*ldl_factor(gj_t), rhs)
+        if order < 5:
+            return out + Gj
+        return (out + [G.truncated(1) for G in Gj]
+                + [jet_derivative(G, d + b) for G in Gj for b in range(d)])
 
     return section
 
@@ -200,45 +260,33 @@ def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True
     return _connection_data(program.run(values), m, v, order, validate)
 
 
+@lru_cache(maxsize=None)
+def _tables(d: int):
+    """Index tables of `_connection_data`: the g-entry output of each (a, b)
+    and the graded-lex row of d/dy over y = (x, v)."""
+    upper = [(a, b) for a in range(d) for b in range(a, d)]  # the g-entry outputs
+    sym = np.array([[upper.index((min(a, b), max(a, b))) for b in range(d)] for a in range(d)])
+    return len(upper), sym, 2 * d - np.arange(2 * d)
+
+
 def _connection_data(outputs, m: FinslerModel, v, order: int, validate: bool) -> ConnectionData:
     """ConnectionData from the output coefficient arrays of `_jet_section`."""
     d = m.dim
-    upper = [(a, b) for a in range(d) for b in range(a, d)]  # the g-entry outputs
-    Lc, gc, Gc = outputs[0], outputs[1:1 + len(upper)], outputs[1 + len(upper):]
-    sym = np.array([[upper.index((min(a, b), max(a, b))) for b in range(d)] for a in range(d)])
-    first = 2 * d - np.arange(2 * d)  # graded-lex row of d/dy over y = (x, v)
+    nu, sym, first = _tables(d)
+    Lc, gc, Gc = outputs[0], outputs[1:1 + nu], outputs[1 + nu:1 + nu + d]
     batch = Lc.shape[1:]
     Lval = np.array(Lc[0])
     if validate:
         _require_future_timelike(Lval, np.broadcast_to(v, batch + (d,)))
 
-    gv = np.stack([c[:2 * d + 1] for c in gc])  # [entry, row] + batch
-    g = _batch_first(gv[sym, 0], 2)
+    g = _batch_first(np.stack([c[0] for c in gc])[sym], 2)
+    if order == 2:  # no jet LDL^T was recorded: check g's pivots now
+        return ConnectionData(L=Lval, g=g,
+                              gfac=ldl_factor([[g[..., i, j] for j in range(d)] for i in range(d)]))
 
-    gfac = ldl_factor([[g[..., i, j] for j in range(d)] for i in range(d)])
-    eye = np.eye(d)
-    ginv_cols = [ldl_apply(*gfac, [eye[i, j] for i in range(d)]) for j in range(d)]
-    ginv = np.stack([np.stack(col, axis=-1) for col in ginv_cols], axis=-1)
-    # ginv[..., i, j]: stacked solves of unit columns; symmetric to round-off
-
-    out = ConnectionData(L=Lval, g=g, ginv=ginv)
-    if order == 2:
-        return out
-
-    # metric slopes: dg[..., c, a, b] is row first[c] (c over x) or first[d + c] of entry (a, b)
-    out.dg_dx = dg_dx = _batch_first(gv[sym, first[:d, None, None]], 3)
-    out.dg_dv = dg_dv = _batch_first(gv[sym, first[d:, None, None]], 3)
+    out = ConnectionData(L=Lval, g=g, v=np.array(v, dtype=float), gc=gc)
     Gs = np.stack(Gc)  # [a, row] + batch
-    out.G = G = _batch_first(Gs[:, 0], 1)
-
-    # transport matrix M^a_c = Gamma^a_bc(v) v^b; only the first Cartan
-    # term survives the contraction, with N v = G by Euler's theorem
-    T1 = np.einsum("...bdg,...b->...dg", dg_dx, v)                             # d_b g_dg v^b
-    T2 = np.einsum("...gbd,...b->...dg", dg_dx, v)                             # d_g g_bd v^b
-    T3 = np.einsum("...dbg,...b->...dg", dg_dx, v)                             # d_d g_bg v^b
-    cartan_G = np.einsum("...mdg,...m->...dg", dg_dv, G)
-    out.M = 0.5 * np.einsum("...ad,...dg->...ag", ginv, T1 + T2 - T3 - cartan_G)
-
+    out.G = _batch_first(Gs[:, 0], 1)
     if order == 3:
         return out
 
@@ -248,12 +296,10 @@ def _connection_data(outputs, m: FinslerModel, v, order: int, validate: bool) ->
     if order == 4:
         return out
 
-    # second-order coefficients of the spray jets: d2G[..., c, a, b] = d^2 G^a / dy^c dv^b
-    sp, unit = jetspace(2 * d, order), np.eye(2 * d, dtype=int)
-    rows = np.array([[[sp.index_of[tuple(unit[c] + unit[d + b])] for b in range(d)]]
-                     for c in range(2 * d)])
-    fact = sp.fact[rows].reshape(rows.shape + (1,) * len(batch))
-    d2G = _batch_first(Gs[np.arange(d)[:, None], rows] * fact, 3)
+    # d2G[..., c, a, b] = d^2 G^a / dy^c dv^b: row first[c] of the v^b-derivative of G^a
+    dG = np.stack(outputs[1 + nu + d:])
+    dG = dG.reshape((d, d) + dG.shape[1:])  # [a, b, row] + batch
+    d2G = _batch_first(np.moveaxis(dG[:, :, first], 2, 0), 3)
     out.dN_dx = 0.5 * d2G[..., :d, :, :]
     out.dN_dv = 0.5 * d2G[..., d:, :, :]
     return out

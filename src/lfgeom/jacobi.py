@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.interpolate import BarycentricInterpolator
 
-from .connection import eval_connection
+from .connection import DegenerateMetricError, eval_connection
 from .curvature import riemann_matrix, weight_along
 from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, radial_flow
 from .models import FinslerModel, fundamental_tensor
@@ -81,7 +81,7 @@ def build_frame(m: FinslerModel, x, v, tol=1e-10) -> np.ndarray:
         if len(frame) == m.n:
             break
     if len(frame) < m.n:
-        raise ValueError("orthonormalization broke down; metric too degenerate")
+        raise DegenerateMetricError("orthonormalization broke down; metric too degenerate")
     return np.array(frame)
 
 

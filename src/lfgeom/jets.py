@@ -20,8 +20,10 @@ combinatorial growth of the coefficient table.
 `record` runs a function once on one batch row while every primitive
 also appends an op to a straight-line `Program` (a Taylor tape: Griewank &
 Walther, *Evaluating Derivatives*, SIAM 2008), with product tables pruned
-by which rows can be nonzero for any input.  `Program.run` replays it,
-checks included, bit-identical to evaluating the function on jets.
+by which rows can be nonzero for any input.  A backward liveness pass then
+keeps only the ops and rows that an output or a check reads and that an
+input can change; each slot holds just those rows.  `Program.run` replays it, checks included,
+bit-identical to evaluating the function on jets.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as _sp
 
 __all__ = [
     "Jet",
@@ -105,7 +106,7 @@ class JetSpace:
         self._radix = (order + 1) ** np.arange(dim, dtype=np.int64)
         self._code = midx @ self._radix
         self._code_rank = np.argsort(self._code)
-        self._mult_tables: dict[int, tuple[np.ndarray, np.ndarray, _sp.csr_matrix]] = {}
+        self._mult_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _index_of_codes(self, codes: np.ndarray) -> np.ndarray:
@@ -115,16 +116,14 @@ class JetSpace:
     def mult_table(self, out_order: int):
         """Gather/scatter tables for the truncated product at a given order.
 
-        Pairs (I, J) run i-major, j-minor; S scatters each to its product slot.
+        Pairs (I, J) run i-major, j-minor; pair p adds into coefficient K[p].
         """
         tab = self._mult_tables.get(out_order)
         if tab is None:
             nc = self.ncoef_at[out_order]
             deg = self.degrees[:nc]
             I, J = np.nonzero(deg[:, None] + deg[None, :] <= out_order)
-            K = self._index_of_codes(self._code[I] + self._code[J])
-            S = _sp.csr_matrix((np.ones(len(K)), (K, np.arange(len(K)))), shape=(nc, len(K)))
-            tab = (I, J, S)
+            tab = (I, J, self._index_of_codes(self._code[I] + self._code[J]))
             self._mult_tables[out_order] = tab
         return tab
 
@@ -191,7 +190,7 @@ class Jet:
         if order >= self.order:
             return self
         nc = self.space.ncoef_at[order]
-        return _apply(lambda a: a[:nc], (self,), self.space, order, lambda m: m[:nc])
+        return _apply("trunc", lambda a: a[:nc], (self,), self.space, order, lambda m: m[:nc])
 
     def copy(self) -> "Jet":
         return Jet(self.space, self.order, self.coeffs.copy())
@@ -203,18 +202,19 @@ class Jet:
         if o is None:
             row0 = lambda m, *_: m | _rows(len(m), 0)
             if isinstance(other, _Value):
-                return _apply(_add_constant, (self, other), self.space, self.order, row0)
+                return _apply("shift", _add_constant, (self, other), self.space, self.order, row0)
             k = _scalar(other)
-            return _apply(lambda a: _add_constant(a, k), (self,), self.space, self.order, row0)
+            return _apply("shift", lambda a: _add_constant(a, k), (self,), self.space, self.order,
+                          row0, k)
         order = min(self.order, o.order)
         nc = self.space.ncoef_at[order]
-        return _apply(lambda a, b: a[:nc] + b[:nc], (self, o), self.space, order,
+        return _apply("add", lambda a, b: a[:nc] + b[:nc], (self, o), self.space, order,
                       lambda ma, mb: ma[:nc] | mb[:nc])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _apply(np.negative, (self,), self.space, self.order, lambda m: m)
+        return _apply("neg", np.negative, (self,), self.space, self.order, lambda m: m)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, (Jet, _Value)) else -np.asarray(other, dtype=float))
@@ -226,30 +226,25 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             if isinstance(other, _Value):
-                return _apply(np.multiply, (self, other), self.space, self.order, lambda m, _: m)
+                return _apply("scale", np.multiply, (self, other), self.space, self.order,
+                              lambda m, _: m)
             k = _scalar(other)
-            return _apply(lambda a: a * k, (self,), self.space, self.order, lambda m: m)
+            return _apply("scale", lambda a: a * k, (self,), self.space, self.order,
+                          lambda m: m, k)
         order = min(self.order, o.order)
         if _recorder is not None:
             return _recorder.product(self, o, order)
-        I, J, S = self.space.mult_table(order)
+        I, J, K = self.space.mult_table(order)
         # Skip index pairs hitting all-zero coefficient rows: early pipeline
         # operands (lifted coordinates, constants) have only a couple of
         # nonzero rows, and the gather temporaries dominate large batches.
         nza = np.any(self.coeffs != 0.0, axis=tuple(range(1, self.coeffs.ndim)))
         nzb = np.any(o.coeffs != 0.0, axis=tuple(range(1, o.coeffs.ndim)))
         keep = nza[I] & nzb[J]
-        if not np.any(keep):
-            nc = self.space.ncoef_at[order]
-            batch = np.broadcast_shapes(self.batch_shape, o.batch_shape)
-            return Jet(self.space, order, np.zeros((nc,) + batch))
         if not np.all(keep):
-            I, J, S = I[keep], J[keep], S[:, keep]
-        prod = self.coeffs[I] * o.coeffs[J]
-        if prod.ndim > 2:  # sparse matmul is 2-D only; flatten batch axes
-            out = S @ prod.reshape(prod.shape[0], -1)
-            return Jet(self.space, order, out.reshape((out.shape[0],) + prod.shape[1:]))
-        return Jet(self.space, order, S @ prod)
+            I, J, K = I[keep], J[keep], K[keep]
+        return Jet(self.space, order,
+                   _pair_sum(I, J, K, self.space.ncoef_at[order])(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -279,11 +274,13 @@ class Jet:
         return powr(self, float(p))
 
 
-def _apply(fn, args, space, order, rule) -> Jet:
-    """The jet ``fn(*operand arrays)``, one op while recording (``rule`` maps row masks)."""
+def _apply(kind, fn, args, space, order, rule, const=None) -> Jet:
+    """The jet ``fn(*operand arrays)``; while recording, one op of ``kind``
+    (``rule`` maps row masks; ``const`` is the op's bound constant)."""
     out = Jet(space, order, fn(*[a.coeffs if isinstance(a, Jet) else a.val for a in args]))
     if _recorder is not None:
-        _recorder.emit(fn, args, out, rule)
+        _recorder.emit(kind, args, out, rule(*[_recorder.masks[_recorder.slot_of(a)] for a in args]),
+                       const)
     return out
 
 
@@ -320,7 +317,8 @@ def constant(space: JetSpace, value, order: int | None = None, like: Jet | None 
         c[0] = val
         return c
 
-    return _apply(fill, () if like is None else (like,), space, order, lambda *_: _rows(nc, 0))
+    return _apply("const", fill, () if like is None else (like,), space, order,
+                  lambda *_: _rows(nc, 0), val)
 
 
 def lift(space: JetSpace, values, active, order: int | None = None) -> list[Jet]:
@@ -378,8 +376,8 @@ def jet_derivative(jet: Jet, var: int) -> Jet:
     nc_out = jet.space.ncoef_at[jet.order - 1]
     src = src[:nc_out]
     mult = mult[:nc_out].reshape((-1,) + (1,) * len(jet.batch_shape))
-    return _apply(lambda a: a.take(src, 0) * mult, (jet,), jet.space, jet.order - 1,
-                  lambda m: m[src])
+    return _apply("deriv", lambda a: a.take(src, 0) * mult, (jet,), jet.space, jet.order - 1,
+                  lambda m: m[src], (src, mult.ravel()))
 
 
 # -- composition and elementary functions ----------------------------------
@@ -530,29 +528,67 @@ class _Value(np.lib.mixins.NDArrayOperatorsMixin):
         return _recorder.value_op(fn, args)
 
 
-def _pair_sum(I, J, S, nc):
-    """A product over the pairs (I, J), summed by ``S`` in the unpruned
-    product's pair order (so bit-identically), and the rows it fills."""
-    if not len(I):
-        return (lambda a, b: np.zeros((nc,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))), \
-            np.zeros(nc, dtype=bool)
-    return (lambda a, b: S @ (a.take(I, 0) * b.take(J, 0))), np.diff(S.indptr) > 0
+def _pair_sum(I, J, K, n):
+    """The product kernel ``(a, b[, out]) -> n rows``: row k sums a[I[q]] * b[J[q]]
+    over the pairs q with K[q] = k, from +0 in the order of q, as a CSR
+    matvec adds them, so the two agree bit for bit (signed zeros and inf
+    included, nan where it has nan); a row with no pair is +0.  The pairs are regrouped column by
+    column (the c-th pair of every row that has one, rows by descending
+    count), so each column is one slice add."""
+    count = np.bincount(K, minlength=n)
+    order = np.argsort(-count, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    by_row = np.argsort(K, kind="stable")
+    col = np.empty(len(K), dtype=np.int64)
+    col[by_row] = np.arange(len(K)) - (np.cumsum(count) - count)[K[by_row]]
+    perm = np.argsort(col * n + rank[K])
+    I, J = I[perm], J[perm]
+    width = np.bincount(col)
+    n0 = int(width[0]) if len(width) else 0
+    cols = [(int(e - w), int(e)) for w, e in zip(width[1:], np.cumsum(width)[1:])]
+    inv = None if n0 == n and np.array_equal(order, np.arange(n)) else rank
+
+    def run(a, b, out=None):
+        p = np.multiply(a.take(I, 0), b.take(J, 0))
+        if inv is None:
+            acc = np.add(p[:n0], 0.0, out=out)
+        else:
+            acc = np.zeros((n,) + p.shape[1:])
+            np.add(p[:n0], 0.0, out=acc[:n0])
+        for lo, hi in cols:
+            acc[:hi - lo] += p[lo:hi]
+        return acc if inv is None else np.take(acc, inv, 0, out=out, mode="clip")
+
+    return run
+
+
+def _trace_product(a, b, I, J, K, nc):
+    """`_pair_sum` for a trace column: ``np.add.at`` adds the pairs in
+    order too, without the regrouping that pays off on a batch."""
+    out = np.zeros((nc,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    np.add.at(out, K, a[I] * b[J])
+    return out
 
 
 class _Recorder:
-    """The ops (replay function, output slot, input slots, runs a check) of
-    one recorded function.  Each jet slot has a row mask, the rows that can
-    be nonzero for any input: lifted inputs have rows {0, seed}, and each op
-    maps masks to masks.  Until a runtime value scales a jet, zero rows hold
-    the same signed zeros for any input, so a slot with no nonzero row is a
-    constant: its one-column trace array."""
+    """The ops (kind, output slot, input slots, bound data) of one recorded
+    function.  Each jet slot has a row mask, the rows that can be nonzero
+    for any input (lifted inputs have rows {0, seed}, and each op maps masks
+    to masks), its trace column, and ``var``, the rows whose values depend
+    on an input: a lifted input's row 0, and what ops make of such rows.
+    Every other row holds its trace value for any input.  Products leave +0
+    outside their mask and the other ops keep the signs of zeros fixed, so
+    zero rows are in ``var`` only where a runtime value scales them."""
 
     def __init__(self):
-        self.ops, self.inputs, self.masks = [], [], [None]  # slot 0 takes check results
-        self.consts, self.elementaries, self.fold = {}, {}, True
+        self.ops, self.inputs, self.elementaries = [], [], {}
+        self.masks, self.traces, self.var = [None], [None], [None]  # slot 0 takes checks
 
-    def new_slot(self, mask) -> int:
+    def new_slot(self, mask=None, trace=None, var=None) -> int:
         self.masks.append(mask)
+        self.traces.append(trace)
+        self.var.append(var)
         return len(self.masks) - 1
 
     def slot_of(self, x) -> int:
@@ -560,23 +596,34 @@ class _Recorder:
             raise ValueError("a jet from outside the recorded function reached a recorded op")
         return x.slot
 
-    def emit(self, fn, args, out, rule, check=False):
+    def emit(self, kind, args, out, mask, data=None):
         ins = tuple(self.slot_of(a) for a in args)
-        mask = rule(*[self.masks[i] for i in ins])
-        self.fold &= not any(isinstance(a, _Value) for a in args)
-        out.slot = self.new_slot(mask)
-        if self.fold and not check and mask is not None and not mask.any():
-            self.consts[out.slot] = out.coeffs
-        else:
-            self.ops.append((fn, out.slot, ins, check))
+        var = [self.var[i] for i in ins]  # None for a runtime value
+        nc = len(mask)
+        if kind == "prod":
+            I, J, K = data
+            var = np.bincount(K[var[0][I] | var[1][J]], minlength=nc) > 0
+        elif kind == "elem":  # its Taylor coefficients come from the constant term
+            var = mask & var[0].any()
+        elif kind == "deriv":
+            var = var[0][data[0]]
+        elif kind == "scale" and var[-1] is None:  # zeros take the value's signs
+            var = np.ones(nc, dtype=bool)
+        elif kind == "const":
+            var = np.zeros(nc, dtype=bool)
+        else:  # add, neg, shift, scale by a constant, trunc: row r from row r
+            var = np.logical_or.reduce([v[:nc] if v is not None else _rows(nc, 0) for v in var])
+        out.slot = self.new_slot(mask, out.coeffs.reshape(nc, -1)[:, :1], var)
+        self.ops.append((kind, out.slot, ins, data))
         return out
 
     def product(self, a: Jet, b: Jet, order: int) -> Jet:
-        I, J, S = a.space.mult_table(order)
+        I, J, K = a.space.mult_table(order)
         keep = self.masks[self.slot_of(a)][I] & self.masks[self.slot_of(b)][J]
-        fn, mask = _pair_sum(I[keep], J[keep], S[:, keep], a.space.ncoef_at[order])
-        return self.emit(fn, (a, b), Jet(a.space, order, fn(a.coeffs, b.coeffs)),
-                         lambda *_: mask)
+        I, J, K = I[keep], J[keep], K[keep]
+        nc = a.space.ncoef_at[order]
+        out = Jet(a.space, order, _trace_product(a.coeffs, b.coeffs, I, J, K, nc))
+        return self.emit("prod", (a, b), out, np.bincount(K, minlength=nc) > 0, (I, J, K))
 
     def elementary(self, jet: Jet, check, taylor) -> Jet:
         """`_compose` with step tables resolved now, once per (jet, function):
@@ -585,30 +632,23 @@ class _Recorder:
         if key in self.elementaries:
             return self.elementaries[key]
         K, nc = jet.order, jet.space.ncoef_at[jet.order]
-        I, J, S = jet.space.mult_table(K)
+        I, J, Kk = jet.space.mult_table(K)
         mask_u, mask, steps = self.masks[jet.slot] & ~_rows(nc, 0), _rows(nc, 0), []
         for _ in range(K):
             keep = mask[I] & mask_u[J]
-            step, mask = _pair_sum(I[keep], J[keep], S[:, keep], nc)
+            steps.append((I[keep], J[keep], Kk[keep]))
+            mask = np.bincount(Kk[keep], minlength=nc) > 0
             mask[0] = True
-            steps.append(step)
-
-        def horner(a, coef):
-            out = np.zeros((nc,) + a.shape[1:])
-            out[0] = coef[K]
-            for k, step in zip(range(K - 1, -1, -1), steps):
-                out = step(out, a)  # a has the rows of u but row 0
-                out[0] = out[0] + coef[k]
-            return out
-
-        def replay(a):
-            if check is not None:
-                check(a[0])
-            return horner(a, taylor(a[0], K))
-
-        out = Jet(jet.space, K, horner(jet.coeffs, taylor(jet.coeffs[0], K)))
+        a = jet.coeffs
+        coef = taylor(a[0], K)
+        out = np.zeros((nc,) + a.shape[1:])
+        out[0] = coef[K]
+        for k, step in zip(range(K - 1, -1, -1), steps):
+            out = _trace_product(out, a, *step, nc)  # a has the rows of u but row 0
+            out[0] = out[0] + coef[k]
+        out = self.emit("elem", (jet,), Jet(jet.space, K, out), mask, (check, taylor, steps))
         self.elementaries[key] = out
-        return self.emit(replay, (jet,), out, lambda *_: mask, check=check is not None)
+        return out
 
     def value_op(self, fn, args, check=False):
         """An op computing ``fn`` of a jet's constant term or a `_Value`'s
@@ -624,29 +664,227 @@ class _Recorder:
                         for a, kind in zip(args, kinds)])
 
         if check:
-            return self.ops.append((replay, 0, ins, True))
+            return self.ops.append(("check", 0, ins, replay))
         out = _Value(replay(*[a.coeffs if k else a.val for a, k in zip(args, kinds) if k < 2]),
-                     self.new_slot(None))
-        self.ops.append((replay, out.slot, ins, False))
+                     self.new_slot())
+        self.ops.append(("value", out.slot, ins, replay))
         return out
 
 
-class Program:
-    """A recorded straight-line jet program; `run` replays it on any batch."""
+def _liveness(rec: _Recorder, outputs):
+    """Backward pass: the rows each slot must hold (True for a read value),
+    the ops to replay, and the rows each Horner stage of a replayed
+    elementary keeps.  An op runs if it computes a held row or runs a check.
+    A row an op reads by value is held only if an input changes it (else it
+    is read from the trace); a product or Horner operand holds every row its
+    pairs read."""
+    masks, var = rec.masks, rec.var
+    need = [None] * len(masks)
 
-    def __init__(self, space: JetSpace, seeds, rec: _Recorder, outputs):
-        self.space, self.seeds, self.outputs = space, seeds, outputs  # seeds: position -> row
-        last = {i: n for n, (_, _, ins, _) in enumerate(rec.ops) for i in ins}
+    def want(slot, rows, operand=False):
+        if masks[slot] is None:
+            need[slot] = True
+            return
+        if not operand:
+            rows = rows & var[slot]
+        need[slot] = rows if need[slot] is None else need[slot] | rows
+
+    def rows_of(slot, idx):  # the rows idx of a jet slot, as a mask
+        rows = np.zeros(len(masks[slot]), dtype=bool)
+        rows[idx] = True
+        return rows
+
+    for o in outputs:
+        want(o, None if masks[o] is None else rows_of(o, slice(None)))
+    live, stages = [], {}
+    for n in range(len(rec.ops) - 1, -1, -1):
+        kind, out, ins, data = rec.ops[n]
+        rows = need[out]
+        if rows is None or (rows is not True and not rows.any()):
+            if kind != "check" and not (kind == "elem" and data[0] is not None):
+                continue
+            rows = None  # only the check runs
+        live.append(n)
+        if kind in ("add", "neg", "shift", "scale", "trunc"):  # row r reads row r
+            for i in ins:
+                want(i, None if masks[i] is None else rows_of(i, np.flatnonzero(rows)))
+        elif kind == "deriv":
+            want(ins[0], rows_of(ins[0], data[0][:len(rows)][rows]))
+        elif kind == "prod":
+            sel = rows[data[2]]
+            want(ins[0], rows_of(ins[0], data[0][sel]), operand=True)
+            want(ins[1], rows_of(ins[1], data[1][sel]), operand=True)
+        elif kind == "elem":
+            want(ins[0], rows_of(ins[0], 0))  # the check and the Taylor coefficients
+            u = rows_of(ins[0], [])
+            if rows is not None:
+                stage, per_step = rows.copy(), []
+                for I, J, K in reversed(data[2]):
+                    stage[0] = True  # each Horner stage adds its coefficient to row 0
+                    per_step.append(stage)
+                    sel = stage[K]
+                    u[J[sel]] = True
+                    stage = np.zeros_like(stage)
+                    stage[I[sel]] = True
+                stages[n] = per_step[::-1]
+            want(ins[0], u, operand=True)
+        elif kind in ("value", "check"):  # reads row 0 of jets
+            for i in ins:
+                want(i, None if masks[i] is None else rows_of(i, 0))
+    return need, live[::-1], stages
+
+
+def _identity(x):
+    return x
+
+
+def _gather(held, trace, rows):
+    """``x -> `` the ``rows`` of a slot whose array ``x`` holds its rows
+    ``held``; a row not held has its trace value."""
+    if len(rows) == len(held) and np.array_equal(rows, held):
+        return _identity
+    pos = np.searchsorted(held, rows)
+    hit = pos < len(held)
+    hit[hit] = held[pos[hit]] == rows[hit]
+    if hit.all():
+        lo = int(pos[0]) if len(pos) else 0
+        if np.array_equal(pos, np.arange(lo, lo + len(pos))):
+            return lambda x: x[lo:lo + len(pos)]
+        return lambda x: x.take(pos, 0)
+    known = trace[rows[~hit]]
+    if not hit.any():
+        return lambda x: known
+    at, src, miss = np.flatnonzero(hit), pos[hit], np.flatnonzero(~hit)
+
+    def fill(x):
+        out = np.empty((len(rows),) + x.shape[1:])
+        out[at] = x.take(src, 0)
+        out[miss] = known
+        return out
+
+    return fill
+
+
+class Program:
+    """A recorded straight-line jet program; `run` replays it on any batch.
+
+    `_liveness` (activity analysis over the tape: Griewank & Walther ch. 7;
+    Hascoët & Pascual, ACM TOMS 39(3), 2013) decides what is replayed:
+    every op that computes a held row, and every op that runs a check, in
+    recorded order.  Each jet slot holds only the rows it must, as an array
+    of those rows, and products, derivatives, truncations and Horner steps
+    are re-indexed to them; any other row has its trace value.  Outputs
+    come back with their full row set."""
+
+    def __init__(self, rec: _Recorder, outputs):
+        self.outputs = outputs
+        need, live, stages = _liveness(rec, outputs)
+        held = [np.flatnonzero(r) if isinstance(r, np.ndarray) else None for r in need]
+        traces = rec.traces
+        ops = []
+        for n in live:
+            kind, out, ins, data = rec.ops[n]
+            fn, ins = self._compile(kind, need[out], ins, data, held, traces, stages.get(n))
+            ops.append((fn, out, ins))
+        last = {i: n for n, (_, _, ins) in enumerate(ops) for i in ins}
         for o in outputs:
-            last[o] = len(rec.ops)
+            last[o] = len(ops)
         release = {}  # op index -> slots whose last reader it is
         for slot, n in last.items():
-            if slot not in rec.consts:
-                release.setdefault(n, []).append(slot)
+            release.setdefault(n, []).append(slot)
         self.ops = [(fn, out, ins, tuple(release.get(n, []) + ([out] if out not in last else [])))
-                    for n, (fn, out, ins, _) in enumerate(rec.ops)]
-        self.inputs = [(slot, pos) for slot, pos in rec.inputs if slot in last]
-        self.slots = [rec.consts.get(i) for i in range(len(rec.masks))]  # the constants
+                    for n, (fn, out, ins) in enumerate(ops)]
+        self.inputs = [(slot, pos, None if held[slot] is None else
+                        [r == 0 for r in held[slot]]) for slot, pos in rec.inputs
+                       if slot in last]  # per held row of a lifted input: is it row 0
+        self.widen = [None if held[o] is None else (len(rec.masks[o]), held[o], traces[o])
+                      for o in outputs]
+        self.slots = [None] * len(rec.masks)
+
+    @staticmethod
+    def _compile(kind, read, ins, data, held, traces, stages):
+        """The replay function of one live op, on held rows, and its inputs
+        (``read``: the output rows read)."""
+        rows = np.flatnonzero(read) if isinstance(read, np.ndarray) else None
+        jet = [held[i] is not None for i in ins]
+        g = [_gather(held[i], traces[i], rows) if j and rows is not None else None
+             for i, j in zip(ins, jet)]
+        if kind == "add":
+            ga, gb = g
+            if ga is _identity and gb is _identity:
+                return np.add, ins
+            return (lambda a, b: ga(a) + gb(b)), ins
+        if kind == "neg":
+            ga = g[0]
+            return (lambda a: np.negative(ga(a))), ins
+        if kind == "scale":
+            ga = g[0]
+            if len(ins) == 2:  # by a runtime value
+                return (lambda a, v: np.multiply(ga(a), v)), ins
+            return (lambda a: ga(a) * data), ins
+        if kind == "shift":
+            ga, k = g[0], data
+            if not len(rows) or rows[0] != 0:
+                return (lambda a, *_: ga(a)), ins
+            if len(ins) == 2:  # by a runtime value
+                return (lambda a, v: _add_constant(ga(a), v)), ins
+            return (lambda a: _add_constant(ga(a), k)), ins
+        if kind == "trunc":
+            return g[0], ins
+        if kind == "deriv":
+            src, mult = data
+            ga, m = _gather(held[ins[0]], traces[ins[0]], src[rows]), mult[rows][:, None]
+            return (lambda a: ga(a) * m), ins
+        if kind == "const":
+            c = np.reshape(np.asarray(data, dtype=float), (1, -1))
+            return (lambda: c), ()
+        if kind == "prod":
+            I, J, K = data
+            sel = read[K]
+            return _pair_sum(np.searchsorted(held[ins[0]], I[sel]),
+                             np.searchsorted(held[ins[1]], J[sel]),
+                             np.searchsorted(rows, K[sel]), len(rows)), ins
+        # the rest read row 0 of their jet inputs; a jet that does not hold
+        # row 0 passes its trace column instead
+        subs = [traces[i] if j and not (len(held[i]) and held[i][0] == 0) else None
+                for i, j in zip(ins, jet)]
+        if kind in ("value", "check"):
+            if all(z is None for z in subs):
+                return data, ins
+            return (lambda *xs: data(*[x if z is None else z for x, z in zip(xs, subs)])), ins
+        check, taylor, steps = data  # kind == "elem"
+        z0 = subs[0]
+        first = (lambda a: a[0]) if z0 is None else (lambda a: z0[0])
+        if stages is None:
+            return (lambda a: check(first(a))), ins
+        arows, prev, plans = held[ins[0]], np.zeros(1, dtype=np.int64), []
+        for (I, J, K), stage in zip(steps, stages):
+            keep = np.flatnonzero(stage)
+            sel = stage[K]
+            plans.append((len(keep), _pair_sum(np.searchsorted(prev, I[sel]),
+                                               np.searchsorted(arows, J[sel]),
+                                               np.searchsorted(keep[1:], K[sel]),
+                                               len(keep) - 1)))
+            prev = keep
+        tail = 0 if len(rows) == len(prev) else 1  # row 0 is computed, but not read
+        order = len(steps)
+
+        def horner(a):
+            a0 = first(a)
+            if check is not None:
+                check(a0)
+            coef = taylor(a0, order)
+            shape = coef.shape[1:] if a is None else np.broadcast_shapes(a.shape[1:], coef.shape[1:])
+            acc = np.broadcast_to(coef[order], shape)[None]
+            for k, (n, plan) in zip(range(order - 1, -1, -1), plans):
+                nxt = np.empty((n,) + shape)
+                if n > 1:  # rows besides row 0 (none if u holds no row)
+                    plan(acc, a, nxt[1:])
+                nxt[0] = 0.0 + coef[k]
+                acc = nxt
+            return acc[tail:]
+
+        return horner, ins
 
     def run(self, values) -> list:
         """The outputs at ``values`` (one scalar or batch array per input):
@@ -655,18 +893,32 @@ class Program:
         batch = np.broadcast_shapes(*[v.shape for v in vals])
         width = math.prod(batch)
         s = self.slots.copy()
-        for slot, pos in self.inputs:  # as `lift` would, but only for the inputs read
+        for slot, pos, row0 in self.inputs:  # as `lift` would, only the rows read
             s[slot] = val = np.broadcast_to(vals[pos], batch).reshape(width)
-            if pos in self.seeds:
-                s[slot] = np.zeros((self.space.ncoef, width))
-                s[slot][0], s[slot][self.seeds[pos]] = val, 1.0
+            if row0 is not None:
+                s[slot] = x = np.empty((len(row0), width))
+                for r, first in enumerate(row0):
+                    x[r] = val if first else 1.0
         for fn, out, ins, free in self.ops:
             s[out] = fn(*[s[i] for i in ins])
             for i in free:
                 s[i] = None
-        outs = [s[o] for o in self.outputs]  # a constant has one column: widen it
-        return [(x if x.shape[-1] == width else np.broadcast_to(x, x.shape[:-1] + (width,)))
-                .reshape(x.shape[:-1] + batch) for x in outs]
+        outs = []
+        for o, widen in zip(self.outputs, self.widen):
+            x = s[o]
+            if widen is not None and len(widen[1]) < widen[0]:  # the others: trace values
+                nc, rows, trace = widen
+                if len(rows):
+                    full = np.empty((nc, width))
+                    full[...] = trace
+                    full[rows] = x
+                    x = full
+                else:
+                    x = trace
+            if x.shape[-1] != width:  # computed from no input: widen it
+                x = np.broadcast_to(x, x.shape[:-1] + (width,))
+            outs.append(x.reshape(x.shape[:-1] + batch))
+        return outs
 
 
 def record(fn, space: JetSpace, active, sample) -> Program:
@@ -677,13 +929,13 @@ def record(fn, space: JetSpace, active, sample) -> Program:
     run on it, and no value computed from it shapes the program."""
     global _recorder
     rec = _Recorder()
-    inputs, seeds = lift(space, [np.resize(v, 1) for v in sample], active), {}
+    inputs = lift(space, [np.resize(v, 1) for v in sample], active)
     for pos, x in enumerate(inputs):
         if pos in active:  # rows 0 and the seed, where lift put a 1
-            seeds[pos] = 1 + np.flatnonzero(x.coeffs[1:, 0])[0]
-            x.slot = rec.new_slot(_rows(space.ncoef, 0, seeds[pos]))
+            seed = 1 + np.flatnonzero(x.coeffs[1:, 0])[0]
+            x.slot = rec.new_slot(_rows(space.ncoef, 0, seed), x.coeffs, _rows(space.ncoef, 0))
         else:
-            inputs[pos] = x = _Value(x.coeffs[0], rec.new_slot(None))
+            inputs[pos] = x = _Value(x.coeffs[0], rec.new_slot())
         rec.inputs.append((x.slot, pos))
     _recorder = rec
     try:
@@ -691,4 +943,4 @@ def record(fn, space: JetSpace, active, sample) -> Program:
             outputs = [rec.slot_of(o) for o in fn(inputs)]
     finally:
         _recorder = None
-    return Program(space, seeds, rec, outputs)
+    return Program(rec, outputs)

@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import jets
-from .jets import jetspace
+from .jets import jet_derivative, jetspace
 
 __all__ = [
     "FinslerModel",
@@ -245,20 +245,19 @@ def fundamental_tensor(m: FinslerModel, x, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if np.any(np.all(v == 0.0, axis=-1)):
         raise ValueError("fundamental tensor is undefined at v = 0")
-    sp = jetspace(d, 2)
+
+    def hessian(xv):  # d^2 L / dv^a dv^b, a <= b row-major, as order-0 jets
+        L = m.L_fn(xv[:d], xv[d:])
+        return [jet_derivative(jet_derivative(L, a), b) for a in range(d) for b in range(a, d)]
 
     values = components(x, d) + components(v, d)
     program = m.program(("fundamental_tensor", 2), lambda: jets.record(
-        lambda xv: [m.L_fn(xv[:d], xv[d:])], sp, list(range(d, 2 * d)),
-        [np.ravel(c)[:1] for c in values]))
-    (Lc,) = program.run(values)
-    g = np.empty(Lc.shape[1:] + (d, d))
+        hessian, jetspace(d, 2), list(range(d, 2 * d)), [np.ravel(c)[:1] for c in values]))
+    entries = iter(program.run(values))
+    g = np.empty(np.broadcast_shapes(x.shape[:-1], v.shape[:-1]) + (d, d))
     for a in range(d):
         for b in range(a, d):
-            k = sp.index_of[tuple((1 if q == a else 0) + (1 if q == b else 0) for q in range(d))]
-            val = 0.5 * (Lc[k] * sp.fact[k])
-            g[..., a, b] = val
-            g[..., b, a] = val
+            g[..., a, b] = g[..., b, a] = 0.5 * next(entries)[0]
     return g
 
 

@@ -120,16 +120,21 @@ class ModelConfig:
     n: int
     params: dict = field(default_factory=dict)
     weight: list = field(default_factory=list)
+    _model: object = field(default=None, init=False, repr=False, compare=False)
 
     def build(self):
-        from .models import model_library
-        kwargs = dict(self.params)
-        if self.weight:
-            kwargs["weight"] = [tuple(t) for t in self.weight]
-        try:
-            return model_library(self.name, self.n, **kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
+        """The model, built once: every stage of a run shares it, and with it
+        the jet programs recorded on it."""
+        if self._model is None:
+            from .models import model_library
+            kwargs = dict(self.params)
+            if self.weight:
+                kwargs["weight"] = [tuple(t) for t in self.weight]
+            try:
+                self._model = model_library(self.name, self.n, **kwargs)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"model: {exc}") from exc
+        return self._model
 
 
 @dataclass

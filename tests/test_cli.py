@@ -2,13 +2,16 @@
 schema, run-to-run determinism)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from lfgeom import cli
+from lfgeom import cli, jets
 from lfgeom.scenario import ConfigError, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -145,6 +148,36 @@ def test_no_admissible_epsilon_aborts(tmp_path, capsys):
     assert "no admissible epsilon" in capsys.readouterr().err
 
 
+COLLAPSE = """\
+name: collapse
+model:
+  name: flrw
+  n: 1
+  params: {scale: affine, a0: 1.0, q: -0.5}
+sclv:
+  apex: [2.0, 0.0]
+  radius: 0.5
+  cut: 1.0
+checks:
+  gunther: {}
+"""
+
+
+@pytest.mark.parametrize("command", ["geodesic", "curvature", "gunther"])
+def test_collapsed_metric_is_a_numerical_abort(tmp_path, command):
+    # a(x0) = 1 - x0/2 vanishes at the apex: g_v is degenerate there
+    p = tmp_path / "collapse.yaml"
+    p.write_text(COLLAPSE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    run = subprocess.run([sys.executable, "-m", "lfgeom.cli", command, "--scenario", str(p),
+                          "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("numerical abort:")
+
+
 def test_missing_scenario_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LFGEOM_SCENARIO", raising=False)
     assert cli.main(["bg", "--out", str(tmp_path)]) == 2
@@ -210,8 +243,41 @@ def test_all_is_deterministic_across_runs(mini_scenario, tmp_path):
     assert rep["volume_oracle"]["rel_diff"] < 1e-4
 
 
+def test_all_records_each_jet_program_once(mini_scenario, tmp_path, monkeypatch):
+    # every stage of a run shares the scenario's model and its programs
+    traces = []
+    record = jets.record
+
+    def counting(fn, space, active, sample):
+        traces.append((space.dim, space.order))
+        return record(fn, space, active, sample)
+
+    monkeypatch.setattr(jets, "record", counting)
+    assert cli.main(["all", "--scenario", str(mini_scenario), "--out", str(tmp_path)]) == 0
+    assert sorted(traces) == [(2, 2), (4, 3), (4, 4), (4, 5)]
+
+
 def test_library_scenarios_parse():
     for path in sorted(SCENARIOS.glob("*.yaml")):
         scen = load_scenario(path)
         assert scen.name
         assert scen.model.build().n == scen.model.n
+
+
+def test_run_scenarios_reads_each_scenario_own_report(tmp_path, monkeypatch, capsys):
+    # the first scenario aborts and writes no report; the second passes
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "run_scenarios", Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "a_collapse.yaml").write_text(COLLAPSE)
+    (tmp_path / "scenarios" / "b_mini.yaml").write_text(MINK1_ALL)
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    assert script.main(["--out", str(tmp_path / "reports")]) == 1
+    out, err = capsys.readouterr()
+    assert "a_collapse  (exit 3, no report)" in out
+    assert "mini  (exit 0)\n  overall: PASS" in out
+    assert "unexpected outcomes: a_collapse" in err

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfgeom import jets
+from lfgeom import connection, jets
 from lfgeom.connection import (
     DegenerateMetricError,
     chern_gamma,
@@ -346,6 +346,42 @@ def test_batched_pipeline_matches_single_points():
             for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx"):
                 assert np.allclose(getattr(cb, field)[i, j], getattr(cs, field),
                                    rtol=1e-13, atol=1e-13)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    for name in ("ldl_factor", "_ldl"):
+        def counting(*args, _name=name, _fn=getattr(connection, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(connection, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_reading_only_G_never_factors_g(monkeypatch, order):
+    m = model_library("flrw", n=2, scale="cosh", omega=0.7)
+    x, v = np.array([0.25, 0.1, -0.3]), np.array([[1.4, 0.3, -0.35], [1.1, -0.2, 0.1]])
+    eval_connection(m, x, v, order)  # records the program
+    calls = _count_factorizations(monkeypatch)
+    c = eval_connection(m, x, v, order, validate=False)
+    assert c.G.shape == (2, 3)
+    assert calls == []
+    # ginv and M: computed on first read, once
+    ginv, M = c.ginv, c.M
+    assert calls == ["_ldl"]
+    assert c.ginv is ginv and c.M is M and calls == ["_ldl"]
+    assert np.allclose(ginv @ c.g, np.eye(3), atol=1e-12)
+
+
+def test_order_2_checks_g_pivots_eagerly(monkeypatch):
+    m = model_library("flrw", n=2, scale="cosh", omega=0.7)
+    x, v = np.array([0.25, 0.1, -0.3]), np.array([1.4, 0.3, -0.35])
+    eval_connection(m, x, v, 2)
+    calls = _count_factorizations(monkeypatch)
+    c = eval_connection(m, x, v, 2)
+    assert calls == ["ldl_factor", "_ldl"]
+    assert c.ginv is c.ginv and c.M is None and calls == ["ldl_factor", "_ldl"]
 
 
 def test_pipeline_rejects_non_timelike_reference():

@@ -6,6 +6,7 @@ central differences.  Neither touches the jet tables.
 """
 
 import math
+import types
 from itertools import product as iproduct
 
 import numpy as np
@@ -271,8 +272,7 @@ def reference_mult_table(mindex, out_order):
                 I.append(i)
                 J.append(j)
                 K.append(index_of[tuple(a + b for a, b in zip(mi, mj))])
-    S = sp_csr((np.ones(len(K)), (K, np.arange(len(K)))), shape=(nc, len(K)))
-    return np.array(I, dtype=np.int64), np.array(J, dtype=np.int64), S
+    return tuple(np.array(t, dtype=np.int64) for t in (I, J, K))
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -282,18 +282,74 @@ def test_tables_match_loop_reference(dim):
         mindex = reference_multi_indices(dim, order)
         assert space.mindex == mindex
         for out_order in range(order + 1):
-            I, J, S = space.mult_table(out_order)
-            I_ref, J_ref, S_ref = reference_mult_table(mindex, out_order)
+            # K, with the pair order of (I, J), fixes the scatter matrix exactly
+            I, J, K = space.mult_table(out_order)
+            I_ref, J_ref, K_ref = reference_mult_table(mindex, out_order)
             assert np.array_equal(I, I_ref) and np.array_equal(J, J_ref)
-            assert S.shape == S_ref.shape
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(S, attr), getattr(S_ref, attr))
+            assert np.array_equal(K, K_ref)
         nc_out = space.ncoef_at[order - 1] if order >= 1 else 0
         for var in range(dim):
             src, mult = space.deriv_table(var)
             lifted = [tuple(mi + (q == var) for q, mi in enumerate(m)) for m in mindex[:nc_out]]
             assert src.tolist() == [mindex.index(m) for m in lifted]
             assert mult.tolist() == [m[var] + 1 for m in mindex[:nc_out]]
+
+
+def same_bits(a, b):
+    """Equal values, infinities and signed zeros, and nans at the same places.
+
+    The sign of a nan that two nans make is not compared: IEEE 754 leaves it
+    open, numpy's and scipy's loops pick it differently, and no report can
+    show it."""
+    real = ~np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(np.isnan(a), ~real)
+            and np.array_equal(a[real], b[real])
+            and np.array_equal(np.signbit(a[real]), np.signbit(b[real])))
+
+
+def special_coeffs(rng, shape):
+    """Normal draws with signed zeros, infinities and nans mixed in."""
+    c = rng.normal(size=shape)
+    pick = rng.random(shape)
+    c[pick < 0.15] = 0.0
+    c[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    c[(pick >= 0.3) & (pick < 0.33)] = np.inf
+    c[(pick >= 0.33) & (pick < 0.36)] = -np.inf
+    c[(pick >= 0.36) & (pick < 0.38)] = np.nan
+    return c
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@np.errstate(all="ignore")
+def test_pair_sum_kernel_matches_csr_matvec(dim):
+    # both kernels add each row's pairs from +0 in pair order, as scipy's
+    # CSR matvec does: the replay kernel by columns of pairs, the trace
+    # kernel (run once per recorded product) by ``np.add.at``
+    rng = np.random.default_rng(100 + dim)
+    for order in range(6):
+        space = jets.jetspace(dim, order)
+        I, J, K = space.mult_table(order)
+        nc = space.ncoef_at[order]
+        for density in (0.1, 0.5, 1.0):
+            keep = rng.random(len(I)) < density
+            Ik, Jk, Kk = I[keep], J[keep], K[keep]
+            a, b = special_coeffs(rng, (nc, 5)), special_coeffs(rng, (nc, 5))
+            S = sp_csr((np.ones(len(Kk)), (Kk, np.arange(len(Kk)))), shape=(nc, len(Kk)))
+            want = S @ (a[Ik] * b[Jk])
+            assert same_bits(jets._pair_sum(Ik, Jk, Kk, nc)(a, b), want)
+            assert same_bits(jets._trace_product(a, b, Ik, Jk, Kk, nc), want)
+            out = np.empty_like(want)
+            assert jets._pair_sum(Ik, Jk, Kk, nc)(a, b, out) is out and same_bits(out, want)
+            # a subset of output rows, numbered compactly, as a replay holds them
+            rows = np.flatnonzero(rng.random(nc) < 0.5)
+            sel = np.isin(Kk, rows)
+            got = jets._pair_sum(Ik[sel], Jk[sel], np.searchsorted(rows, Kk[sel]), len(rows))(a, b)
+            assert same_bits(got, want[rows])
+
+
+def test_jets_holds_no_scipy_module():
+    assert not [name for name, value in vars(jets).items()
+                if isinstance(value, types.ModuleType) and value.__name__.startswith("scipy")]
 
 
 # ---------------------------------------------------------------- errors

@@ -80,8 +80,12 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+# every field, the lazily computed ginv and M included
+FIELDS = ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx", "dN_dx", "dN_dv")
+
+
 def assert_same_connection(got: ConnectionData, want: ConnectionData):
-    for name in ConnectionData.__dataclass_fields__:
+    for name in FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -191,6 +195,38 @@ def test_domain_error_is_caught_at_replay():
             program.run([np.array(bad)])
 
 
+def test_ops_no_output_reads_are_not_replayed():
+    slots = {}
+
+    def section(inputs):
+        x, = inputs
+        e = jets.exp(x)
+        dead = e * x
+        slots.update(exp=e.slot, dead=dead.slot)
+        return [x * x]
+
+    program = jets.record(section, jetspace(1, 3), [0], [0.5])
+    outs = [out for _, out, _, _ in program.ops]
+    assert slots["exp"] not in outs and slots["dead"] not in outs
+    assert len(outs) == 1  # x * x alone
+    got, = program.run([np.array([0.5, -2.0])])
+    want, = section(lift(jetspace(1, 3), [np.array([0.5, -2.0])], active=[0]))
+    assert same_bits(got, want.coeffs)
+
+
+def test_dead_op_still_runs_its_check():
+    def section(inputs):
+        x, = inputs
+        jets.sqrt(x - 3.0)  # read by no output: only its domain check runs
+        return [x * x]
+
+    program = jets.record(section, jetspace(1, 3), [0], [5.0])
+    assert len(program.ops) == 3  # x - 3, the check, x * x
+    program.run([np.array([4.0, 5.0])])
+    with pytest.raises(JetDomainError):
+        program.run([np.array([4.0, 1.0])])
+
+
 def test_causality_is_checked_at_replay():
     m = model_library("minkowski", n=2)
     eval_connection(m, np.zeros(3), np.array([1.0, 0.2, 0.0]), 4)
@@ -263,3 +299,63 @@ def test_empty_first_batch_records_and_replays():
     assert same_bits(fundamental_tensor(m, x, v), direct_fundamental_tensor(m, x, v))
     x, v = points(m, (4,))
     assert same_bits(fundamental_tensor(m, x, v), direct_fundamental_tensor(m, x, v))
+
+
+def random_section(seed):
+    """A random straight-line jet function of its inputs: every primitive,
+    runtime values included, and outputs drawn from the last results."""
+    def section(inputs):
+        rng = np.random.default_rng(seed)
+        pool = list(inputs)
+        for _ in range(rng.integers(5, 25)):
+            js = [x for x in pool if isinstance(x, jets.Jet)]
+            vs = [x for x in pool if not isinstance(x, jets.Jet)]
+            a, b = js[rng.integers(len(js))], js[rng.integers(len(js))]
+            op = rng.integers(12)
+            if op == 0:
+                y = a + b
+            elif op == 1:
+                y = a - b
+            elif op == 2:
+                y = -a
+            elif op == 3:
+                y = a * float(rng.choice([0.5, -2.0, 0.0, -0.0]))
+            elif op == 4:
+                y = a + float(rng.choice([1.0, -0.0, 0.0]))
+            elif op == 5 and vs:
+                y = a * vs[rng.integers(len(vs))]
+            elif op == 6 and vs:
+                y = a + vs[rng.integers(len(vs))]
+            elif op == 7 and a.order >= 1:
+                y = jets.jet_derivative(a, int(rng.integers(a.space.dim)))
+            elif op == 8:
+                y = a.truncated(int(rng.integers(a.order + 1)))
+            elif op == 9:
+                y = jets.exp(0.1 * a)
+            elif op == 10:
+                y = jets.sqrt(2.0 + a * a)
+            else:
+                y = a * b
+            pool.append(y)
+        return [pool[-1 - int(i)] for i in rng.integers(0, min(len(pool), 6), rng.integers(1, 4))]
+    return section
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_programs_replay_bit_identically(seed):
+    rng = np.random.default_rng(1000 + seed)
+    dim, order, nval = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    sp, active = jetspace(dim, order), list(range(nval, nval + dim))
+    section = random_section(seed)
+    with np.errstate(all="ignore"):
+        program = jets.record(section, sp, active, list(rng.normal(size=nval + dim)))
+        vals = [rng.normal(size=3) for _ in range(nval + dim)]
+        for v in vals:
+            v[rng.random(3) < 0.3] = -0.0
+        lifted = lift(sp, vals, active)
+        want = section([lifted[i] if i in active else vals[i] for i in range(nval + dim)])
+        got = program.run(vals)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        b = b.coeffs if isinstance(b, jets.Jet) else np.broadcast_to(b, a.shape)
+        assert same_bits(a, b)
