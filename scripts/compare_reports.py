@@ -10,7 +10,8 @@ it prints ``identical`` when the two files are byte-identical, and
 otherwise the worst relative float difference |a - b| / max(|a|, |b|, 1)
 and where it occurs.  Every other leaf -- a verdict, a count, a string,
 a key set or a list length -- must match exactly; each mismatch is
-printed.  Exit code 1 if the file sets differ or any such leaf differs,
+printed.  So the ``runs.json`` that ``scripts/snapshot_reports.py`` writes
+pins each run's exit code and stderr text exactly.  Exit code 1 if the file sets differ or any such leaf differs,
 2 if a directory is missing, 0 otherwise.
 """
 

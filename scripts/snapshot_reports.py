@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Write every output a report-identity check needs into one directory.
+
+Usage:
+    python3 scripts/snapshot_reports.py OUT
+
+Runs, each in a fresh interpreter on this checkout's ``src``:
+
+* ``lfgeom all`` on the 8 bundled scenarios and on the ``finsler3d``
+  seed-0 input, writing their JSON and CSV reports into OUT;
+* ``lfgeom gunther`` on both ``reject`` seed-0 inputs, which write no
+  report.
+
+The ``finsler3d`` and ``reject`` inputs come from ``bench/inputs.py``,
+which writes them into OUT/inputs.  OUT/runs.json records the exit code
+and stderr text of every run.  Two snapshots, say of a parent commit and
+of a change, are then compared in one command by
+``scripts/compare_reports.py OUT_A OUT_B``; exit codes and stderr are
+exact leaves there.  Exit code 0 once every run has ended, whatever its
+own exit code.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0",
+       "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _inputs(workload, directory):
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "inputs.py"), workload, "0",
+                           str(directory)], capture_output=True, text=True, check=True)
+    return [Path(line) for line in done.stdout.split()]
+
+
+def _lfgeom(command, scenario, out):
+    done = subprocess.run([sys.executable, "-m", "lfgeom.cli", command, "--scenario",
+                           str(scenario), "--out", str(out)],
+                          capture_output=True, text=True, env=ENV, cwd=ROOT)
+    return {"exit": done.returncode, "stderr": done.stderr}
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: snapshot_reports.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    runs = {}
+    for path in [*sorted((ROOT / "scenarios").glob("*.yaml")),
+                 *_inputs("finsler3d", out / "inputs")]:
+        runs[f"all {path.name}"] = _lfgeom("all", path, out)
+    for path in _inputs("reject", out / "inputs"):
+        runs[f"gunther {path.name}"] = _lfgeom("gunther", path, out)
+    (out / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    for name, run in runs.items():
+        print(f"{name}: exit {run['exit']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import dawsn, erf, erfcx
 
 from . import jets as jr
 from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
@@ -45,6 +43,7 @@ from .jacobi import (
     variational_paths,
 )
 from .models import FinslerModel, classify, fundamental_tensor, lagrangian, weight
+from .ode import simpson
 
 __all__ = [
     "SCLVSpec",
@@ -379,6 +378,7 @@ def _growth_integral(C0, c, lo, hi, scale=1.0):
     """
     if c == 0.0:
         return float(scale * np.exp(C0 * hi) * -np.expm1(C0 * (lo - hi)) / C0)
+    from scipy.special import dawsn, erf, erfcx  # c != 0 only: import on first use
     ld = np.longdouble
 
     def phi(t):

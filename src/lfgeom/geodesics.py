@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from .connection import eval_connection
+from .jets import JetDomainError
 from .models import CausalityError, FinslerModel, classify, fundamental_tensor, lagrangian
+from .ode import brentq, solve_ivp
 
 __all__ = [
     "GeodesicSegment",
@@ -96,6 +96,7 @@ def _first_margin_crossing(margin_fn, ts, ms):
         upper = int(bad[0])
     for j in range(1, upper - 1):
         if ms[j] < DIP_THRESHOLD and ms[j] <= ms[j - 1] and ms[j] <= ms[j + 1]:
+            from scipy.optimize import minimize_scalar  # rarely reached: import on first use
             res = minimize_scalar(margin_fn, bounds=(float(ts[j - 1]), float(ts[j + 1])),
                                   method="bounded", options={"xatol": 1e-12})
             if res.fun <= 0.0:
@@ -133,7 +134,7 @@ class GeodesicSegment:
     v0: np.ndarray
     t_end: float
     status: str                   # completed | chart-exit | degenerate-or-cone | failed
-    sol: object                   # scipy OdeSolution over [0, t_end]
+    sol: object                   # ode.OdeSolution over [0, t_end]
     L0: float
     L_drift: float                # max |L(t) - L0| over accepted steps
     signature_ok: bool
@@ -169,11 +170,9 @@ def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
     def boundary(t, y):
         return float(_margins(m, y[:d], y[d:], L0))
 
-    boundary.terminal = True
     boundary.direction = -1
     sol = solve_ivp(rhs, (0.0, float(t_max)), np.concatenate([x0, v0]),
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=True,
-                    events=boundary)
+                    rtol=rtol, atol=atol, event=boundary)
     t_reach = float(sol.t[-1])
     dense = sol.sol
 
@@ -332,6 +331,8 @@ def _fused_rhs(m, layout, Tscale, order):
         st = layout.unpack(Y)
         try:
             c = eval_connection(m, st["eta"], st["etadot"], order=order, validate=False)
+        except JetDomainError:  # abort: smaller steps would only grind through restarts
+            raise
         except ArithmeticError:
             return np.full_like(yflat, np.nan)
         dY = np.empty_like(Y)
@@ -440,10 +441,9 @@ def _advance(m, flow, order, active, state, s_start, rtol, atol, L0):
         stt = layout.unpack(yflat.reshape(-1, layout.width))
         return float(np.min(_margins(m, stt["eta"], stt["etadot"], sub)))
 
-    margin_event.terminal = True
     margin_event.direction = -1
-    sol = solve_ivp(rhs, (s_start, 1.0), state.ravel(), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=margin_event)
+    sol = solve_ivp(rhs, (s_start, 1.0), state.ravel(), rtol=rtol, atol=atol,
+                    event=margin_event)
     s_end = float(sol.t[-1])
     if s_end > s_start:
         flow.segments.append((s_start, s_end, sol.sol, active.copy()))
@@ -529,6 +529,7 @@ def conjugate_scan(m: FinslerModel, x0, v0, t_max, *, ngrid=512, tol=1e-8, **kw)
     scale = np.max(np.abs(hs))
     for j in range(1, ngrid - 1):
         if abs(hs[j]) < abs(hs[j - 1]) and abs(hs[j]) < abs(hs[j + 1]) and abs(hs[j]) < 1e-5 * scale:
+            from scipy.optimize import minimize_scalar  # rarely reached: import on first use
             res = minimize_scalar(lambda t: abs(h1(t)), bounds=(ts[j - 1], ts[j + 1]),
                                   method="bounded", options={"xatol": tol})
             if abs(res.fun) < 1e-8 * scale and not any(abs(res.x - r) < 10 * tol for r in roots):

@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import BarycentricInterpolator
 
 from .connection import DegenerateMetricError, eval_connection
 from .curvature import riemann_matrix, weight_along
 from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, radial_flow
 from .models import FinslerModel, fundamental_tensor
+from .ode import cumulative_trapezoid, solve_ivp
 
 __all__ = [
     "JacobiPath",
@@ -254,6 +253,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
     data = riemann_matrix(m, st["eta"], st["etadot"])
     RE = np.einsum("...ab,...jb->...ja", data.R, st["V"])
     Rhat = np.einsum("...ka,...ab,...jb->...kj", st["V"], data.center.g, RE)
+    from scipy.interpolate import BarycentricInterpolator  # this route only: import on first use
     interp = BarycentricInterpolator(t_nodes, Rhat.reshape(nodes, n * n))
 
     def rhs(t, y):
@@ -262,8 +262,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
         return np.concatenate([y[n * n:], -(Rh @ A).ravel()])
 
     y0 = np.concatenate([np.zeros(n * n), np.eye(n).ravel()])
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", dense_output=True,
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"frame Jacobi integration failed: {sol.message}")
     return JacobiPath(model=m, x0=x0, v0=v0, frame0=frame, t_end=t_end,

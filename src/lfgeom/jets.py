@@ -61,8 +61,9 @@ __all__ = [
 DIV_TOL = 1e-12  # constant-term magnitude below which division is refused
 
 
-class JetDomainError(ValueError):
-    """Raised when a jet operation leaves the domain of the function."""
+class JetDomainError(ArithmeticError):
+    """Raised when a jet operation leaves the domain of the function: a
+    numerical abort, like the other ``ArithmeticError``s."""
 
 
 class OrderExceededError(ValueError):
@@ -931,9 +932,9 @@ def record(fn, space: JetSpace, active, sample) -> Program:
     rec = _Recorder()
     inputs = lift(space, [np.resize(v, 1) for v in sample], active)
     for pos, x in enumerate(inputs):
-        if pos in active:  # rows 0 and the seed, where lift put a 1
-            seed = 1 + np.flatnonzero(x.coeffs[1:, 0])[0]
-            x.slot = rec.new_slot(_rows(space.ncoef, 0, seed), x.coeffs, _rows(space.ncoef, 0))
+        if pos in active:  # rows 0 and the seed, where lift put a 1 (no seed at order 0)
+            seed = 1 + np.flatnonzero(x.coeffs[1:, 0])
+            x.slot = rec.new_slot(_rows(space.ncoef, 0, *seed), x.coeffs, _rows(space.ncoef, 0))
         else:
             inputs[pos] = x = _Value(x.coeffs[0], rec.new_slot())
         rec.inputs.append((x.slot, pos))

@@ -163,19 +163,54 @@ checks:
 """
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter on this checkout's ``lfgeom``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("command", ["geodesic", "curvature", "gunther"])
 def test_collapsed_metric_is_a_numerical_abort(tmp_path, command):
     # a(x0) = 1 - x0/2 vanishes at the apex: g_v is degenerate there
     p = tmp_path / "collapse.yaml"
     p.write_text(COLLAPSE)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
-    run = subprocess.run([sys.executable, "-m", "lfgeom.cli", command, "--scenario", str(p),
-                          "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+    run = fresh_python("-m", "lfgeom.cli", command, "--scenario", str(p), "--out", str(tmp_path))
     assert run.returncode == 3
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("numerical abort:")
+
+
+def test_jet_domain_error_is_a_numerical_abort(tmp_path):
+    # the conformal factor divides by R^2 + |x|^2 = 1e-14 at the apex, below jets.DIV_TOL
+    doc = {"name": "tiny-sphere",
+           "model": {"name": "einstein_static", "n": 2, "params": {"radius": 1.0e-7}},
+           "sclv": {"apex": [0.0, 0.0, 0.0], "radius": 0.1, "cut": 1.0},
+           "checks": {"gunther": {}}}
+    p = tmp_path / "tiny-sphere.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    run = fresh_python("-m", "lfgeom.cli", "gunther", "--scenario", str(p), "--out", str(tmp_path))
+    assert run.returncode == 3
+    assert "Traceback" not in run.stderr
+    assert run.stderr == "numerical abort: division by jet with near-zero constant term\n"
+
+
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cli_import_loads_no_scipy():
+    run = fresh_python("-c", f"import sys, lfgeom.cli; {SCIPY_MODULES}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_all_on_a_bundled_scenario_loads_no_scipy(tmp_path):
+    argv = ["all", "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"), "--out", str(tmp_path)]
+    run = fresh_python("-c", f"import sys; from lfgeom import cli; "
+                             f"assert cli.main({argv!r}) == 0; {SCIPY_MODULES}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_scenario_flag(tmp_path, capsys, monkeypatch):

@@ -46,3 +46,25 @@ def test_missing_directory_is_reported_without_traceback(tmp_path):
     assert status == 2
     assert "missing is not a directory" in err
     assert "Traceback" not in err
+
+
+def test_run_records_compare_exit_codes_and_stderr_exactly(tmp_path):
+    # the runs.json of scripts/snapshot_reports.py: ints and strings are exact leaves
+    a, b = tmp_path / "a", tmp_path / "b"
+    runs = {"all mini.yaml": {"exit": 0, "stderr": ""},
+            "gunther collapse.yaml": {"exit": 2, "stderr": "configuration error: "
+                                      "reaches t=1.91523, chart-exit; not an SCLV\n"}}
+    write(a, "runs.json", json.dumps(runs))
+    write(b, "runs.json", json.dumps(runs))
+    status, out, _ = compare(a, b)
+    assert status == 0 and "runs.json: identical" in out
+
+    changed = json.loads(json.dumps(runs))
+    changed["gunther collapse.yaml"]["exit"] = 3
+    changed["gunther collapse.yaml"]["stderr"] = runs["gunther collapse.yaml"]["stderr"].replace(
+        "1.91523", "1.91524")
+    write(b, "runs.json", json.dumps(changed))
+    status, out, _ = compare(a, b)
+    assert status == 1
+    assert "MISMATCH gunther collapse.yaml.exit: 2 != 3" in out
+    assert "MISMATCH gunther collapse.yaml.stderr: " in out
