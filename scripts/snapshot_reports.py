@@ -8,6 +8,8 @@ Runs, each in a fresh interpreter on this checkout's ``src``:
 
 * ``lfgeom all`` on the 8 bundled scenarios and on the ``finsler3d``
   seed-0 input, writing their JSON and CSV reports into OUT;
+* ``lfgeom geodesic`` on the 8 bundled scenarios, whose CSV holds the
+  sampled center geodesic that the ``all`` reports only summarise;
 * ``lfgeom gunther`` on both ``reject`` seed-0 inputs, which write no
   report.
 
@@ -52,9 +54,11 @@ def main(argv=None):
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
-    for path in [*sorted((ROOT / "scenarios").glob("*.yaml")),
-                 *_inputs("finsler3d", out / "inputs")]:
+    bundled = sorted((ROOT / "scenarios").glob("*.yaml"))
+    for path in [*bundled, *_inputs("finsler3d", out / "inputs")]:
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
+    for path in bundled:
+        runs[f"geodesic {path.name}"] = _lfgeom("geodesic", path, out)
     for path in _inputs("reject", out / "inputs"):
         runs[f"gunther {path.name}"] = _lfgeom("gunther", path, out)
     (out / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")

@@ -21,6 +21,7 @@ event: the directions on the boundary record their exit, and the others
 stop there too (reason "stopped"), since every caller needs each direction
 to reach its target.  If the batched solver ever fails outright, the
 directions are continued one at a time from the failure state.
+``integrate_geodesic`` is the one-direction case of the same flow.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import eval_connection
+from .connection import DegenerateMetricError, eval_connection
 from .jets import JetDomainError
 from .models import CausalityError, FinslerModel, classify, fundamental_tensor, lagrangian
 from .ode import brentq, solve_ivp
@@ -127,21 +128,16 @@ def _refine_crossing(margin_fn, lo, hi):
 
 @dataclass
 class GeodesicSegment:
-    """Dense solution of one geodesic with validity diagnostics."""
+    """One geodesic out of x0: the dense solution and how it ended."""
 
-    model: FinslerModel
-    x0: np.ndarray
-    v0: np.ndarray
+    t_max: float
     t_end: float
     status: str                   # completed | chart-exit | degenerate-or-cone | failed
-    sol: object                   # ode.OdeSolution over [0, t_end]
-    L0: float
-    L_drift: float                # max |L(t) - L0| over accepted steps
-    signature_ok: bool
+    sol: object                   # ode.OdeSolution over s = t / t_max, state (eta, eta')
 
     def state(self, t):
-        y = self.sol(np.asarray(t))
-        d = self.model.dim
+        y = self.sol(np.asarray(t) / self.t_max)
+        d = len(y) // 2
         return np.moveaxis(y[:d], 0, -1), np.moveaxis(y[d:], 0, -1)
 
     def position(self, t):
@@ -151,62 +147,22 @@ class GeodesicSegment:
         return self.state(t)[1]
 
 
+_SEGMENT_STATUS = {None: "completed", "solver-failure": "failed"}
+
+
 def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
                        atol=DEFAULT_ATOL) -> GeodesicSegment:
-    """Integrate eta'' = -G from (x0, v0) up to t_max or a validity boundary."""
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    d = m.dim
-    if classify(m, x0, v0) != "future-timelike":
-        raise CausalityError("geodesic initial velocity must be future timelike")
-    if _chart_margin(m, x0) <= 0:
-        raise ValueError("initial position outside the model chart")
-    L0 = float(lagrangian(m, x0, v0))
+    """Integrate eta'' = -G from (x0, v0) up to t_max or a validity boundary.
 
-    def rhs(t, y):
-        c = eval_connection(m, y[:d], y[d:], order=3, validate=False)
-        return np.concatenate([y[d:], -c.G])
-
-    def boundary(t, y):
-        return float(_margins(m, y[:d], y[d:], L0))
-
-    boundary.direction = -1
-    sol = solve_ivp(rhs, (0.0, float(t_max)), np.concatenate([x0, v0]),
-                    rtol=rtol, atol=atol, event=boundary)
-    t_reach = float(sol.t[-1])
-    dense = sol.sol
-
-    # scan the dense output for the first validity crossing; the solver's
-    # own event can overstep narrow dips on coordinate-linear trajectories
-    ts = np.linspace(0.0, t_reach, SCAN_POINTS + 1)[1:]
-    Y = dense(ts)
-    ms = _margins(m, Y[:d].T, Y[d:].T, L0)
-
-    def margin_fn(t):
-        y = dense(float(t))
-        return float(_margins(m, y[:d], y[d:], L0))
-
-    t_cross = _first_margin_crossing(margin_fn, ts, ms)
-    if sol.status == -1:
-        status, t_end = "failed", t_reach
-    elif t_cross is not None:
-        t_end = t_cross
-        y = dense(t_cross)
-        status = _exit_label(m, y[:d], y[d:], L0)
-    elif sol.status == 1:
-        t_end = t_reach
-        status = _exit_label(m, sol.y[:d, -1], sol.y[d:, -1], L0)
-    else:
-        status, t_end = "completed", t_reach
-
-    keep = sol.t <= t_end + 1e-12
-    xs, vs = sol.y[:d, keep].T, sol.y[d:, keep].T
-    eig = np.linalg.eigvalsh(fundamental_tensor(m, xs, vs))
-    sig_ok = bool(np.all(eig[..., 0] < 0) and np.all(eig[..., 1:] > 0))
-    return GeodesicSegment(model=m, x0=x0, v0=v0, t_end=t_end,
-                           status=status, sol=dense, L0=L0,
-                           L_drift=float(np.max(np.abs(lagrangian(m, xs, vs) - L0))),
-                           signature_ok=sig_ok)
+    A one-direction, post-scanned ``radial_flow``: the same stepping,
+    margin event, dip scan and exit labels as every SCLV flow.
+    """
+    flow = radial_flow(m, x0, np.asarray(v0, dtype=float)[None], float(t_max),
+                       rtol=rtol, atol=atol, post_scan=True)
+    reason = flow.exit_reason[0]
+    return GeodesicSegment(t_max=float(t_max), t_end=float(flow.t_reached[0]),
+                           status=_SEGMENT_STATUS.get(reason, reason),
+                           sol=flow.segments[0][2] if flow.segments else None)
 
 
 def exp_map(m: FinslerModel, x0, v, t=1.0, **kw):
@@ -385,9 +341,12 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
         st["Jdot"][...] = jac_seeds[1]
 
     L0 = lagrangian(m, x0, dirs)
-    m0 = _margins(m, np.broadcast_to(x0, dirs.shape), dirs, L0)
-    if np.any(m0 <= 0):
-        raise ValueError("initial state already violates a validity margin")
+    # the chart part was checked above and the causal part is positive for
+    # timelike directions, so only the conditioning part can fail here
+    cond = _margins(m, np.broadcast_to(x0, dirs.shape), dirs, L0, parts=True)[1]
+    if np.any(cond <= 0):
+        raise DegenerateMetricError(
+            f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
     flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
                       t_reached=t_target.copy(), exit_reason=[None] * B, layout=layout)
     _advance(m, flow, order, np.arange(B), Y0, 0.0, rtol, atol, L0)

@@ -15,8 +15,10 @@ This module ports exactly the SciPy 1.17 code those paths run:
 same order, so its results equal SciPy's bit for bit, without importing
 SciPy, whose import graph dominated the start-up of every ``lfgeom``
 process.  Only what lfgeom calls is ported: forward integration of real
-states, dense output always on, at most one event (always terminal), no
-``t_eval``, ``max_step``, ``args`` or ``vectorized``.
+states over a non-empty span, dense output always on, at most one event
+(always terminal), no ``t_eval``, ``max_step``, ``args`` or
+``vectorized``; Simpson's rule on odd sample counts only, and the
+running trapezoid on 1-D samples only.
 
 SciPy's license, under which this port is distributed:
 
@@ -200,8 +202,6 @@ def _rms(x):
 def _select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """Hairer, Norsett & Wanner's empirical first step (Sec. II.4)."""
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -276,10 +276,6 @@ class _Dop853:
         """Advance one accepted step and update ``status``; return a failure
         message or None."""
         t = self.t
-        if t == self.t_bound:  # an empty interval
-            self.t_old = t
-            self.status = "finished"
-            return None
         y = self.y
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
@@ -322,8 +318,6 @@ class _Dop853:
 
     def dense_output(self):
         """Interpolant over the last accepted step (three more rhs calls)."""
-        if self.t == self.t_old:
-            return _ConstantDense(self.y)
         K = self.K_extended
         h = self.h_previous
         for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
@@ -367,21 +361,6 @@ class _Dop853Dense:
                 y *= 1 - x
         y += self.y_old
         return y.T
-
-
-class _ConstantDense:
-    """The interpolant of an empty interval."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return self.value
-        ret = np.empty((self.value.shape[0], t.shape[0]))
-        ret[:] = self.value[:, None]
-        return ret
 
 
 class OdeSolution:
@@ -445,7 +424,7 @@ def _event_crossed(g, g_new, direction):
 
 
 def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
-    """Integrate y' = fun(t, y) forward over t_span with DOP853.
+    """Integrate y' = fun(t, y) forward over the non-empty t_span with DOP853.
 
     ``event``, if given, is a function ``event(t, y)`` with an optional
     ``direction`` attribute (0, the default: either sign change; -1: from
@@ -454,8 +433,8 @@ def solve_ivp(fun, t_span, y0, *, rtol=1e-3, atol=1e-6, event=None) -> OdeResult
     which it changed sign, as a SciPy event with ``terminal=True`` does.
     """
     t0, tf = map(float, t_span)
-    if tf < t0:
-        raise ValueError("only forward integration is supported")
+    if tf <= t0:
+        raise ValueError("only forward integration over a non-empty span is supported")
     solver = _Dop853(fun, t0, y0, tf, rtol, atol)
     ts = [t0]
     ys = [y0]
@@ -588,32 +567,23 @@ def _tupleset(t, i, value):
     return tuple(lst)
 
 
-def cumulative_trapezoid(y, x, axis=-1, initial=None):
-    """Running trapezoid integral of y over the 1-D sample points x;
+def cumulative_trapezoid(y, x, initial=None):
+    """Running trapezoid integral of the 1-D samples y over the points x;
     ``initial=0.0`` prepends a zero, so the result has y's shape."""
     y = np.asarray(y)
-    if y.shape[axis] == 0:
-        raise ValueError("At least one point is required along `axis`.")
     x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError("x must be 1-D")
+    if y.ndim != 1 or x.ndim != 1:
+        raise ValueError("y and x must be 1-D")
+    if y.shape[0] == 0:
+        raise ValueError("At least one point is required.")
     d = np.diff(x)
-    shape = [1] * y.ndim
-    shape[axis] = -1
-    d = np.reshape(d, tuple(shape))
-    if d.shape[axis] != y.shape[axis] - 1:
+    if d.shape[0] != y.shape[0] - 1:
         raise ValueError("If given, length of x along axis must be the same as y.")
-    nd = len(y.shape)
-    slice1 = _tupleset((slice(None),) * nd, axis, slice(1, None))
-    slice2 = _tupleset((slice(None),) * nd, axis, slice(None, -1))
-    res = np.cumsum(d * (y[slice1] + y[slice2]) / 2.0, axis=axis)
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0)
     if initial is not None:
         if initial != 0:
             raise ValueError("`initial` must be `None` or `0`.")
-        shape = list(res.shape)
-        shape[axis] = 1
-        res = np.concatenate((np.full(tuple(shape), initial, dtype=res.dtype), res),
-                             axis=axis)
+        res = np.concatenate((np.full((1,), initial, dtype=res.dtype), res))
     return res
 
 
@@ -643,45 +613,19 @@ def _basic_simpson(y, start, stop, x, dx, axis):
 
 
 def simpson(y, x=None, *, dx=1.0, axis=-1):
-    """Composite Simpson integral of y along axis, over the 1-D sample
-    points x or at spacing dx.  An even number of points closes with
-    Cartwright's correction on the last interval."""
+    """Composite Simpson integral of y along axis, over an odd number of
+    samples at the 1-D points x or at spacing dx."""
     y = np.asarray(y)
-    nd = len(y.shape)
     N = y.shape[axis]
-    last_dx = dx
+    if N % 2 == 0:
+        raise ValueError("simpson takes an odd number of samples")
     if x is not None:
         x = np.asarray(x)
         if x.ndim != 1:
             raise ValueError("x must be 1-D")
         if x.shape[0] != N:
             raise ValueError("If given, length of x along axis must be the same as y.")
-        shapex = [1] * nd
+        shapex = [1] * y.ndim
         shapex[axis] = x.shape[0]
         x = x.reshape(tuple(shapex))
-    if N % 2:
-        return _basic_simpson(y, 0, N - 2, x, dx, axis)
-    val = 0.0
-    result = 0.0
-    slice_all = (slice(None),) * nd
-    slice1 = _tupleset(slice_all, axis, -1)
-    slice2 = _tupleset(slice_all, axis, -2)
-    if N == 2:  # one interval: the trapezoid
-        if x is not None:
-            last_dx = x[slice1] - x[slice2]
-        val += 0.5 * last_dx * (y[slice1] + y[slice2])
-    else:
-        result = _basic_simpson(y, 0, N - 3, x, dx, axis)
-        slice3 = _tupleset(slice_all, axis, -3)
-        h = np.asarray([dx, dx], dtype=np.float64)
-        if x is not None:
-            hm2 = _tupleset(slice_all, axis, slice(-2, -1, 1))
-            hm1 = _tupleset(slice_all, axis, slice(-1, None, 1))
-            diffs = np.float64(np.diff(x, axis=axis))
-            h = [np.squeeze(diffs[hm2], axis=axis), np.squeeze(diffs[hm1], axis=axis)]
-        alpha = _ratio(2 * h[1] ** 2 + 3 * h[0] * h[1], 6 * (h[1] + h[0]))
-        beta = _ratio(h[1] ** 2 + 3.0 * h[0] * h[1], 6 * h[0])
-        eta = _ratio(1 * h[1] ** 3, 6 * h[0] * (h[0] + h[1]))
-        result += alpha * y[slice1] + beta * y[slice2] - eta * y[slice3]
-    result += val
-    return result
+    return _basic_simpson(y, 0, N - 2, x, dx, axis)

@@ -12,6 +12,7 @@ Anchors used here:
 import numpy as np
 import pytest
 
+from lfgeom.connection import DegenerateMetricError
 from lfgeom.geodesics import (
     STOPPED,
     conjugate_scan,
@@ -21,13 +22,22 @@ from lfgeom.geodesics import (
     radial_flow,
     tangent_flow,
 )
-from lfgeom.models import lagrangian, model_library
+from lfgeom.models import fundamental_tensor, lagrangian, model_library
 
 
 def richardson_dir(f, x, e, h):
     def central(hh):
         return (f(x + hh * e) - f(x - hh * e)) / (2.0 * hh)
     return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def drift_and_signature(m, seg, x0, v0, t_max):
+    """max |L - L0| and whether g keeps signature (- + ... +), over the
+    segment's accepted step times."""
+    xs, vs = seg.state(seg.sol.ts * t_max)
+    drift = float(np.max(np.abs(lagrangian(m, xs, vs) - lagrangian(m, x0, v0))))
+    eig = np.linalg.eigvalsh(fundamental_tensor(m, xs, vs))
+    return drift, bool(np.all(eig[:, 0] < 0) and np.all(eig[:, 1:] > 0))
 
 
 def boosted_circle_setup(R=1.0, beta=0.6, r0=0.5):
@@ -58,7 +68,7 @@ def test_comoving_observer_in_expanding_model():
     want = x0 + np.outer(ts, v0)
     assert np.allclose(pos, want, atol=1e-9)
     assert seg.status == "completed"
-    assert seg.L_drift < 1e-9
+    assert drift_and_signature(m, seg, x0, v0, 5.0)[0] < 1e-9
 
 
 def test_warped_product_momentum_first_integral():
@@ -72,8 +82,9 @@ def test_warped_product_momentum_first_integral():
     a2 = np.cosh(0.8 * x[:, 0]) ** 2
     p = a2[:, None] * v[:, 1:]
     assert np.max(np.abs(p - p[0])) < 1e-8
-    assert seg.L_drift < 1e-9
-    assert seg.signature_ok
+    drift, signature_ok = drift_and_signature(m, seg, x0, v0, 2.5)
+    assert drift < 1e-9
+    assert signature_ok
 
 
 def test_boosted_great_circle_track():
@@ -104,6 +115,17 @@ def test_metric_collapse_detected():
     seg = integrate_geodesic(m, np.zeros(3), np.array([1.0, 0.0, 0.0]), 10.0)
     assert seg.status == "degenerate-or-cone"
     assert 3.9 < seg.t_end < 4.0 + 1e-9
+
+
+def test_degenerate_base_point_is_a_numerical_error():
+    # a = 1 - x0/2 vanishes at the base point: g_v is degenerate there
+    m = model_library("flrw", n=1, scale="affine", a0=1.0, q=-0.5)
+    x0, v0 = np.array([2.0, 0.0]), np.array([1.0, 0.0])
+    for integrate in (lambda: radial_flow(m, x0, v0[None], 1.0),
+                      lambda: find_validity_times(m, x0, v0[None], 1.0),
+                      lambda: integrate_geodesic(m, x0, v0, 1.0)):
+        with pytest.raises(DegenerateMetricError, match="conditioning margin"):
+            integrate()
 
 
 def test_tangent_flow_matches_fd_of_exponential():
@@ -160,7 +182,6 @@ def test_radial_flow_stops_at_first_exit():
 
 def test_parallel_transport_preserves_pairings():
     m, x0, v0, *_ = boosted_circle_setup()
-    from lfgeom.models import fundamental_tensor
     frames = np.array([[[0.3, 1.0, 0.1], [0.5, -0.2, 0.9]]])
     flow = radial_flow(m, x0, v0[None], np.array([3.0]), frames=frames)
     ts = np.linspace(0.0, 3.0, 9)
