@@ -100,9 +100,7 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
 
 
 def _center_direction(m, sclv):
-    n = m.n
-    center = np.zeros(n) if sclv.center is None else np.asarray(sclv.center)
-    w = np.concatenate([[1.0], center])
+    w = np.concatenate([[1.0], sclv.center])
     F = np.sqrt(-models.lagrangian(m, sclv.apex, w))
     return w / F
 
@@ -241,20 +239,16 @@ def _run_check(name, scen: Scenario, data, cfg):
     ck = scen.checks
     tn = cfg["t_volume"]
     if name == "bg":
-        rep = cmp.bishop_gromov_check(data, ck.bg.N, ck.bg.pairs, c=ck.bg.c,
-                                      tnodes=tn)
-    elif name == "gunther":
-        rep = cmp.gunther_check(data, c=ck.gunther.c, k=ck.gunther.k,
-                                tnodes=tn)
-    elif name == "bg_inf":
-        rep = cmp.bg_infinity_check(data, ck.bg_inf.pairs, c=ck.bg_inf.c,
-                                    a=ck.bg_inf.a, tnodes=tn)
-    elif name == "ball":
-        rep = cmp.ball_bound_check(data, ck.ball.eps, ck.ball.r_grid,
-                                   c=ck.ball.c, tnodes=tn)
-    else:
-        raise ConfigError(f"unknown check {name}")
-    return rep
+        return cmp.bishop_gromov_check(data, ck.bg.N, ck.bg.pairs, c=ck.bg.c,
+                                       tnodes=tn)
+    if name == "gunther":
+        return cmp.gunther_check(data, c=ck.gunther.c, k=ck.gunther.k,
+                                 tnodes=tn)
+    if name == "bg_inf":
+        return cmp.bg_infinity_check(data, ck.bg_inf.pairs, c=ck.bg_inf.c,
+                                     a=ck.bg_inf.a, tnodes=tn)
+    return cmp.ball_bound_check(data, ck.ball.eps, ck.ball.r_grid,
+                                c=ck.ball.c, tnodes=tn)
 
 
 def _oracle_entry(scen: Scenario, data):
@@ -376,15 +370,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return run(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except cmp.ComparisonAbort as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -83,12 +83,14 @@ class SCLVSpec:
     apex: np.ndarray
     radius: float                  # chart radius of the direction patch
     cut: float                     # constant cut value b
-    center: np.ndarray | None = None   # spatial chart offset of patch center
+    center: np.ndarray | None = None   # spatial chart offset of patch center (default 0)
 
     def __post_init__(self):
         self.apex = np.asarray(self.apex, dtype=float)
-        if self.center is not None:
-            self.center = np.asarray(self.center, dtype=float)
+        n = len(self.apex) - 1
+        self.center = np.zeros(n) if self.center is None else np.asarray(self.center, dtype=float)
+        if self.center.shape != (n,):
+            raise ValueError(f"patch center needs {n} components, got {self.center.size}")
         if self.radius <= 0 or self.cut <= 0:
             raise ValueError("patch radius and cut value must be positive")
 
@@ -108,7 +110,7 @@ class DirectionQuadrature:
 def _chart_jets(m, sclv, params):
     """Direction jets v(theta) = w/F(w) and their chart derivatives."""
     n, d = m.n, m.dim
-    center = np.zeros(n) if sclv.center is None else sclv.center
+    center = sclv.center
     sp = jr.jetspace(n, 1)
     th = jr.lift(sp, [params[:, a] for a in range(n)], list(range(n)))
     if n == 1:
@@ -148,7 +150,7 @@ def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQua
     if base is None:
         raise ValueError(f"no direction chart for n={n}")
     counts = tuple(max(4, int(round(k * scale))) for k in base)
-    center = np.zeros(n) if sclv.center is None else sclv.center
+    center = sclv.center
 
     if n == 1:
         xi, wi = np.polynomial.legendre.leggauss(counts[0])
@@ -226,16 +228,13 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
     try:
-        paths = variational_paths(m, sclv.apex, quad.nodes,
-                                  np.full(quad.nodes.shape[0], b),
-                                  rtol=rtol, atol=atol)
+        paths = variational_paths(m, sclv.apex, quad.nodes, b, rtol=rtol, atol=atol)
     except ValidityExit as exc:
         raise ValueError(
             f"cut b={b:.6g} exceeds the valid range of direction {exc.index} "
             f"(reaches t={exc.t:.6g}, {exc.reason}); not an SCLV") from None
     grid = sample_grid(b, t_scan)
-    scalars, flag_lo, flag_hi = scalars_for_paths(paths, [grid] * len(paths),
-                                                  flag_range=True)
+    scalars, flag_lo, flag_hi = scalars_for_paths(paths, grid, flag_range=True)
     for i, s in enumerate(scalars):
         if np.min(s.detA) <= 0:
             t_bad = s.ts[int(np.argmax(s.detA <= 0))]
@@ -405,6 +404,30 @@ def _verdict(ok: bool, conditional: bool) -> str:
     return "CONDITIONAL-PASS" if conditional else "PASS"
 
 
+def _ratio_rows(data: SCLVData, pairs, profile, Tx, tnodes):
+    """Rows comparing rho(U(r)) / rho(U(R)) with the model ratio
+    int_0^{r T_x} profile / int_0^{R T_x} profile; returns (rows, all passed)."""
+    for r, R in pairs:
+        if not (0 < r <= R <= 1):
+            raise ValueError(f"need 0 < r <= R <= 1, got ({r}, {R})")
+    vols = {r: sclv_volume(data, r, tnodes=tnodes)
+            for r in sorted({x for pair in pairs for x in pair})}
+    results, ok = [], True
+    for (r, R) in pairs:
+        vr, er = vols[r]
+        vR, eR = vols[R]
+        lhs = vr / vR
+        rhs = _gauss_integral(profile, 0.0, r * Tx) / _gauss_integral(profile, 0.0, R * Tx)
+        tol = RATIO_TOL_FLOOR + lhs * (er / max(vr, 1e-300) + eR / max(vR, 1e-300))
+        margin = lhs - rhs
+        good = margin >= -tol
+        ok &= good
+        results.append({"r": r, "R": R, "lhs": lhs, "rhs": rhs,
+                        "margin": margin, "tol": tol,
+                        "verdict": "PASS" if good else "FAIL"})
+    return results, ok
+
+
 def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
                         tnodes=T_VOLUME, dense=T_DENSE) -> ComparisonReport:
     """Volume-ratio lower bound for effective dimension N in (n, oo)."""
@@ -422,26 +445,7 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
         notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
     b = data.b
     Tx = b if c <= 0 else min(b, np.pi * np.sqrt(N / c))
-
-    vols = {}
-    for r in sorted({x for pair in pairs for x in pair}):
-        vols[r] = sclv_volume(data, r, tnodes=tnodes)
-    results, ok = [], True
-    for (r, R) in pairs:
-        if not (0 < r <= R <= 1):
-            raise ValueError(f"need 0 < r <= R <= 1, got ({r}, {R})")
-        vr, er = vols[r]
-        vR, eR = vols[R]
-        lhs = vr / vR
-        rhs = (_gauss_integral(lambda t: s_kappa(c / N, t) ** N, 0.0, r * Tx)
-               / _gauss_integral(lambda t: s_kappa(c / N, t) ** N, 0.0, R * Tx))
-        tol = RATIO_TOL_FLOOR + lhs * (er / max(vr, 1e-300) + eR / max(vR, 1e-300))
-        margin = lhs - rhs
-        good = margin >= -tol
-        ok &= good
-        results.append({"r": r, "R": R, "lhs": lhs, "rhs": rhs,
-                        "margin": margin, "tol": tol,
-                        "verdict": "PASS" if good else "FAIL"})
+    results, ok = _ratio_rows(data, pairs, lambda t: s_kappa(c / N, t) ** N, Tx, tnodes)
 
     # per-direction density inequality and ratio monotonicity
     hric_res = max(check_hric(s, c, N) for s in data.scalars)
@@ -517,7 +521,7 @@ def gunther_check(data: SCLVData, *, c=None, k=None,
 def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
                       tnodes=T_VOLUME) -> ComparisonReport:
     """Volume-ratio bound at N = infinity with weight-slope parameter a."""
-    m, n = data.model, data.model.n
+    n = data.model.n
     scan = radial_bound_scan(data)
     c_cert = scan["inf_ric_inf"] / n
     a_cert = -scan["inf_dpsi"]
@@ -535,24 +539,8 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
         notes.append(f"user bound a={a:.6g} stronger than scanned {a_cert:.6g}")
     b = data.b
     Tx = b if c <= 0 else min(b, 0.5 * np.pi / np.sqrt(c))
-
-    vols = {}
-    for r in sorted({x for pair in pairs for x in pair}):
-        vols[r] = sclv_volume(data, r, tnodes=tnodes)
-    results, ok = [], True
-    for (r, R) in pairs:
-        vr, er = vols[r]
-        vR, eR = vols[R]
-        lhs = vr / vR
-        rhs = (_gauss_integral(lambda t: np.exp(a * t) * s_kappa(c, t) ** n, 0, r * Tx)
-               / _gauss_integral(lambda t: np.exp(a * t) * s_kappa(c, t) ** n, 0, R * Tx))
-        tol = RATIO_TOL_FLOOR + lhs * (er / max(vr, 1e-300) + eR / max(vR, 1e-300))
-        margin = lhs - rhs
-        good = margin >= -tol
-        ok &= good
-        results.append({"r": r, "R": R, "lhs": lhs, "rhs": rhs,
-                        "margin": margin, "tol": tol,
-                        "verdict": "PASS" if good else "FAIL"})
+    results, ok = _ratio_rows(data, pairs, lambda t: np.exp(a * t) * s_kappa(c, t) ** n,
+                              Tx, tnodes)
 
     # Pointwise conclusion of the proof: lam_psi <= lam_c + a below T_x.
     # Both sides diverge like n/t at 0, so the floor keeps the cancellation
@@ -679,7 +667,7 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=97,
     """
     n = m.n
     apex = np.asarray(sclv.apex, dtype=float)
-    center = np.zeros(n) if sclv.center is None else np.asarray(sclv.center)
+    center = sclv.center
     if n == 1:
         du = 2 * sclv.radius / (nchart - 1)
         p = center[0] + np.linspace(-sclv.radius - pad * du,
@@ -702,7 +690,7 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=97,
     F = np.sqrt(-lagrangian(m, np.broadcast_to(apex, w.shape), w))
     rays = w / F[:, None]
     T = r * float(sclv.cut)
-    flow = radial_flow(m, apex, rays, np.full(len(rays), T), rtol=rtol, atol=atol)
+    flow = radial_flow(m, apex, rays, T, rtol=rtol, atol=atol)
     ts = np.linspace(0.0, T, nt)
     st = flow.eval_all(ts)
     pos = st["eta"].reshape(chart_shape + (nt, m.dim))

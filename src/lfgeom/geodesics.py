@@ -12,21 +12,21 @@ variational equation for coordinate Jacobi fields,
 and reference-parallel transport of a vector along the geodesic is
 V' = -M V with the transport matrix M.
 
-``radial_flow`` evolves a whole fan of directions out of one point as a
-single fused ODE system: per-direction time is rescaled onto s in [0,1]
-(so heterogeneous integration horizons batch cleanly), and a terminal
-event watches chart distance, causal character, and metric conditioning
-for every direction at once.  The fused flow stops at the first validity
-event: the directions on the boundary record their exit, and the others
-stop there too (reason "stopped"), since every caller needs each direction
-to reach its target.  If the batched solver ever fails outright, the
-directions are continued one at a time from the failure state.
-``integrate_geodesic`` is the one-direction case of the same flow.
+``radial_flow`` evolves a whole fan of directions out of one point up to
+one horizon as a single fused ODE system, solved once: time is rescaled
+onto s in [0,1], and a terminal event watches chart distance, causal
+character, and metric conditioning for every direction at once.  The
+fused flow stops at the first validity event: the directions on the
+boundary record their exit, and the others stop there too (reason
+"stopped"), since every caller needs each direction to reach the horizon.
+A solver failure (the step size collapses) raises RuntimeError, a
+numerical abort.  ``integrate_geodesic`` is the one-direction case of the
+same flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class GeodesicSegment:
 
     t_max: float
     t_end: float
-    status: str                   # completed | chart-exit | degenerate-or-cone | failed
+    status: str                   # completed | chart-exit | degenerate-or-cone
     sol: object                   # ode.OdeSolution over s = t / t_max, state (eta, eta')
 
     def state(self, t):
@@ -147,9 +147,6 @@ class GeodesicSegment:
         return self.state(t)[1]
 
 
-_SEGMENT_STATUS = {None: "completed", "solver-failure": "failed"}
-
-
 def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
                        atol=DEFAULT_ATOL) -> GeodesicSegment:
     """Integrate eta'' = -G from (x0, v0) up to t_max or a validity boundary.
@@ -159,10 +156,9 @@ def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
     """
     flow = radial_flow(m, x0, np.asarray(v0, dtype=float)[None], float(t_max),
                        rtol=rtol, atol=atol, post_scan=True)
-    reason = flow.exit_reason[0]
     return GeodesicSegment(t_max=float(t_max), t_end=float(flow.t_reached[0]),
-                           status=_SEGMENT_STATUS.get(reason, reason),
-                           sol=flow.segments[0][2] if flow.segments else None)
+                           status=flow.exit_reason[0] or "completed",
+                           sol=flow.segments[0][2])
 
 
 def exp_map(m: FinslerModel, x0, v, t=1.0, **kw):
@@ -208,80 +204,47 @@ class _Layout:
 class RadialFlow:
     """Dense fused solution for a fan of geodesics out of one base point.
 
-    Per direction i the data are valid for t in [0, t_reached[i]]; if
-    t_reached[i] < t_target[i], exit_reason[i] says why the direction ended
-    early: its own exit label, or STOPPED when the fused flow stopped at
-    the exit of another direction.
+    Every direction runs towards the one horizon t_target.  Per direction i
+    the data are valid for t in [0, t_reached[i]]; if t_reached[i] <
+    t_target, exit_reason[i] says why the direction ended early: its own
+    exit label, or STOPPED when the fused flow stopped at the exit of
+    another direction.
     """
 
     model: FinslerModel
     x0: np.ndarray
     dirs: np.ndarray
-    t_target: np.ndarray
+    t_target: float
     t_reached: np.ndarray
     exit_reason: list
     layout: _Layout
-    segments: list = field(default_factory=list)  # (s0, s1, dense sol, dir index array)
+    segments: list       # [(s0, s1, dense sol over s, dir index array)]: the one solve
+
+    def _rows(self, ts, t_max, who):
+        """(B, len(ts), width) states at times ts in [0, t_max].
+
+        C-contiguous: a strided view would change the summation order of
+        reductions over it, such as the coordinate oracle's Simpson sums.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if ts.size and (ts.min() < 0 or ts.max() > t_max + 1e-12):
+            raise ValueError(f"{who} only reaches t={t_max}")
+        s0, s1, dense, ids = self.segments[0]
+        vals = dense(np.clip(ts / self.t_target, s0, s1))     # (B*w, nt)
+        return np.ascontiguousarray(
+            np.swapaxes(vals.reshape(len(ids), self.layout.width, -1), 1, 2))
 
     def eval(self, i, ts):
         """States of direction i at times ts (ascending array or scalar)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.size and (ts.min() < 0 or ts.max() > self.t_reached[i] + 1e-12):
-            raise ValueError(f"direction {i} only reaches t={self.t_reached[i]}")
-        s = ts / self.t_target[i]
-        out = np.empty((ts.size, self.layout.width))
-        done = np.zeros(ts.size, dtype=bool)
-        for s0, s1, dense, ids in self.segments:
-            pos = np.nonzero(ids == i)[0]
-            if pos.size == 0:
-                continue
-            row = pos[0]
-            w = self.layout.width
-            sel = (~done) & (s <= s1 + 1e-12)
-            if not np.any(sel):
-                continue
-            vals = dense(np.clip(s[sel], s0, s1))
-            out[sel] = vals[row * w:(row + 1) * w].T
-            done |= sel
-        if not np.all(done):
-            raise ValueError("requested times fall outside the recorded segments")
-        return self.layout.unpack(out)
+        return self.layout.unpack(self._rows(ts, self.t_reached[i], f"direction {i}")[i])
 
     def eval_all(self, ts):
-        """States of every direction at shared times ts.
-
-        Needs one common target time and every direction alive through
-        ts.max(); each dense segment is then evaluated once for all its
-        member directions instead of once per direction.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        T0 = float(self.t_target[0])
-        if np.max(np.abs(self.t_target - T0)) > 1e-12 * max(T0, 1.0):
-            raise ValueError("eval_all needs one shared target time")
-        if ts.size and (ts.min() < 0 or ts.max() > np.min(self.t_reached) + 1e-12):
-            raise ValueError(
-                f"some direction only reaches t={np.min(self.t_reached)}")
-        s = ts / T0
-        w = self.layout.width
-        B = self.dirs.shape[0]
-        out = np.empty((B, ts.size, w))
-        done = np.zeros(ts.size, dtype=bool)
-        for s0, s1, dense, ids in self.segments:
-            sel = (~done) & (s <= s1 + 1e-12)
-            if not np.any(sel):
-                continue
-            vals = dense(np.clip(s[sel], s0, s1))        # (B_seg*w, nsel)
-            arr = np.swapaxes(vals.reshape(len(ids), w, -1), 1, 2)
-            out[np.asarray(ids)[:, None], np.nonzero(sel)[0][None, :]] = arr
-            done |= sel
-        if not np.all(done):
-            raise ValueError("requested times fall outside the recorded segments")
-        return self.layout.unpack(out)
+        """States of every direction at shared times ts, from one dense evaluation."""
+        return self.layout.unpack(
+            self._rows(ts, np.min(self.t_reached), "some direction"))
 
 
-def _fused_rhs(m, layout, Tscale, order):
-    d = layout.d
-
+def _fused_rhs(m, layout, T, order):
     def rhs(s, yflat):
         Y = yflat.reshape(-1, layout.width)
         st = layout.unpack(Y)
@@ -301,25 +264,27 @@ def _fused_rhs(m, layout, Tscale, order):
             out["J"][...] = st["Jdot"]
             out["Jdot"][...] = -(np.einsum("...ab,...bk->...ak", c.dG_dx, st["J"])
                                  + 2.0 * np.einsum("...ab,...bk->...ak", c.N, st["Jdot"]))
-        return (dY * Tscale[:, None]).ravel()
+        return (dY * T).ravel()
 
     return rhs
 
 
 def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=None,
                 rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, post_scan=False) -> RadialFlow:
-    """Fused geodesic/transport/Jacobi flow for many directions from x0.
+    """Fused geodesic/transport/Jacobi flow for many directions from x0 up to t_target.
 
     frames: optional (B, k, d) vectors to parallel-transport along each
     direction.  jac_seeds: optional pair (J0, Jdot0) of (B, d, k) arrays
     seeding the variational flow (requires fourth-order pipeline data).
+    One solve over s = t / t_target in [0, 1]; it stops at the first
+    validity event, and a solver failure raises RuntimeError.
     """
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     B, d = dirs.shape
-    t_target = np.broadcast_to(np.asarray(t_target, dtype=float), (B,)).copy()
-    if np.any(t_target <= 0):
-        raise ValueError("all target times must be positive")
+    t_target = float(t_target)
+    if t_target <= 0:
+        raise ValueError("the target time must be positive")
     if not np.all(classify(m, x0, dirs) == "future-timelike"):
         raise CausalityError("all directions must be future timelike")
     if _chart_margin(m, x0) <= 0:
@@ -347,87 +312,55 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
     if np.any(cond <= 0):
         raise DegenerateMetricError(
             f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
+
+    def margin_event(s, yflat):
+        stt = layout.unpack(yflat.reshape(-1, layout.width))
+        return float(np.min(_margins(m, stt["eta"], stt["etadot"], L0)))
+
+    margin_event.direction = -1
+    sol = solve_ivp(_fused_rhs(m, layout, t_target, order), (0.0, 1.0), Y0.ravel(),
+                    rtol=rtol, atol=atol, event=margin_event)
+    s_end = float(sol.t[-1])
+    if sol.status == -1:
+        raise RuntimeError(f"flow integration failed at t={s_end * t_target:.6g}: "
+                           f"{sol.message}")
     flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
-                      t_reached=t_target.copy(), exit_reason=[None] * B, layout=layout)
-    _advance(m, flow, order, np.arange(B), Y0, 0.0, rtol, atol, L0)
+                      t_reached=np.full(B, s_end * t_target), exit_reason=[None] * B,
+                      layout=layout, segments=[(0.0, s_end, sol.sol, np.arange(B))])
+    if sol.status == 1:
+        # terminal event: label the directions sitting on the boundary
+        stt = layout.unpack(sol.y[:, -1].reshape(-1, layout.width))
+        mg = _margins(m, stt["eta"], stt["etadot"], L0)
+        hit = mg <= EXIT_TOL
+        if not np.any(hit):
+            hit = mg == mg.min()
+        flow.exit_reason = [_exit_label(m, stt["eta"][i], stt["etadot"][i], L0[i])
+                            if hit[i] else STOPPED for i in range(B)]
     if post_scan:
         _post_scan_flow(m, flow, L0)
     return flow
 
 
 def _post_scan_flow(m, flow, L0):
-    """Tighten t_reached by scanning each stored segment for margin dips."""
-    B = len(flow.dirs)
-    track_t = [[] for _ in range(B)]
-    track_m = [[] for _ in range(B)]
-    for (s0, s1, dense, ids) in flow.segments:
-        ns = max(3, int(np.ceil((s1 - s0) * SCAN_POINTS)) + 1)
-        sg = np.linspace(s0, s1, ns)
-        w = flow.layout.width
-        Y = dense(sg).reshape(len(ids), w, ns)
-        st = flow.layout.unpack(np.moveaxis(Y, 1, 2))   # (ndir, ns, ...)
-        ms = _margins(m, st["eta"], st["etadot"], L0[ids][:, None])
-        for r, i in enumerate(ids):
-            track_t[i].append(sg * flow.t_target[i])
-            track_m[i].append(ms[r])
-    for i in range(B):
-        if not track_t[i]:
-            continue
-        ts = np.concatenate(track_t[i])
-        ms = np.concatenate(track_m[i])
-        pos = ts > 0
-        ts, ms = ts[pos], ms[pos]
+    """Tighten t_reached by scanning the dense solution for margin dips."""
+    _, s1, dense, _ = flow.segments[0]
+    sg = np.linspace(0.0, s1, max(3, int(np.ceil(s1 * SCAN_POINTS)) + 1))
+    w = flow.layout.width
+    st = flow.layout.unpack(np.moveaxis(dense(sg).reshape(len(flow.dirs), w, -1), 1, 2))
+    ms = _margins(m, st["eta"], st["etadot"], L0[:, None])    # (B, ns)
+    ts = sg * flow.t_target
+    pos = ts > 0
+    for i in range(len(flow.dirs)):
 
         def margin_fn(t, i=i):
             stt = flow.eval(i, [float(t)])
             return float(_margins(m, stt["eta"][0], stt["etadot"][0], L0[i]))
 
-        t_cross = _first_margin_crossing(margin_fn, ts, ms)
+        t_cross = _first_margin_crossing(margin_fn, ts[pos], ms[i][pos])
         if t_cross is not None and t_cross < flow.t_reached[i] - 1e-12:
             stt = flow.eval(i, [t_cross])
             flow.t_reached[i] = t_cross
             flow.exit_reason[i] = _exit_label(m, stt["eta"][0], stt["etadot"][0], L0[i])
-
-
-def _advance(m, flow, order, active, state, s_start, rtol, atol, L0):
-    """Advance the fused system over s, stopping at the first validity event."""
-    layout = flow.layout
-    T = flow.t_target[active]
-    rhs = _fused_rhs(m, layout, T, order)
-    sub = L0[active]
-
-    def margin_event(s, yflat):
-        stt = layout.unpack(yflat.reshape(-1, layout.width))
-        return float(np.min(_margins(m, stt["eta"], stt["etadot"], sub)))
-
-    margin_event.direction = -1
-    sol = solve_ivp(rhs, (s_start, 1.0), state.ravel(), rtol=rtol, atol=atol,
-                    event=margin_event)
-    s_end = float(sol.t[-1])
-    if s_end > s_start:
-        flow.segments.append((s_start, s_end, sol.sol, active.copy()))
-    if sol.status == 0:
-        return
-    end = sol.y[:, -1].reshape(-1, layout.width)
-    if sol.status == -1 and active.size > 1:
-        for r in range(active.size):
-            _advance(m, flow, order, active[r:r + 1], end[r:r + 1].copy(),
-                     s_end, rtol, atol, L0)
-        return
-
-    flow.t_reached[active] = s_end * T
-    if sol.status == -1:
-        flow.exit_reason[active[0]] = "solver-failure"
-        return
-    # terminal event: label the directions sitting on the boundary
-    stt = layout.unpack(end)
-    mg = _margins(m, stt["eta"], stt["etadot"], sub)
-    hit = mg <= EXIT_TOL
-    if not np.any(hit):
-        hit = mg == mg.min()
-    for r, i in enumerate(active):
-        flow.exit_reason[i] = (_exit_label(m, stt["eta"][r], stt["etadot"][r], sub[r])
-                               if hit[r] else STOPPED)
 
 
 def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):
@@ -450,7 +383,7 @@ def tangent_flow(m: FinslerModel, x0, v0, t_max, dx_seeds, dv_seeds, **kw) -> Ra
     dv = np.atleast_2d(np.asarray(dv_seeds, dtype=float))
     J0 = dx.T[None]      # (1, d, k)
     Jd0 = dv.T[None]
-    return radial_flow(m, x0, np.asarray(v0, dtype=float)[None], np.array([float(t_max)]),
+    return radial_flow(m, x0, np.asarray(v0, dtype=float)[None], t_max,
                        jac_seeds=(J0, Jd0), **kw)
 
 

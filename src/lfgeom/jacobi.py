@@ -187,30 +187,31 @@ class ValidityExit(ValueError):
         self.index, self.t, self.reason = index, t, reason
 
 
-def variational_paths(m: FinslerModel, x0, dirs, t_ends, *, frames=None,
+def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[JacobiPath]:
     """Variational-route paths for a fan of unit directions sharing one flow.
 
-    The flow stops at the first validity event and its dense output is
-    scanned for margin dips; a direction that leaves the valid region
-    before its end time raises ValidityExit, naming the earliest exit.
+    The flow runs to the one end time t_end, stops at the first validity
+    event, and its dense output is scanned for margin dips; a direction
+    that leaves the valid region before t_end raises ValidityExit, naming
+    the earliest exit.
     """
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    t_ends = np.asarray(t_ends, dtype=float)
+    t_end = float(t_end)
     if frames is None:
         frames = np.array([build_frame(m, x0, v) for v in dirs])
     B, n, d = frames.shape
     seeds = (np.zeros((B, d, n)), np.swapaxes(frames, -1, -2).copy())
-    flow = radial_flow(m, x0, dirs, t_ends, frames=frames, jac_seeds=seeds,
+    flow = radial_flow(m, x0, dirs, t_end, frames=frames, jac_seeds=seeds,
                        rtol=rtol, atol=atol, post_scan=True)
-    exits = [i for i in range(B) if flow.t_reached[i] < t_ends[i] - 1e-9
+    exits = [i for i in range(B) if flow.t_reached[i] < t_end - 1e-9
              and flow.exit_reason[i] != STOPPED]
     if exits:
         i = min(exits, key=lambda i: flow.t_reached[i])
-        raise ValidityExit(i, flow.t_reached[i], flow.exit_reason[i], t_ends[i])
+        raise ValidityExit(i, flow.t_reached[i], flow.exit_reason[i], t_end)
     return [JacobiPath(model=m, x0=x0, v0=dirs[i], frame0=frames[i],
-                       t_end=float(t_ends[i]), route="variational",
+                       t_end=t_end, route="variational",
                        flow=flow, index=i) for i in range(B)]
 
 
@@ -221,8 +222,7 @@ def jacobi_variational(m: FinslerModel, x0, v0, t_end, *, frame=None,
     v0 = np.asarray(v0, dtype=float)
     _check_unit(m, x0, v0)
     frames = None if frame is None else np.asarray(frame, dtype=float)[None]
-    return variational_paths(m, x0, v0[None], np.array([float(t_end)]),
-                             frames=frames, rtol=rtol, atol=atol)[0]
+    return variational_paths(m, x0, v0[None], t_end, frames=frames, rtol=rtol, atol=atol)[0]
 
 
 def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
@@ -241,7 +241,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
     frame = np.asarray(frame, dtype=float)
     n = m.n
     t_end = float(t_end)
-    flow = radial_flow(m, x0, v0[None], np.array([t_end]), frames=frame[None],
+    flow = radial_flow(m, x0, v0[None], t_end, frames=frame[None],
                        rtol=rtol, atol=atol)
     if flow.t_reached[0] < t_end - 1e-9:
         raise ValueError(
@@ -298,12 +298,13 @@ def riccati_quantities(path: JacobiPath, ts) -> PathScalars:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.min() <= 0:
         raise ValueError("expansion scalars need t > 0 (A(0) is singular)")
-    return scalars_for_paths([path], [ts])[0]
+    return scalars_for_paths([path], ts)[0]
 
 
-def scalars_for_paths(paths: list[JacobiPath], ts_list, *, flag_range=False):
-    """Per-direction scalars with the curvature/weight work done in one batch.
+def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
+    """Per-direction scalars on one grid, with the curvature/weight work in one batch.
 
+    The paths are variational paths sharing one flow (see ``sample_all``).
     With ``flag_range`` also returns per-direction (min, max) eigenvalues of
     the symmetrized frame curvature matrix over the sample times, reusing
     the same curvature batch: ``(scalars, flag_lo, flag_hi)``.
@@ -311,47 +312,29 @@ def scalars_for_paths(paths: list[JacobiPath], ts_list, *, flag_range=False):
     if not paths:
         return ([], np.empty(0), np.empty(0)) if flag_range else []
     m = paths[0].model
-    flow = paths[0].flow
-    ts0 = np.atleast_1d(np.asarray(ts_list[0], dtype=float))
-    shared = (all(p.route == "variational" and p.flow is flow for p in paths)
-              and np.ptp(flow.t_target) == 0.0
-              and all(np.array_equal(ts0, np.atleast_1d(np.asarray(t, dtype=float)))
-                      for t in ts_list))
-    if shared:
-        samples = sample_all(paths, ts0)
-    else:
-        samples = [p.sample(ts) for p, ts in zip(paths, ts_list)]
+    samples = sample_all(paths, ts)
     xs = np.concatenate([s.x for s in samples])
     vs = np.concatenate([s.v for s in samples])
     data = riemann_matrix(m, xs, vs)
-    ric = data.ric
-    psi, dpsi, d2psi = weight_along(m, xs, vs, conn=data.center)
-    out, off = [], 0
-    for s in samples:
-        sl = slice(off, off + s.ts.size)
-        off += s.ts.size
+    rows = [a.reshape(len(samples), -1)     # one row of sample times per path
+            for a in (data.ric, *weight_along(m, xs, vs, conn=data.center))]
+    out = []
+    for s, ric, psi, dpsi, d2psi in zip(samples, *rows):
         C = np.swapaxes(np.linalg.solve(np.swapaxes(s.A, -1, -2),
                                         np.swapaxes(s.Adot, -1, -2)), -1, -2)
         lam = np.einsum("...ii->...", C)
         trC2 = np.einsum("...ij,...ji->...", C, C)
         out.append(PathScalars(
             n=m.n, ts=s.ts, detA=np.linalg.det(s.A), lam=lam, trC2=trC2,
-            lam_prime=-ric[sl] - trC2, ric=ric[sl], psi=psi[sl],
-            dpsi=dpsi[sl], d2psi=d2psi[sl]))
+            lam_prime=-ric - trC2, ric=ric, psi=psi, dpsi=dpsi, d2psi=d2psi))
     if not flag_range:
         return out
     Es = np.concatenate([s.E for s in samples])
     RE = np.einsum("...ab,...jb->...ja", data.R, Es)
     Rhat = np.einsum("...ka,...ab,...jb->...kj", Es, data.center.g, RE)
     Rhat = 0.5 * (Rhat + np.swapaxes(Rhat, -1, -2))
-    eigs = np.linalg.eigvalsh(Rhat)
-    lo, hi, off = [], [], 0
-    for s in samples:
-        sl = slice(off, off + s.ts.size)
-        off += s.ts.size
-        lo.append(float(np.min(eigs[sl])))
-        hi.append(float(np.max(eigs[sl])))
-    return out, np.array(lo), np.array(hi)
+    eigs = np.linalg.eigvalsh(Rhat).reshape(len(samples), -1)
+    return out, eigs.min(axis=1), eigs.max(axis=1)
 
 
 def s_kappa(kappa, t):

@@ -68,7 +68,7 @@ def jacobi_sweep():
         offs = rng.uniform(-1.0, 1.0, (20, 2))
         offs = 0.45 * offs / np.maximum(1.0, np.linalg.norm(offs, axis=1))[:, None]
         dirs = _unit_fan(m, x0, offs)
-        paths = variational_paths(m, x0, dirs, np.full(20, 1.0))
+        paths = variational_paths(m, x0, dirs, 1.0)
         out[name] = (m, x0, dirs, paths)
     return out
 
@@ -240,7 +240,7 @@ def test_criterion_04_radial_density_vs_dexp(jacobi_sweep):
                 + np.einsum("e,s,ikd->iksed", np.array(eps_pair),
                             np.array([1.0, -1.0]), frames))     # (20,n,2,2,d)
         W = pert.reshape(-1, d)
-        flow = radial_flow(m, x0, W, np.ones(len(W)))
+        flow = radial_flow(m, x0, W, 1.0)
         eta = flow.eval_all(ts_fd)["eta"].reshape(20, n, 2, 2, len(ts_fd), d)
         diff = (eta[:, :, 0] - eta[:, :, 1]) / 2.0              # (20,n,2,t,d)
         dexp = ((4.0 * diff[:, :, 1] / eps_pair[1]
@@ -266,7 +266,7 @@ def test_criterion_05_riccati_inequality(jacobi_sweep):
     grid = sample_grid(1.0, 160)
     worst_ineq, worst_flat = -np.inf, 0.0
     for name, (m, x0, dirs, paths) in jacobi_sweep.items():
-        scals = scalars_for_paths(paths, [grid] * len(paths))
+        scals = scalars_for_paths(paths, grid)
         for scal in scals:
             worst_ineq = max(worst_ineq, check_riccati(scal))
             if name == "minkowski":
@@ -297,9 +297,9 @@ def test_criterion_06_weighted_density_concavity():
     for m, x0, t_end in sweeps:
         n = m.n
         dirs = _unit_fan(m, x0, offs)
-        paths = variational_paths(m, x0, dirs, np.full(len(dirs), t_end))
+        paths = variational_paths(m, x0, dirs, t_end)
         grid = sample_grid(t_end, 96)
-        scals = scalars_for_paths(paths, [grid] * len(paths))
+        scals = scalars_for_paths(paths, grid)
         for N in (n + 0.5, n + 2.0, 1.0e6, -1.0):
             ric_N = [s.ric + s.d2psi - s.dpsi**2 / (N - n) for s in scals]
             c = min(float(np.min(r)) for r in ric_N)
@@ -308,8 +308,8 @@ def test_criterion_06_weighted_density_concavity():
     # negative control: inflating c on flat space must break the bound
     m = model_library("minkowski", 2)
     dirs = _unit_fan(m, np.zeros(3), np.array([[0.3, 0.0]]))
-    paths = variational_paths(m, np.zeros(3), dirs, np.array([2.0]))
-    scal = scalars_for_paths(paths, [sample_grid(2.0, 96)])[0]
+    paths = variational_paths(m, np.zeros(3), dirs, 2.0)
+    scal = scalars_for_paths(paths, sample_grid(2.0, 96))[0]
     control = check_hric(scal, 1.0, 4.0)
     ok = worst <= 1e-6 and control > 1e-3
     _report(6, ok, f"max N h'' + c h residual {worst:.2e} (<=1e-6) over 5 "

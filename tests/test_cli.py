@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lfgeom import cli, jets
+from lfgeom import cli, geodesics, jets
+from lfgeom.connection import DegenerateMetricError
 from lfgeom.scenario import ConfigError, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -127,6 +128,17 @@ def test_bad_hypothesis_is_config_error(tmp_path, capsys):
     assert "N in (n, oo)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [("bg", "bg"), ("bg-inf", "bg_inf")])
+def test_reversed_ratio_pair_is_config_error(tmp_path, capsys, command, key):
+    doc = yaml.safe_load((SCENARIOS / "mink2_bg_anchor.yaml").read_text())
+    doc["checks"][key]["pairs"] = [[1.0, 0.5]]
+    p = tmp_path / "reversed.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    code = cli.main([command, "--scenario", str(p), "--out", str(tmp_path)])
+    assert code == 2
+    assert "need 0 < r <= R <= 1, got (1.0, 0.5)" in capsys.readouterr().err
+
+
 def test_falsified_override_fails(tmp_path):
     doc = yaml.safe_load(MINK1_ALL)
     doc["checks"]["bg"]["c"] = 0.3  # flat space cannot certify c > 0
@@ -194,6 +206,37 @@ def test_jet_domain_error_is_a_numerical_abort(tmp_path):
     assert run.returncode == 3
     assert "Traceback" not in run.stderr
     assert run.stderr == "numerical abort: division by jet with near-zero constant term\n"
+
+
+@pytest.fixture()
+def flow_breaks_past_half(monkeypatch):
+    """Every fused flow's rhs fails once a point reaches x0 > 0.5."""
+    real = geodesics.eval_connection
+
+    def breaking(m, x, v, **kw):
+        if np.max(np.asarray(x)[..., 0]) > 0.5:
+            raise DegenerateMetricError("metric collapsed past x0 = 0.5")
+        return real(m, x, v, **kw)
+
+    monkeypatch.setattr(geodesics, "eval_connection", breaking)
+
+
+def test_flow_breakdown_raises(flow_breaks_past_half):
+    scen = load_scenario(SCENARIOS / "mink2_bg_anchor.yaml")
+    m, sclv = scen.model.build(), scen.sclv.build()
+    dirs = np.array([[1.0, 0.0, 0.0], [np.sqrt(1.01), 0.1, 0.0]])
+    with pytest.raises(RuntimeError, match="flow integration failed at t=0.49"):
+        geodesics.radial_flow(m, sclv.apex, dirs, sclv.cut)
+
+
+@pytest.mark.parametrize("command", ["geodesic", "gunther", "jacobi"])
+def test_flow_breakdown_is_a_numerical_abort(tmp_path, capsys, flow_breaks_past_half, command):
+    code = cli.main([command, "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"),
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical abort: flow integration failed at t=")
+    assert "Traceback" not in err
 
 
 SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -89,6 +89,13 @@ def test_patch_leaving_cone_rejected():
 # ---------------------------------------------------------------- volumes
 
 
+def test_patch_center_defaults_to_zero_and_needs_n_components():
+    assert np.array_equal(cmp.SCLVSpec(apex=np.zeros(3), radius=0.5, cut=1.0).center,
+                          np.zeros(2))
+    with pytest.raises(ValueError, match="patch center needs 2 components"):
+        cmp.SCLVSpec(apex=np.zeros(3), radius=0.5, cut=1.0, center=[0.1])
+
+
 def test_flat_volume_closed_form_and_scaling(mink1, mink2):
     _, _, d1 = mink1
     vol, err = cmp.sclv_volume(d1, 1.0)

@@ -147,13 +147,16 @@ def test_radial_flow_agrees_with_single_geodesics():
     dirs = np.array([[1.25, 0.0, 0.46875],
                      [1.1, 0.2, 0.1],
                      [1.4, -0.3, 0.25]])
-    t_target = np.array([1.5, 2.5, 2.0])
+    t_target = 2.5
     flow = radial_flow(m, x0, dirs, t_target)
     assert all(r is None for r in flow.exit_reason)
+    assert len(flow.segments) == 1
+    ts = np.linspace(0.0, t_target, 7)
+    every = flow.eval_all(ts)
     for i in range(3):
-        ts = np.linspace(0.0, t_target[i], 7)
         st = flow.eval(i, ts)
-        seg = integrate_geodesic(m, x0, dirs[i], t_target[i])
+        assert np.array_equal(st["eta"], every["eta"][i])
+        seg = integrate_geodesic(m, x0, dirs[i], t_target)
         xs, vs = seg.state(ts)
         assert np.allclose(st["eta"], xs, atol=1e-8)
         assert np.allclose(st["etadot"], vs, atol=1e-8)
@@ -170,7 +173,7 @@ def test_validity_times_of_heterogeneous_chart_exits():
 def test_radial_flow_stops_at_first_exit():
     m = model_library("minkowski", n=2)
     dirs = np.array([[2.0, 0.2, 0.0], [1.0, 0.5, 0.0], [0.5, 0.1, 0.0]])
-    flow = radial_flow(m, np.zeros(3), dirs, np.full(3, 30.0))
+    flow = radial_flow(m, np.zeros(3), dirs, 30.0)
     assert np.allclose(flow.t_reached, 5.0, atol=1e-6)
     assert flow.exit_reason == ["chart-exit", STOPPED, STOPPED]
     assert len(flow.segments) == 1
@@ -183,7 +186,7 @@ def test_radial_flow_stops_at_first_exit():
 def test_parallel_transport_preserves_pairings():
     m, x0, v0, *_ = boosted_circle_setup()
     frames = np.array([[[0.3, 1.0, 0.1], [0.5, -0.2, 0.9]]])
-    flow = radial_flow(m, x0, v0[None], np.array([3.0]), frames=frames)
+    flow = radial_flow(m, x0, v0[None], 3.0, frames=frames)
     ts = np.linspace(0.0, 3.0, 9)
     st = flow.eval(0, ts)
     gs = fundamental_tensor(m, st["eta"], st["etadot"])
