@@ -370,6 +370,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return run(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical breakdown
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

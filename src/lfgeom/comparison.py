@@ -648,12 +648,18 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
 # ------------------------------------------------- coordinate-space oracle
 
 
-def _fd4(arr, h, axis):
-    """Fourth-order central difference along one axis (wraps; callers
-    slice off the edges of non-periodic axes)."""
-    def sh(k):
-        return np.roll(arr, -k, axis=axis)
+def _fd4(sh, h):
+    """Fourth-order central difference from the shifted samples sh(k)[i] = f[i + k]."""
     return (-sh(2) + 8 * sh(1) - 8 * sh(-1) + sh(-2)) / (12.0 * h)
+
+
+def _det(a):
+    """Determinants of a stack of 2x2 or 3x3 matrices, in closed form."""
+    if a.shape[-1] == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
 
 
 def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=97,
@@ -696,19 +702,18 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=97,
     pos = st["eta"].reshape(chart_shape + (nt, m.dim))
     vel = st["etadot"].reshape(chart_shape + (nt, m.dim))
 
-    if n == 1:
-        dpos = [_fd4(pos, du, axis=0)]
-        sl = (slice(pad, -pad),)
-    else:
-        dpos = [_fd4(pos, du, axis=0), _fd4(pos, 2 * np.pi / nphi, axis=1)]
-        sl = (slice(pad, -pad), slice(None))
-    cols = [vel[sl]] + [dp[sl] for dp in dpos]
+    # the s axis is not periodic: difference only the points at least pad (>= 2,
+    # the stencil half-width) from its ends
+    ns = pos.shape[0]
+    inner = slice(pad, ns - pad)
+    x_in, v_in = pos[inner], vel[inner]
+    cols = [v_in, _fd4(lambda k: pos[pad + k:ns - pad + k], du)]
+    if n == 2:
+        cols.append(_fd4(lambda k: np.roll(x_in, -k, axis=1), 2 * np.pi / nphi))
     J = np.stack(cols, axis=-1)
-    x_in = pos[sl]
-    v_in = vel[sl]
     g = fundamental_tensor(m, x_in, v_in)
-    dens = np.exp(-weight(m, x_in, v_in)) * np.sqrt(-np.linalg.det(g))
-    integrand = dens * np.abs(np.linalg.det(J))
+    dens = np.exp(-weight(m, x_in, v_in)) * np.sqrt(-_det(g))
+    integrand = dens * np.abs(_det(J))
 
     val = simpson(integrand, x=ts, axis=-1)
     if n == 1:

@@ -13,15 +13,26 @@ and reference-parallel transport of a vector along the geodesic is
 V' = -M V with the transport matrix M.
 
 ``radial_flow`` evolves a whole fan of directions out of one point up to
-one horizon as a single fused ODE system, solved once: time is rescaled
-onto s in [0,1], and a terminal event watches chart distance, causal
-character, and metric conditioning for every direction at once.  The
-fused flow stops at the first validity event: the directions on the
-boundary record their exit, and the others stop there too (reason
-"stopped"), since every caller needs each direction to reach the horizon.
-A solver failure (the step size collapses) raises RuntimeError, a
-numerical abort.  ``integrate_geodesic`` is the one-direction case of the
-same flow.
+one horizon as a single fused ODE system, solved once.  The fused state
+carries the time t, and the solve runs in a speed clock sigma with
+
+    dt/dsigma = 1 / (1 + |eta'|),
+
+|eta'| the RMS over the fan of each direction's Euclidean coordinate
+speed: a Sundman-type time transformation (Hairer, Lubich & Wanner,
+*Geometric Numerical Integration*, 2nd ed., Sec. VIII.2), so the steps
+no longer shrink where the coordinate velocity blows up, as before the
+chart exit of a collapsing scale factor.  One terminal event stops the
+solve at the first zero of min(validity margin, t_target - t): the clock
+reaching the horizon, or the first validity event, which watches chart
+distance, causal character, and metric conditioning for every direction
+at once.  At a validity event the directions on the boundary record
+their exit, and the others stop there too (reason "stopped"), since
+every caller needs each direction to reach the horizon.  Every result
+still answers in t: the dense output is read at sigma(t), found by
+inverting its clock row.  A solver failure (the step size collapses)
+raises RuntimeError, a numerical abort.  ``integrate_geodesic`` is the
+one-direction case of the same flow.
 """
 
 from __future__ import annotations
@@ -54,6 +65,11 @@ EXIT_TOL = 1e-8            # margin slack used to decide which directions exited
 STOPPED = "stopped"        # exit reason of a direction halted by another's exit
 SCAN_POINTS = 1024         # dense-output margin scan resolution
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
+# sigma = t + (the fan's RMS Euclidean path length), so a fan keeping its start
+# speed reaches t_target at sigma = t_target (1 + |eta'(0)|), and a path out of the
+# chart is about its diameter long.  The solve's sigma span is SIGMA_SPAN times
+# their sum; a flow that uses it up before t_target is a numerical abort.
+SIGMA_SPAN = 2.0
 
 
 def _chart_margin(m: FinslerModel, x):
@@ -123,6 +139,78 @@ def _refine_crossing(margin_fn, lo, hi):
     return float(brentq(margin_fn, lo, hi, xtol=1e-12))
 
 
+# ------------------------------------------------------------ speed clock
+
+
+class _Clock:
+    """The clock row t(sigma) of a flow's dense output, and its inverse.
+
+    t(sigma) is evaluated as ``OdeSolution`` evaluates that row: the same
+    step for each sigma and the same Horner steps, so reading the full
+    state at sigma(t) gives back t to round-off.  The inverse runs a
+    safeguarded Newton iteration on the step polynomial that brackets t,
+    one scalar per sample time, and keeps the closest float; it is exact
+    at 0 and at the end of the solve, where t = t_end.
+    """
+
+    def __init__(self, sol, t_end):
+        self.ts = sol.ts
+        parts = sol.interpolants
+        self.s_old = np.array([p.t_old for p in parts])
+        self.h = np.array([p.h for p in parts])
+        self.F = np.array([p.F[:, -1] for p in parts]).T      # (7, steps)
+        self.y_old = np.array([p.y_old[-1] for p in parts])
+        self.s_end = float(sol.ts[-1])
+        self.t_end = float(t_end)
+        self.t_nodes = self.t(self.ts)
+
+    def _poly(self, s, k):
+        """t and dt/dsigma at s on the polynomial of step k."""
+        x = (s - self.s_old[k]) / self.h[k]
+        y = np.zeros_like(x)
+        dy = np.zeros_like(x)
+        for i, f in enumerate(self.F[::-1]):
+            y += f[k]
+            if i % 2 == 0:
+                dy = dy * x + y
+                y *= x
+            else:
+                dy = dy * (1 - x) - y
+                y *= 1 - x
+        return y + self.y_old[k], dy / self.h[k]
+
+    def t(self, s):
+        """Clock readings at sigma values s (any shape)."""
+        k = np.clip(np.searchsorted(self.ts, s, side="left") - 1, 0, len(self.h) - 1)
+        return self._poly(s, k)[0]
+
+    def sigma(self, t):
+        """sigma with t(sigma) = t, for t in [0, t_end] (any shape)."""
+        t = np.asarray(t, dtype=float)
+        s = np.where(t <= 0.0, 0.0, self.s_end)
+        inner = (t > 0.0) & (t < self.t_end)
+        tt = t[inner]
+        k = np.clip(np.searchsorted(self.t_nodes, tt, side="left") - 1, 0, len(self.h) - 1)
+        lo, hi = self.ts[k], self.ts[k + 1]
+        si = lo + self.h[k] * (tt - self.t_nodes[k]) / (self.t_nodes[k + 1] - self.t_nodes[k])
+        si = np.minimum(si, hi)   # t may exceed the last clock reading by a few ulp
+        for _ in range(64):
+            p, dp = self._poly(si, k)
+            lo = np.where(p < tt, si, lo)
+            hi = np.where(p < tt, hi, si)
+            new = si + (tt - p) / dp
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = np.all(np.abs(new - si) <= 4 * np.spacing(si))
+            si = new
+            if done:
+                break
+        # the closest of si and its two neighbours, read as OdeSolution reads them
+        cand = np.clip([np.nextafter(si, -np.inf), si, np.nextafter(si, np.inf)], 0.0, self.s_end)
+        pick = np.argmin(np.abs(self.t(cand) - tt), axis=0)
+        s[inner] = np.take_along_axis(cand, pick[None], axis=0)[0]
+        return s
+
+
 # --------------------------------------------------------- single geodesic
 
 
@@ -133,12 +221,13 @@ class GeodesicSegment:
     t_max: float
     t_end: float
     status: str                   # completed | chart-exit | degenerate-or-cone
-    sol: object                   # ode.OdeSolution over s = t / t_max, state (eta, eta')
+    sol: object                   # ode.OdeSolution over the clock sigma, state (eta, eta', t)
+    clock: _Clock
 
     def state(self, t):
-        y = self.sol(np.asarray(t) / self.t_max)
+        y = self.sol(self.clock.sigma(t))
         d = len(y) // 2
-        return np.moveaxis(y[:d], 0, -1), np.moveaxis(y[d:], 0, -1)
+        return np.moveaxis(y[:d], 0, -1), np.moveaxis(y[d:2 * d], 0, -1)
 
     def position(self, t):
         return self.state(t)[0]
@@ -158,7 +247,7 @@ def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
                        rtol=rtol, atol=atol, post_scan=True)
     return GeodesicSegment(t_max=float(t_max), t_end=float(flow.t_reached[0]),
                            status=flow.exit_reason[0] or "completed",
-                           sol=flow.segments[0][2])
+                           sol=flow.segments[0][2], clock=flow.clock)
 
 
 def exp_map(m: FinslerModel, x0, v, t=1.0, **kw):
@@ -208,7 +297,9 @@ class RadialFlow:
     the data are valid for t in [0, t_reached[i]]; if t_reached[i] <
     t_target, exit_reason[i] says why the direction ended early: its own
     exit label, or STOPPED when the fused flow stopped at the exit of
-    another direction.
+    another direction.  A completed flow has t_reached == t_target
+    exactly.  The solve runs in the speed clock sigma; ``eval`` and
+    ``eval_all`` take times t and read the dense output at clock.sigma(t).
     """
 
     model: FinslerModel
@@ -218,7 +309,8 @@ class RadialFlow:
     t_reached: np.ndarray
     exit_reason: list
     layout: _Layout
-    segments: list       # [(s0, s1, dense sol over s, dir index array)]: the one solve
+    segments: list       # [(s0, s1, dense sol over sigma, dir index array)]: the one solve
+    clock: _Clock        # t(sigma) and its inverse
 
     def _rows(self, ts, t_max, who):
         """(B, len(ts), width) states at times ts in [0, t_max].
@@ -229,8 +321,8 @@ class RadialFlow:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size and (ts.min() < 0 or ts.max() > t_max + 1e-12):
             raise ValueError(f"{who} only reaches t={t_max}")
-        s0, s1, dense, ids = self.segments[0]
-        vals = dense(np.clip(ts / self.t_target, s0, s1))     # (B*w, nt)
+        _, _, dense, ids = self.segments[0]
+        vals = dense(self.clock.sigma(ts))[:-1]     # (B*w, nt)
         return np.ascontiguousarray(
             np.swapaxes(vals.reshape(len(ids), self.layout.width, -1), 1, 2))
 
@@ -244,9 +336,12 @@ class RadialFlow:
             self._rows(ts, np.min(self.t_reached), "some direction"))
 
 
-def _fused_rhs(m, layout, T, order):
+def _fused_rhs(m, layout, order):
+    """d/dsigma of (flow state, t): the t-derivatives times dt/dsigma =
+    1 / (1 + |eta'|), |eta'| the RMS over the fan of each direction's
+    Euclidean coordinate speed."""
     def rhs(s, yflat):
-        Y = yflat.reshape(-1, layout.width)
+        Y = yflat[:-1].reshape(-1, layout.width)
         st = layout.unpack(Y)
         try:
             c = eval_connection(m, st["eta"], st["etadot"], order=order, validate=False)
@@ -264,7 +359,8 @@ def _fused_rhs(m, layout, T, order):
             out["J"][...] = st["Jdot"]
             out["Jdot"][...] = -(np.einsum("...ab,...bk->...ak", c.dG_dx, st["J"])
                                  + 2.0 * np.einsum("...ab,...bk->...ak", c.N, st["Jdot"]))
-        return (dY * T).ravel()
+        dt = 1.0 / (1.0 + np.sqrt(np.mean(np.sum(st["etadot"] ** 2, axis=-1))))
+        return np.append(dY.ravel() * dt, dt)
 
     return rhs
 
@@ -276,8 +372,9 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
     frames: optional (B, k, d) vectors to parallel-transport along each
     direction.  jac_seeds: optional pair (J0, Jdot0) of (B, d, k) arrays
     seeding the variational flow (requires fourth-order pipeline data).
-    One solve over s = t / t_target in [0, 1]; it stops at the first
-    validity event, and a solver failure raises RuntimeError.
+    One solve in the speed clock sigma; it stops when t reaches t_target
+    or at the first validity event, and a solver failure raises
+    RuntimeError.
     """
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -313,29 +410,37 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
         raise DegenerateMetricError(
             f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
 
-    def margin_event(s, yflat):
-        stt = layout.unpack(yflat.reshape(-1, layout.width))
-        return float(np.min(_margins(m, stt["eta"], stt["etadot"], L0)))
+    def event(s, yflat):
+        stt = layout.unpack(yflat[:-1].reshape(-1, layout.width))
+        return min(float(np.min(_margins(m, stt["eta"], stt["etadot"], L0))),
+                   t_target - yflat[-1])
 
-    margin_event.direction = -1
-    sol = solve_ivp(_fused_rhs(m, layout, t_target, order), (0.0, 1.0), Y0.ravel(),
-                    rtol=rtol, atol=atol, event=margin_event)
-    s_end = float(sol.t[-1])
-    if sol.status == -1:
-        raise RuntimeError(f"flow integration failed at t={s_end * t_target:.6g}: "
-                           f"{sol.message}")
-    flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
-                      t_reached=np.full(B, s_end * t_target), exit_reason=[None] * B,
-                      layout=layout, segments=[(0.0, s_end, sol.sol, np.arange(B))])
-    if sol.status == 1:
-        # terminal event: label the directions sitting on the boundary
-        stt = layout.unpack(sol.y[:, -1].reshape(-1, layout.width))
-        mg = _margins(m, stt["eta"], stt["etadot"], L0)
+    event.direction = -1
+    speed0 = float(np.sqrt(np.mean(np.sum(dirs ** 2, axis=-1))))
+    diam = float(np.linalg.norm(np.subtract(m.chart_hi, m.chart_lo)))
+    s_span = SIGMA_SPAN * (t_target * (1.0 + speed0) + diam)
+    sol = solve_ivp(_fused_rhs(m, layout, order), (0.0, s_span), np.append(Y0.ravel(), 0.0),
+                    rtol=rtol, atol=atol, event=event)
+    s_end, t_end = float(sol.t[-1]), float(sol.y[-1, -1])
+    if sol.status != 1:
+        why = sol.message if sol.status else "the speed clock ran out"
+        raise RuntimeError(f"flow integration failed at t={t_end:.6g}: {why}")
+    stt = layout.unpack(sol.y[:-1, -1].reshape(-1, layout.width))
+    mg = _margins(m, stt["eta"], stt["etadot"], L0)
+    reason = [None] * B
+    if t_target - t_end <= np.min(mg):
+        t_end = t_target          # the clock event: every direction completed
+    else:
+        # margin event: label the directions sitting on the boundary
         hit = mg <= EXIT_TOL
         if not np.any(hit):
             hit = mg == mg.min()
-        flow.exit_reason = [_exit_label(m, stt["eta"][i], stt["etadot"][i], L0[i])
-                            if hit[i] else STOPPED for i in range(B)]
+        reason = [_exit_label(m, stt["eta"][i], stt["etadot"][i], L0[i])
+                  if hit[i] else STOPPED for i in range(B)]
+    flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
+                      t_reached=np.full(B, t_end), exit_reason=reason, layout=layout,
+                      segments=[(0.0, s_end, sol.sol, np.arange(B))],
+                      clock=_Clock(sol.sol, t_end))
     if post_scan:
         _post_scan_flow(m, flow, L0)
     return flow
@@ -344,23 +449,28 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
 def _post_scan_flow(m, flow, L0):
     """Tighten t_reached by scanning the dense solution for margin dips."""
     _, s1, dense, _ = flow.segments[0]
-    sg = np.linspace(0.0, s1, max(3, int(np.ceil(s1 * SCAN_POINTS)) + 1))
     w = flow.layout.width
-    st = flow.layout.unpack(np.moveaxis(dense(sg).reshape(len(flow.dirs), w, -1), 1, 2))
+    frac = flow.t_reached.max() / flow.t_target
+    sg = np.linspace(0.0, s1, max(3, int(np.ceil(frac * SCAN_POINTS)) + 1))
+    st = flow.layout.unpack(np.moveaxis(dense(sg)[:-1].reshape(len(flow.dirs), w, -1), 1, 2))
     ms = _margins(m, st["eta"], st["etadot"], L0[:, None])    # (B, ns)
-    ts = sg * flow.t_target
-    pos = ts > 0
+    pos = sg > 0
     for i in range(len(flow.dirs)):
 
-        def margin_fn(t, i=i):
-            stt = flow.eval(i, [float(t)])
-            return float(_margins(m, stt["eta"][0], stt["etadot"][0], L0[i]))
+        def state(s, i=i):
+            stt = flow.layout.unpack(dense(s)[:-1].reshape(-1, w)[i])
+            return stt["eta"], stt["etadot"]
 
-        t_cross = _first_margin_crossing(margin_fn, ts[pos], ms[i][pos])
-        if t_cross is not None and t_cross < flow.t_reached[i] - 1e-12:
-            stt = flow.eval(i, [t_cross])
+        def margin_fn(s, i=i):
+            return float(_margins(m, *state(s), L0[i]))
+
+        s_cross = _first_margin_crossing(margin_fn, sg[pos], ms[i][pos])
+        if s_cross is None:
+            continue
+        t_cross = float(flow.clock.t(s_cross))
+        if t_cross < flow.t_reached[i] - 1e-12:
             flow.t_reached[i] = t_cross
-            flow.exit_reason[i] = _exit_label(m, stt["eta"][0], stt["etadot"][0], L0[i])
+            flow.exit_reason[i] = _exit_label(m, *state(s_cross), L0[i])
 
 
 def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):

@@ -239,6 +239,20 @@ def test_flow_breakdown_is_a_numerical_abort(tmp_path, capsys, flow_breaks_past_
     assert "Traceback" not in err
 
 
+def test_singular_solve_is_a_numerical_abort(tmp_path, capsys, monkeypatch):
+    # numpy.linalg.LinAlgError is a ValueError, but it is no configuration error
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = cli.main(["gunther", "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"),
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "numerical abort: Singular matrix\n"
+    assert "Traceback" not in err
+
+
 SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 

@@ -149,6 +149,13 @@ def test_coordinate_route_anisotropic_n2():
     assert abs(direct - vol) < 1e-4 * vol
 
 
+def test_closed_form_determinants_match_lapack():
+    rng = np.random.default_rng(3)
+    for d in (2, 3):
+        a = rng.normal(size=(5, 7, d, d))
+        assert np.allclose(cmp._det(a), np.linalg.det(a), rtol=0, atol=1e-14)
+
+
 # ------------------------------------------------------- finite-N ratio
 
 

@@ -12,6 +12,7 @@ Anchors used here:
 import numpy as np
 import pytest
 
+from lfgeom import geodesics
 from lfgeom.connection import DegenerateMetricError
 from lfgeom.geodesics import (
     STOPPED,
@@ -22,6 +23,7 @@ from lfgeom.geodesics import (
     radial_flow,
     tangent_flow,
 )
+from lfgeom.jacobi import ValidityExit, variational_paths
 from lfgeom.models import fundamental_tensor, lagrangian, model_library
 
 
@@ -31,10 +33,11 @@ def richardson_dir(f, x, e, h):
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def drift_and_signature(m, seg, x0, v0, t_max):
+def drift_and_signature(m, seg, x0, v0):
     """max |L - L0| and whether g keeps signature (- + ... +), over the
-    segment's accepted step times."""
-    xs, vs = seg.state(seg.sol.ts * t_max)
+    segment's accepted step times (read off the clock row of its dense
+    output, whose steps are in the clock sigma, not in t)."""
+    xs, vs = seg.state(seg.sol(seg.sol.ts)[-1])
     drift = float(np.max(np.abs(lagrangian(m, xs, vs) - lagrangian(m, x0, v0))))
     eig = np.linalg.eigvalsh(fundamental_tensor(m, xs, vs))
     return drift, bool(np.all(eig[:, 0] < 0) and np.all(eig[:, 1:] > 0))
@@ -68,7 +71,7 @@ def test_comoving_observer_in_expanding_model():
     want = x0 + np.outer(ts, v0)
     assert np.allclose(pos, want, atol=1e-9)
     assert seg.status == "completed"
-    assert drift_and_signature(m, seg, x0, v0, 5.0)[0] < 1e-9
+    assert drift_and_signature(m, seg, x0, v0)[0] < 1e-9
 
 
 def test_warped_product_momentum_first_integral():
@@ -82,7 +85,7 @@ def test_warped_product_momentum_first_integral():
     a2 = np.cosh(0.8 * x[:, 0]) ** 2
     p = a2[:, None] * v[:, 1:]
     assert np.max(np.abs(p - p[0])) < 1e-8
-    drift, signature_ok = drift_and_signature(m, seg, x0, v0, 2.5)
+    drift, signature_ok = drift_and_signature(m, seg, x0, v0)
     assert drift < 1e-9
     assert signature_ok
 
@@ -209,3 +212,62 @@ def test_no_conjugate_points_in_flat_and_expanding_models():
     assert conjugate_scan(m, np.zeros(3), np.array([1.0, 0.3, 0.0]), 8.0).size == 0
     m2 = model_library("flrw", n=2, scale="exp", H=0.6)
     assert conjugate_scan(m2, np.zeros(3), np.array([1.0, 0.05, 0.0]), 6.0).size == 0
+
+
+def unit_fan(m, ps):
+    """Unit future directions through the spatial offsets ps at the origin."""
+    apex = np.zeros(m.dim)
+    w = np.concatenate([np.ones((len(ps), 1)), np.asarray(ps, dtype=float)], axis=1)
+    F = np.sqrt(-lagrangian(m, np.broadcast_to(apex, w.shape), w))
+    return apex, w / F[:, None]
+
+
+def test_clock_inverse_is_exact_on_straight_lines():
+    m = model_library("minkowski", n=2)
+    x0 = np.array([0.1, -0.2, 0.3])
+    dirs = np.array([[1.0, 0.0, 0.0], [1.3, 0.4, -0.5], [2.0, -1.2, 1.0]])
+    flow = radial_flow(m, x0, dirs, 2.5)
+    assert np.all(flow.t_reached == 2.5) and flow.exit_reason == [None] * 3
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.5, 40)), [2.5]])
+    want = x0 + ts[None, :, None] * dirs[:, None, :]
+    every = flow.eval_all(ts)
+    assert np.max(np.abs(every["eta"] - want)) < 1e-14
+    for i in range(3):
+        assert np.max(np.abs(flow.eval(i, ts)["eta"] - want[i])) < 1e-14
+
+
+def test_clock_row_reproduces_the_requested_times():
+    m = model_library("flrw", n=1, scale="cosh")
+    apex, dirs = unit_fan(m, [[0.1], [-0.2]])
+    flow = radial_flow(m, apex, dirs, 1.5)
+    assert flow.t_reached[0] == 1.5 and flow.t_reached[1] == 1.5
+    ts = np.concatenate([[0.0], 1.5 * np.geomspace(1e-6, 1.0, 60)])
+    sigma = flow.clock.sigma(ts)
+    assert sigma[0] == 0.0 and sigma[-1] == flow.segments[0][1]
+    back = flow.segments[0][2](sigma)[-1]
+    assert np.all(np.abs(back - ts) <= 4 * np.spacing(ts))
+
+
+def test_collapse_fan_crawls_no_more(monkeypatch):
+    # the reject workload's FLRW collapse: a -> 0 blows the coordinate
+    # speed up just before the x1 = -10 chart exit at t = 2.04101
+    m = model_library("flrw", 1, scale="affine", a0=1.0, q=-0.4)
+    apex, dirs = unit_fan(m, [[0.0], [0.2]])
+    calls = []
+    real = geodesics.eval_connection
+
+    def counted(*args, **kw):
+        calls.append(kw["order"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(geodesics, "eval_connection", counted)
+    flow = radial_flow(m, apex, dirs, 3.0)
+    assert len(calls) <= 450 and set(calls) == {3}
+    assert flow.exit_reason == [STOPPED, "chart-exit"]
+    calls.clear()
+    with pytest.raises(ValidityExit) as exit_:
+        variational_paths(m, apex, dirs, 3.0)
+    assert len(calls) <= 900 and set(calls) == {4}
+    assert (exit_.value.index, exit_.value.reason) == (1, "chart-exit")
+    assert f"{exit_.value.t:.6g}" == "2.04101"
