@@ -24,10 +24,21 @@ by which rows can be nonzero for any input.  A backward liveness pass then
 keeps only the ops and rows that an output or a check reads and that an
 input can change; each slot holds just those rows.  `Program.run` replays it, checks included,
 bit-identical to evaluating the function on jets.
+
+A batch at most `LEVEL_WIDTH` columns wide, where numpy dispatch costs
+more than the arithmetic, replays level by level: each op's level is one
+more than its deepest input's, all adds, all multiplies by constants,
+all negations and all products of one level run as one numpy call each
+over one stacked ``(rows, width)`` buffer, whose row ranges are reused once
+their last reader has run, and truncations and constants are aliases that
+do no work.  Wider batches replay op by op: `LEVEL_WIDTH` = 128 sits at the
+measured crossover (see `Program`).  Either way the earliest recorded check
+that fails is the one that raises.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -59,6 +70,7 @@ __all__ = [
 ]
 
 DIV_TOL = 1e-12  # constant-term magnitude below which division is refused
+LEVEL_WIDTH = 128  # widest batch a `Program` replays by level (see `Program`)
 
 
 class JetDomainError(ArithmeticError):
@@ -412,7 +424,7 @@ def _elementary(jet: Jet, check, taylor) -> Jet:
 
 def _domain(outside, message):
     def check(a0):
-        if np.any(outside(a0)):
+        if outside(a0).any():
             raise JetDomainError(message)
     return check
 
@@ -425,7 +437,7 @@ def _positive(what):
 
 
 def _reciprocal_taylor(a0, K):
-    return np.stack([(-1.0) ** k / a0 ** (k + 1) for k in range(K + 1)])
+    return np.array([(-1.0) ** k / a0 ** (k + 1) for k in range(K + 1)])
 
 
 def _reciprocal(jet: Jet) -> Jet:
@@ -446,36 +458,36 @@ def _powr_taylor(p):
 
 def _sqrt_taylor(a0, K):
     shape = (-1,) + (1,) * a0.ndim
-    coef = np.stack([math.comb(2 * k, k) * (-1.0) ** (k + 1) / (4.0 ** k * (2 * k - 1))
+    coef = np.array([math.comb(2 * k, k) * (-1.0) ** (k + 1) / (4.0 ** k * (2 * k - 1))
                      for k in range(K + 1)])  # binom(1/2, k)
     return coef.reshape(shape) * a0 ** (0.5 - np.arange(K + 1).reshape(shape))
 
 
 def _exp_taylor(a0, K):
     e = np.exp(a0)
-    return np.stack([e / math.factorial(k) for k in range(K + 1)])
+    return np.array([e / math.factorial(k) for k in range(K + 1)])
 
 
 def _log_taylor(a0, K):
-    return np.stack([np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k) for k in range(1, K + 1)])
+    return np.array([np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k) for k in range(1, K + 1)])
 
 
 def _sin_taylor(a0, K):
     s, c = np.sin(a0), np.cos(a0)
-    return np.stack([(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(K + 1)])
+    return np.array([(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(K + 1)])
 
 
 def _cos_taylor(a0, K):
     s, c = np.sin(a0), np.cos(a0)
-    return np.stack([(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(K + 1)])
+    return np.array([(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(K + 1)])
 
 
 def _sinh_taylor(a0, K):
-    return np.stack([(np.sinh(a0), np.cosh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
+    return np.array([(np.sinh(a0), np.cosh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
 
 
 def _cosh_taylor(a0, K):
-    return np.stack([(np.cosh(a0), np.sinh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
+    return np.array([(np.cosh(a0), np.sinh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
 
 
 def _dispatch(check, taylor, fn_np):
@@ -766,16 +778,306 @@ def _gather(held, trace, rows):
     return fill
 
 
+class _RowPool:
+    """First-fit allocation of row ranges in one buffer; freed ranges merge."""
+
+    def __init__(self):
+        self.free, self.top = [], 0  # sorted disjoint (lo, hi) ranges below top
+
+    def take(self, n):
+        for k, (lo, hi) in enumerate(self.free):
+            if hi - lo >= n:
+                self.free[k:k + 1] = [(lo + n, hi)] if hi - lo > n else []
+                return lo
+        lo = self.free.pop()[0] if self.free and self.free[-1][1] == self.top else self.top
+        self.top = lo + n
+        return lo
+
+    def give(self, lo, hi):
+        k = bisect.bisect(self.free, (lo, hi))
+        if k < len(self.free) and self.free[k][0] == hi:
+            hi = self.free.pop(k)[1]
+        if k and self.free[k - 1][1] == lo:
+            k -= 1
+            lo = self.free.pop(k)[0]
+        self.free.insert(k, (lo, hi))
+
+
+# step classes, in the order they run within a level: the ops of one level
+# and one of the first four classes run as one step, a single op as its own
+# step, and an alias does no work
+_ADD, _MUL, _NEG, _PROD, _SINGLE, _ALIAS = range(6)
+
+
+def _step_class(kind, rows, ins):
+    """The step class of a live op with held rows ``rows``."""
+    if kind in ("trunc", "const") or (kind == "shift" and rows[0] != 0):
+        return _ALIAS
+    if kind == "add" or (kind == "shift" and len(ins) == 1):  # a constant shift: row 0
+        return _ADD
+    if kind == "deriv" or (kind == "scale" and len(ins) == 1):
+        return _MUL
+    if kind in ("neg", "prod"):
+        return _NEG if kind == "neg" else _PROD
+    return _SINGLE  # elementaries, value ops, checks, a scale or shift by a runtime value
+
+
+def _shaped(x, batch, width):
+    """An output's ``(rows, width)`` or ``(width,)`` array with the batch shape."""
+    if x.shape[-1] != width:  # computed from no input: widen it
+        x = np.broadcast_to(x, x.shape[:-1] + (width,))
+    return x.reshape(x.shape[:-1] + batch)
+
+
+class _Levels:
+    """A `Program`'s live ops as a level schedule over one stacked buffer
+    (level scheduling: Anderson & Saad, Int. J. High Speed Computing 1(1),
+    1989).
+
+    An op's level is one more than its deepest input's; an alias (a
+    truncation, a constant, the rows of a shift but row 0) adds none.  A
+    row range of the buffer is reused once the last step reading it has
+    run, and the trace values that ops read (constants, a seed's 1, rows
+    no input changes) sit in a block at its top.  A step reads its
+    operands out of the buffer before it writes, and each product row
+    still adds its pairs from +0 in recorded order, so every row has the
+    bits of the op-by-op replay."""
+
+    def __init__(self, rec, live, need, held, fns, inputs, outputs):
+        ops, nslot = rec.ops, len(rec.masks)
+        level, seq = [0] * nslot, []
+        for n, fn in zip(live, fns):
+            kind, out, ins, _ = ops[n]
+            rank = _step_class(kind, held[out], ins)
+            level[out] = lv = max([level[i] for i in ins], default=0) + (rank != _ALIAS)
+            seq.append((lv, rank, n, fn))
+        seq.sort(key=lambda item: item[:3])
+        plan = []  # (rank, members): one per (level, class) group or single op
+        for lv, rank, n, fn in seq:
+            if rank < _SINGLE and plan and plan[-1][2] == (lv, rank):
+                plan[-1][1].append((n, fn))
+            else:
+                plan.append((rank, [(n, fn)], (lv, rank)))
+        # a computed slot owns a block of rows; an alias keeps its inputs' alive
+        step, made, last, blocks = -1, {}, [-1] * nslot, [()] * nslot
+        for slot, _, _ in inputs:
+            blocks[slot] = (slot,)
+        for rank, members, _ in plan:
+            step += rank != _ALIAS
+            for n, _ in members:
+                kind, out, ins, _ = ops[n]
+                if rank == _ALIAS:
+                    blocks[out] = tuple({b for i in ins for b in blocks[i]})
+                    continue
+                for i in ins:
+                    last[i] = step
+                if out and held[out] is not None:
+                    made[out] = step
+                    blocks[out] = (out,) + (blocks[ins[0]] if kind == "shift" else ())
+        for o in outputs:
+            last[o] = step + 1
+        end = {}
+        for slot, bs in enumerate(blocks):
+            for b in bs:
+                end[b] = max(end.get(b, made.get(b, -1)), last[slot])
+        dying = {}
+        for b, e in end.items():
+            dying.setdefault(e, []).append(b)
+
+        # Row r of jet slot s is the cell base[s] + r; the cells past them hold
+        # the constants of shifts.  where[cell] is the buffer row holding the
+        # cell, or -1 if none does: a read then takes its trace value from the
+        # constant block.
+        base = np.cumsum([0] + [0 if m is None else len(m) for m in rec.masks])
+        where, extra = np.full(base[-1], -1), []
+        pool, span, cells, values = _RowPool(), {}, [], {}
+
+        def read(codes):  # a handle on the buffer rows of cells, resolved below
+            cells.append(codes)
+            return len(cells) - 1
+
+        def runtime(slot):  # the index of a runtime value in a replay's list of them
+            return values.setdefault(slot, len(values))
+
+        def place(out, rows, at):
+            where[base[out] + rows] = np.arange(at, at + len(rows))
+            span[out] = (at, at + len(rows))
+
+        self.feed = []  # (input position, buffer row of its row 0 or None, value index)
+        for slot, pos, row0 in inputs:
+            if row0 is None:
+                self.feed.append((pos, None, runtime(slot)))
+            elif row0 and row0[0]:  # its other rows are seeds, a trace 1
+                place(slot, held[slot][:1], pool.take(1))
+                self.feed.append((pos, span[slot][0], None))
+
+        specs, step = [], -1
+        for rank, members, _ in plan:
+            if rank == _ALIAS:
+                (n, _), = members
+                kind, out, ins, _ = ops[n]
+                if kind != "const":  # a const's rows have their trace values
+                    where[base[out] + held[out]] = where[base[ins[0]] + held[out]]
+                continue
+            step += 1
+            for b in dying.get(step, ()):  # the step reads all it reads before it writes
+                if b in span:
+                    pool.give(*span.pop(b))
+            sizes = [0 if held[ops[n][1]] is None else 1 if ops[n][0] == "shift"
+                     else len(held[ops[n][1]]) for n, _ in members]
+            lo = at = pool.take(sum(sizes)) if sum(sizes) else 0
+            cols = ([], [], [])
+            for (n, fn), k in zip(members, sizes):
+                kind, out, ins, data = ops[n]
+                rows, a = held[out], base[ins[0]] if ins else 0
+                if k:
+                    place(out, rows[:k], at)
+                if kind == "shift":  # row 0 is computed, the others alias
+                    where[base[out] + rows[1:]] = where[a + rows[1:]]
+                if kind == "add":
+                    parts = a + rows, base[ins[1]] + rows
+                elif kind == "neg":
+                    parts = a + rows,
+                elif kind == "deriv":
+                    parts = a + data[0][rows], data[1][rows]
+                elif kind == "prod":
+                    I, J, K = data
+                    sel = need[out][K]
+                    parts = (a + I[sel], base[ins[1]] + J[sel],
+                             at - lo + np.searchsorted(rows, K[sel]))
+                elif rank == _ADD:  # row 0 of a shift by a constant
+                    extra.append(data)
+                    parts = a + rows[:1], base[-1:] + len(extra) - 1
+                elif rank == _MUL:  # a scale by a constant
+                    parts = a + rows, np.full(len(rows), data, dtype=float)
+                elif kind in ("value", "check"):  # they read row 0 of a jet
+                    parts = kind, fn, runtime(out) if kind == "value" else None, [
+                        (None, runtime(i)) if held[i] is None else
+                        (read(base[i:i + 1]) if len(held[i]) and held[i][0] == 0 else None, None)
+                        for i in ins]
+                elif kind == "elem":
+                    parts = kind, fn, out, read(a + held[ins[0]])
+                else:  # a scale or shift by a runtime value
+                    parts = kind, None, runtime(ins[1]), read(a + rows[:k])
+                for col, part in zip(cols, parts if rank < _SINGLE else ()):
+                    col.append(part)
+                at += k
+            if rank < _SINGLE:  # the cell columns, then constants or product rows
+                parts = [np.concatenate(col) for col in cols if col]
+                parts = [read(c) if j < 1 + (rank in (_ADD, _PROD)) else c for j, c in enumerate(parts)]
+            specs.append((rank, lo, at, parts))
+
+        outs = [None if held[o] is None else read(base[o] + np.arange(base[o + 1] - base[o]))
+                for o in outputs]
+        top = pool.top
+        known = np.concatenate([t for t in rec.traces if t is not None]
+                               + [np.reshape(np.array(extra, dtype=float), (-1, 1))])[:, 0]
+        codes = np.concatenate(cells + [np.zeros(0, dtype=np.int64)])
+        got = np.concatenate((where, np.full(len(extra), -1)))[codes]
+        miss = got < 0
+        uniq, inv = np.unique(known[codes[miss]].view(np.int64), return_inverse=True)
+        got[miss] = top + inv
+        self.height, self.top, self.consts = top + len(uniq), top, uniq.view(float)[:, None]
+        ends = np.cumsum([len(c) for c in cells])
+        rows = [got[e - len(c):e] for c, e in zip(cells, ends)]
+        self.steps = [self._step(rank, lo, hi, parts, rows) for rank, lo, hi, parts in specs]
+        self.gather = np.concatenate([rows[h] for h in outs if h is not None] + [[]]).astype(np.int64)
+        self.outs, at = [], 0  # per output: its rows of the gathered block, or a value's index
+        for h, o in zip(outs, outputs):
+            if h is None:
+                self.outs.append(runtime(o))
+            else:
+                self.outs.append(slice(at, at + len(rows[h])))
+                at += len(rows[h])
+        self.nvalues = len(values)
+
+    @staticmethod
+    def _step(rank, lo, hi, parts, rows):
+        """The function ``(buf, values) -> None`` running one step
+        (``rows[handle]``: the buffer rows of a handle in ``parts``)."""
+        if rank == _ADD:
+            A, B = rows[parts[0]], rows[parts[1]]
+            return lambda buf, _: np.add(buf.take(A, 0), buf.take(B, 0), out=buf[lo:hi])
+        if rank == _MUL:
+            A, C = rows[parts[0]], parts[1][:, None]
+            return lambda buf, _: np.multiply(buf.take(A, 0), C, out=buf[lo:hi])
+        if rank == _NEG:
+            A = rows[parts[0]]
+            return lambda buf, _: np.negative(buf.take(A, 0), out=buf[lo:hi])
+        if rank == _PROD:
+            kernel = _pair_sum(rows[parts[0]], rows[parts[1]], parts[2], hi - lo)
+            return lambda buf, _: kernel(buf, buf, buf[lo:hi])
+        kind, fn, out, arg = parts
+        if kind in ("value", "check"):
+            args = [(None if h is None else int(rows[h][0]), i) for h, i in arg]
+
+            def call(buf, vals):
+                return fn(*[vals[i] if i is not None else None if p is None else buf[p:p + 1]
+                            for p, i in args])
+
+            if kind == "check":
+                return call
+
+            def value(buf, vals):
+                vals[out] = call(buf, vals)
+            return value
+        A = rows[arg]
+        if kind == "elem":
+            if lo == hi:  # only its domain check runs
+                return lambda buf, _: fn(buf.take(A, 0))
+
+            def elem(buf, _):
+                buf[lo:hi] = fn(buf.take(A, 0))
+            return elem
+        if kind == "scale":
+            return lambda buf, vals: np.multiply(buf.take(A, 0), vals[out], out=buf[lo:hi])
+        return lambda buf, vals: np.add(buf.take(A, 0), vals[out], out=buf[lo:hi])
+
+    def run(self, vals, batch, width):
+        """The outputs at ``vals``, as `Program.run` gives them."""
+        buf = np.empty((self.height, width))
+        buf[self.top:] = self.consts
+        values = [None] * self.nvalues
+        for pos, row, k in self.feed:
+            if row is None:
+                values[k] = np.broadcast_to(vals[pos], batch).reshape(width)
+            else:
+                buf[row].reshape(batch)[...] = vals[pos]
+        for step in self.steps:
+            step(buf, values)
+        got = buf.take(self.gather, 0)
+        return [_shaped(got[o] if isinstance(o, slice) else values[o], batch, width)
+                for o in self.outs]
+
+
 class Program:
     """A recorded straight-line jet program; `run` replays it on any batch.
 
     `_liveness` (activity analysis over the tape: Griewank & Walther ch. 7;
     Hascoët & Pascual, ACM TOMS 39(3), 2013) decides what is replayed:
-    every op that computes a held row, and every op that runs a check, in
-    recorded order.  Each jet slot holds only the rows it must, as an array
-    of those rows, and products, derivatives, truncations and Horner steps
-    are re-indexed to them; any other row has its trace value.  Outputs
-    come back with their full row set."""
+    every op that computes a held row, and every op that runs a check.
+    Each jet slot holds only the rows it must, as an array of those rows,
+    and products, derivatives, truncations and Horner steps are re-indexed
+    to them; any other row has its trace value.  Outputs come back with
+    their full row set.
+
+    A batch at most `LEVEL_WIDTH` columns wide replays by level
+    (`_Levels`): all adds, all multiplies by constants, all negations and
+    all products of one DAG level run as one numpy step each, on one
+    stacked buffer whose row ranges are reused, so numpy dispatch is paid
+    per step, not per op; elementaries, value ops, checks and scalings by
+    a runtime value still run one by one.  A wider batch replays op by op,
+    in recorded order, each slot in its own array freed after its last
+    reader: there the arithmetic dominates, and gathering every operand
+    into a step only copies more.  The switch sits at the measured
+    crossover (`scripts/replay_timing.py`, shared 2-core host): by level,
+    `eval_connection` is 1.2-2.4x faster up to 128 columns, the
+    `quartic_flrw` n=3 order-5 program already falls behind at 256, and
+    every program is about 2x slower at 1,536.  A level may run a check
+    before one recorded earlier, so a level replay that fails, or meets a
+    floating-point event numpy would report, is dropped and the batch
+    replays op by op: the earliest recorded failing check raises, with
+    the warnings the op-by-op replay gives."""
 
     def __init__(self, rec: _Recorder, outputs):
         self.outputs = outputs
@@ -801,6 +1103,7 @@ class Program:
         self.widen = [None if held[o] is None else (len(rec.masks[o]), held[o], traces[o])
                       for o in outputs]
         self.slots = [None] * len(rec.masks)
+        self.levels = _Levels(rec, live, need, held, [fn for fn, _, _ in ops], self.inputs, outputs)
 
     @staticmethod
     def _compile(kind, read, ins, data, held, traces, stages):
@@ -876,7 +1179,8 @@ class Program:
                 check(a0)
             coef = taylor(a0, order)
             shape = coef.shape[1:] if a is None else np.broadcast_shapes(a.shape[1:], coef.shape[1:])
-            acc = np.broadcast_to(coef[order], shape)[None]
+            acc = (coef[order:] if coef.shape[1:] == shape
+                   else np.broadcast_to(coef[order], shape)[None])
             for k, (n, plan) in zip(range(order - 1, -1, -1), plans):
                 nxt = np.empty((n,) + shape)
                 if n > 1:  # rows besides row 0 (none if u holds no row)
@@ -891,8 +1195,16 @@ class Program:
         """The outputs at ``values`` (one scalar or batch array per input):
         ``(ncoef,) + batch`` arrays for jets, ``batch`` arrays for values."""
         vals = [np.asarray(v, dtype=float) for v in values]
-        batch = np.broadcast_shapes(*[v.shape for v in vals])
+        shapes = {v.shape for v in vals}
+        batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         width = math.prod(batch)
+        if width <= LEVEL_WIDTH:
+            strict = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
+            try:
+                with np.errstate(**strict):
+                    return self.levels.run(vals, batch, width)
+            except Exception:  # any failure: the op-by-op replay below says which comes first
+                pass
         s = self.slots.copy()
         for slot, pos, row0 in self.inputs:  # as `lift` would, only the rows read
             s[slot] = val = np.broadcast_to(vals[pos], batch).reshape(width)
@@ -904,9 +1216,12 @@ class Program:
             s[out] = fn(*[s[i] for i in ins])
             for i in free:
                 s[i] = None
+        return self._widen([s[o] for o in self.outputs], batch, width)
+
+    def _widen(self, held, batch, width):
+        """The outputs from the held rows (a value's array) of each."""
         outs = []
-        for o, widen in zip(self.outputs, self.widen):
-            x = s[o]
+        for x, widen in zip(held, self.widen):
             if widen is not None and len(widen[1]) < widen[0]:  # the others: trace values
                 nc, rows, trace = widen
                 if len(rows):
@@ -916,9 +1231,7 @@ class Program:
                     x = full
                 else:
                     x = trace
-            if x.shape[-1] != width:  # computed from no input: widen it
-                x = np.broadcast_to(x, x.shape[:-1] + (width,))
-            outs.append(x.reshape(x.shape[:-1] + batch))
+            outs.append(_shaped(x, batch, width))
         return outs
 
 

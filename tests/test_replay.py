@@ -7,6 +7,8 @@ did before recording existed; the two must agree bit for bit, signed
 zeros included.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,62 @@ def test_first_error_in_pipeline_order_wins():
         eval_connection(m, np.zeros(3), np.array([[1.0, 0.1, 0.0], [0.0, 0.0, 0.0]]), 3)
 
 
+class EarlyCheckFailed(ArithmeticError):
+    pass
+
+
+class LateCheckFailed(ArithmeticError):
+    pass
+
+
+def _fails_past(limit, error):
+    def check(x):
+        if np.any(x > limit):
+            raise error(f"above {limit}")
+    return check
+
+
+def test_earliest_recorded_check_raises_whatever_its_level():
+    # the first check reads a deep chain, the second a shallow exp: a level
+    # schedule meets the second first, but the first must raise, and the
+    # exp, which runs after it in recorded order, must not warn
+    def section(inputs):
+        x, = inputs
+        y = x
+        for _ in range(6):
+            y = y * x + 1.0
+        jets.apply(_fails_past(2.0, EarlyCheckFailed), y, check=True)
+        big = jets.exp(1e3 * x)
+        jets.apply(_fails_past(1e250, LateCheckFailed), big, check=True)
+        return [y, big]
+
+    program = jets.record(section, jetspace(1, 2), [0], [0.1])
+    for batch in [(3,), (jets.LEVEL_WIDTH + 1,)]:
+        xs = np.full(batch, 0.1)
+        program.run([xs])
+        for bad in (0.6, 6.0):  # both checks fail; exp(6000) also overflows
+            xs[-1] = bad
+            with np.errstate(all="ignore"), pytest.raises(LateCheckFailed):  # the level order
+                program.levels.run([xs], batch, xs.size)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(EarlyCheckFailed):
+                    program.run([xs])
+            assert not caught
+
+
+@pytest.mark.parametrize("name, params, live, steps", [
+    ("einstein_static", dict(n=2, radius=1.3), 83, 40),
+    ("quartic_flrw", dict(n=3, eps=0.2, H=0.4), 348, 90),
+])
+def test_level_schedule_size(name, params, live, steps):
+    m = model_library(name, **params)
+    eval_connection(m, *points(m, (2,)), 4)
+    program = m._programs[("connection", 4)]
+    assert len(program.ops) == live
+    assert len(program.levels.steps) <= steps
+
+
 def test_constant_outputs_widen_to_the_batch():
     m = model_library("minkowski", n=2)
     x, v = points(m, (4,))
@@ -351,13 +409,16 @@ def test_random_programs_replay_bit_identically(seed):
     section = random_section(seed)
     with np.errstate(all="ignore"):
         program = jets.record(section, sp, active, list(rng.normal(size=nval + dim)))
-        vals = [rng.normal(size=3) for _ in range(nval + dim)]
+    # replayed by level, op by op (wider than jets.LEVEL_WIDTH), and on a 2-D batch
+    for batch in [(3,), (jets.LEVEL_WIDTH + 1,), (2, 3)]:
+        vals = [rng.normal(size=batch) for _ in range(nval + dim)]
         for v in vals:
-            v[rng.random(3) < 0.3] = -0.0
-        lifted = lift(sp, vals, active)
-        want = section([lifted[i] if i in active else vals[i] for i in range(nval + dim)])
-        got = program.run(vals)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        b = b.coeffs if isinstance(b, jets.Jet) else np.broadcast_to(b, a.shape)
-        assert same_bits(a, b)
+            v[rng.random(batch) < 0.3] = -0.0
+        with np.errstate(all="ignore"):
+            lifted = lift(sp, vals, active)
+            want = section([lifted[i] if i in active else vals[i] for i in range(nval + dim)])
+            got = program.run(vals)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            b = b.coeffs if isinstance(b, jets.Jet) else np.broadcast_to(b, a.shape)
+            assert same_bits(a, b)
