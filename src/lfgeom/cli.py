@@ -27,6 +27,7 @@ import numpy as np
 
 from . import comparison as cmp
 from . import models
+from .geodesics import radial_flow
 from .jacobi import gunther_f, jacobi_variational, riccati_quantities, weighted_density
 from .scenario import ConfigError, Scenario, load_scenario, scenario_fields
 
@@ -37,13 +38,14 @@ _ENV_PREFIX = "LFGEOM_"
 
 
 def _env_default(name, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name.upper().replace("-", "_"))
+    var = _ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
         return cast(raw)
     except ValueError:
-        raise ConfigError(f"{_ENV_PREFIX}{name.upper()}: cannot parse {raw!r}")
+        raise ConfigError(f"{var}: cannot parse {raw!r}")
 
 
 def _build_parser():
@@ -99,10 +101,12 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
 # ------------------------------------------------------------- subcommands
 
 
-def _center_direction(m, sclv):
+def _center_direction(scen: Scenario):
+    """(model, SCLV, unit patch-center direction at the apex)."""
+    m = scen.model.build()
+    sclv = scen.sclv.build()
     w = np.concatenate([[1.0], sclv.center])
-    F = np.sqrt(-models.lagrangian(m, sclv.apex, w))
-    return w / F
+    return m, sclv, w / np.sqrt(-models.lagrangian(m, sclv.apex, w))
 
 
 def _scaled(scen: Scenario, args):
@@ -110,8 +114,7 @@ def _scaled(scen: Scenario, args):
     num = scen.numerics
     return {"scale": num.quad_scale * f,
             "t_scan": max(8, int(round(num.t_scan * f))),
-            "t_volume": max(4, int(round(num.t_volume * f))),
-            "rtol": num.ode_rtol, "atol": num.ode_atol}
+            "t_volume": max(4, int(round(num.t_volume * f)))}
 
 
 def _validate_model(scen: Scenario, args, samples=200):
@@ -162,43 +165,55 @@ def _validate_model(scen: Scenario, args, samples=200):
     }, []
 
 
-def _geodesic_rows(scen: Scenario, args):
-    m = scen.model.build()
-    sclv = scen.sclv.build()
-    v0 = _center_direction(m, sclv)
-    cfg = _scaled(scen, args)
-    from .geodesics import integrate_geodesic
-    seg = integrate_geodesic(m, sclv.apex, v0, sclv.cut,
-                             rtol=cfg["rtol"], atol=cfg["atol"])
-    ts = np.linspace(0.0, seg.t_end, 129)
-    xs = seg.position(ts)
-    vel = seg.velocity(ts)
+def _center_flow(scen: Scenario):
+    """The patch-center geodesic alone: a one-direction, post-scanned order-3 flow."""
+    m, sclv, v0 = _center_direction(scen)
+    return radial_flow(m, sclv.apex, v0[None], sclv.cut, rtol=scen.numerics.ode_rtol,
+                       atol=scen.numerics.ode_atol, post_scan=True)
+
+
+def _center_path(scen: Scenario):
+    """The patch-center Jacobi path, whose one order-4 flow also carries the geodesic."""
+    m, sclv, v0 = _center_direction(scen)
+    return jacobi_variational(m, sclv.apex, v0, sclv.cut, rtol=scen.numerics.ode_rtol,
+                              atol=scen.numerics.ode_atol)
+
+
+def _geodesic_rows(scen: Scenario, flow):
+    """Geodesic block and CSV rows of direction 0 of a flow towards the cut."""
+    m = flow.model
+    t_end = float(flow.t_reached[0])
+    ts = np.linspace(0.0, t_end, 129)
+    st = flow.eval(0, ts)
+    xs, vel = st["eta"], st["etadot"]
     L = models.lagrangian(m, xs, vel)
     rows = [[float(t)] + [float(c) for c in x] + [float(c) for c in w] +
             [float(l + 1.0)] for t, x, w, l in zip(ts, xs, vel, L)]
     header = (["t"] + [f"x{i}" for i in range(m.dim)]
               + [f"v{i}" for i in range(m.dim)] + ["L_drift"])
-    report = {"verdict": "PASS" if seg.t_end >= sclv.cut else "FAIL",
-              "t_end": float(seg.t_end), "status": seg.status,
+    report = {"verdict": "PASS" if t_end >= flow.t_target else "FAIL",
+              "t_end": t_end, "status": flow.exit_reason[0] or "completed",
               "max_L_drift": float(np.max(np.abs(L + 1.0))),
-              "ode_rtol": cfg["rtol"], "ode_atol": cfg["atol"]}
+              "ode_rtol": scen.numerics.ode_rtol,
+              "ode_atol": scen.numerics.ode_atol}
     return report, [(header, rows)]
 
 
-def _radial_scalars(scen: Scenario, args):
-    """(model, scalars) along the patch-center geodesic (curvature/jacobi data)."""
-    m = scen.model.build()
-    sclv = scen.sclv.build()
-    cfg = _scaled(scen, args)
-    v0 = _center_direction(m, sclv)
-    path = jacobi_variational(m, sclv.apex, v0, sclv.cut,
-                              rtol=cfg["rtol"], atol=cfg["atol"])
-    ts = np.linspace(sclv.cut / 64, sclv.cut, 64)
-    return m, riccati_quantities(path, ts)
+def _radial_scalars(path):
+    """Curvature/jacobi data: expansion scalars at 64 times along the center path."""
+    return riccati_quantities(path, np.linspace(path.t_end / 64, path.t_end, 64))
+
+
+def _flag_params(scen: Scenario, n):
+    """(N, c_flag): the bg check's N or n + 2, and the Günther c clamped to >= 0, or 0."""
+    ck = scen.checks
+    N = ck.bg.N if ck.bg else n + 2.0
+    c = ck.gunther.c if ck.gunther and ck.gunther.c is not None else 0.0
+    return N, max(c, 0.0)
 
 
 def _curvature_cmd(scen: Scenario, m, sc):
-    N = scen.checks.bg.N if scen.checks.bg else m.n + 2.0
+    N, _ = _flag_params(scen, m.n)
     ricN = sc.ric + sc.d2psi - sc.dpsi**2 / (N - m.n)
     header = ["t", "ric", "ric_inf", f"ric_N_{N:g}", "psi", "dpsi", "d2psi"]
     rows = [[float(a) for a in row] for row in
@@ -211,14 +226,12 @@ def _curvature_cmd(scen: Scenario, m, sc):
 
 
 def _jacobi_cmd(scen: Scenario, m, sc):
-    N = scen.checks.bg.N if scen.checks.bg else m.n + 2.0
-    c_flag = scen.checks.gunther.c if (scen.checks.gunther and
-                                       scen.checks.gunther.c is not None) else 0.0
+    N, c_flag = _flag_params(scen, m.n)
     h, _, _ = weighted_density(sc, N)
-    f = gunther_f(sc, max(c_flag, 0.0))
+    f = gunther_f(sc, c_flag)
     header = ["t", "detA", "lambda", "h", "f"]
     rows = [[float(a) for a in row] for row in zip(sc.ts, sc.detA, sc.lam, h, f)]
-    report = {"verdict": "PASS", "N": float(N), "c_flag": float(max(c_flag, 0.0)),
+    report = {"verdict": "PASS", "N": float(N), "c_flag": float(c_flag),
               "samples": len(rows), "min_detA": float(np.min(sc.detA)),
               "ode_rtol": scen.numerics.ode_rtol,
               "ode_atol": scen.numerics.ode_atol}
@@ -229,9 +242,8 @@ def _sclv_data(scen: Scenario, args):
     m = scen.model.build()
     sclv = scen.sclv.build()
     cfg = _scaled(scen, args)
-    data = cmp.build_sclv_data(m, sclv, scale=cfg["scale"],
-                               t_scan=cfg["t_scan"],
-                               rtol=cfg["rtol"], atol=cfg["atol"])
+    data = cmp.build_sclv_data(m, sclv, scale=cfg["scale"], t_scan=cfg["t_scan"],
+                               rtol=scen.numerics.ode_rtol, atol=scen.numerics.ode_atol)
     return data, cfg
 
 
@@ -264,10 +276,7 @@ def _oracle_entry(scen: Scenario, data):
 
 
 def _diagnostic_rows(data, scen: Scenario):
-    N = scen.checks.bg.N if scen.checks.bg else data.model.n + 2.0
-    c_flag = 0.0
-    if scen.checks.gunther and scen.checks.gunther.c is not None:
-        c_flag = max(scen.checks.gunther.c, 0.0)
+    N, c_flag = _flag_params(scen, data.model.n)
     header = ["direction", "t", "detA", "lambda", "ric", "psi", "dpsi",
               "d2psi", "h", "f"]
     rows = []
@@ -302,14 +311,13 @@ def run(args) -> int:
         body, csv_blocks = _validate_model(scen, args)
         report["validate_model"] = body
     elif args.command == "geodesic":
-        body, csv_blocks = _geodesic_rows(scen, args)
+        body, csv_blocks = _geodesic_rows(scen, _center_flow(scen))
         report["geodesic"] = body
-    elif args.command == "curvature":
-        body, csv_blocks = _curvature_cmd(scen, *_radial_scalars(scen, args))
-        report["curvature"] = body
-    elif args.command == "jacobi":
-        body, csv_blocks = _jacobi_cmd(scen, *_radial_scalars(scen, args))
-        report["jacobi"] = body
+    elif args.command in ("curvature", "jacobi"):
+        path = _center_path(scen)
+        cmd = _curvature_cmd if args.command == "curvature" else _jacobi_cmd
+        body, csv_blocks = cmd(scen, path.model, _radial_scalars(path))
+        report[args.command] = body
     elif args.command in _CHECK_NAMES:
         key = _CHECK_NAMES[args.command]
         if getattr(scen.checks, key) is None:
@@ -321,13 +329,11 @@ def run(args) -> int:
     elif args.command == "all":
         body, _ = _validate_model(scen, args)
         report["validate_model"] = body
-        geo, geo_csv = _geodesic_rows(scen, args)
-        report["geodesic"] = geo
-        radial = _radial_scalars(scen, args)
-        curv, _ = _curvature_cmd(scen, *radial)
-        report["curvature"] = curv
-        jac, jac_csv = _jacobi_cmd(scen, *radial)
-        report["jacobi"] = jac
+        path = _center_path(scen)   # one center flow for all three blocks
+        report["geodesic"], _ = _geodesic_rows(scen, path.flow)
+        sc = _radial_scalars(path)
+        report["curvature"], _ = _curvature_cmd(scen, path.model, sc)
+        report["jacobi"], jac_csv = _jacobi_cmd(scen, path.model, sc)
         requested = scen.checks.requested()
         if requested:
             data, cfg = _sclv_data(scen, args)

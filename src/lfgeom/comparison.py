@@ -398,6 +398,19 @@ def _growth_integral(C0, c, lo, hi, scale=1.0):
     return float(scale * float(np.exp(top)) * w / d)
 
 
+def _user_bound(name, user, scanned, *, upper=False):
+    """(value, conditional, notes) for an optional user bound on a scanned one.
+
+    A lower bound (c) is stronger than scanned when larger, an upper bound
+    (k, a) when smaller; only a stronger one makes the verdict conditional.
+    """
+    if user is None:
+        return scanned, False, []
+    if (user < scanned - 1e-12) if upper else (user > scanned + 1e-12):
+        return user, True, [f"user bound {name}={user:.6g} stronger than scanned {scanned:.6g}"]
+    return user, False, []
+
+
 def _verdict(ok: bool, conditional: bool) -> str:
     if not ok:
         return "FAIL"
@@ -436,13 +449,7 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
         raise ValueError(f"the ratio bound needs N in (n, oo), got N={N}")
     scan = radial_bound_scan(data, N=N)
     c_cert = scan["inf_ric_N"]
-    conditional = False
-    notes = []
-    if c is None:
-        c = c_cert
-    elif c > c_cert + 1e-12:
-        conditional = True
-        notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
+    c, conditional, notes = _user_bound("c", c, c_cert)
     b = data.b
     Tx = b if c <= 0 else min(b, np.pi * np.sqrt(N / c))
     results, ok = _ratio_rows(data, pairs, lambda t: s_kappa(c / N, t) ** N, Tx, tnodes)
@@ -480,25 +487,19 @@ def gunther_check(data: SCLVData, *, c=None, k=None,
     scan = radial_bound_scan(data)
     c_cert = -scan["sup_flag"]
     k_cert = scan["sup_psi"]
-    conditional = False
-    notes = []
-    if c is not None:
-        if c < 0:
-            raise ValueError("the lower bound requires c >= 0")
-        if c > c_cert + 1e-12:
-            conditional = True
-            notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
+    if c is None:
+        c, conditional, notes = max(c_cert, 0.0), False, []
+    elif c < 0:
+        raise ValueError("the lower bound requires c >= 0")
     else:
-        c = max(c_cert, 0.0)
+        c, conditional, notes = _user_bound("c", c, c_cert)
     hypothesis_ok = c_cert >= -1e-12 or conditional
     if c_cert < -1e-12 and not conditional:
         notes.append(
             f"no admissible c >= 0: scanned flag supremum {scan['sup_flag']:.6g} > 0")
-    if k is None:
-        k = k_cert
-    elif k < k_cert - 1e-12:
-        conditional = True
-        notes.append(f"user bound k={k:.6g} stronger than scanned {k_cert:.6g}")
+    k, k_conditional, k_notes = _user_bound("k", k, k_cert, upper=True)
+    conditional |= k_conditional
+    notes += k_notes
 
     lhs, err = _polar_volume(data, data.b, tnodes=tnodes)
     rhs = np.exp(-k) * data.sigma * _gauss_integral(
@@ -525,18 +526,9 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
     scan = radial_bound_scan(data)
     c_cert = scan["inf_ric_inf"] / n
     a_cert = -scan["inf_dpsi"]
-    conditional = False
-    notes = []
-    if c is None:
-        c = c_cert
-    elif c > c_cert + 1e-12:
-        conditional = True
-        notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
-    if a is None:
-        a = a_cert
-    elif a < a_cert - 1e-12:
-        conditional = True
-        notes.append(f"user bound a={a:.6g} stronger than scanned {a_cert:.6g}")
+    c, c_conditional, c_notes = _user_bound("c", c, c_cert)
+    a, a_conditional, a_notes = _user_bound("a", a, a_cert, upper=True)
+    conditional, notes = c_conditional or a_conditional, c_notes + a_notes
     b = data.b
     Tx = b if c <= 0 else min(b, 0.5 * np.pi / np.sqrt(c))
     results, ok = _ratio_rows(data, pairs, lambda t: np.exp(a * t) * s_kappa(c, t) ** n,
@@ -582,13 +574,7 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
         raise ValueError("r grid exceeds the validity range (the cut b)")
     scan = radial_bound_scan(data)
     c_cert = scan["inf_ric_inf"]
-    conditional = False
-    notes = []
-    if c is None:
-        c = c_cert
-    elif c > c_cert + 1e-12:
-        conditional = True
-        notes.append(f"user bound c={c:.6g} stronger than scanned {c_cert:.6g}")
+    c, conditional, notes = _user_bound("c", c, c_cert)
 
     def f_at(t):
         samples = sample_all(data.paths, np.array([t]))

@@ -53,10 +53,12 @@ def _take(node: dict, path: str, known: dict):
 
 
 def _float(v, path):
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {v!r}") from None
+    if not isinstance(v, bool):   # float(True) would read as 1.0
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}: expected a number, got {v!r}")
 
 
 def _int(v, path):

@@ -85,6 +85,11 @@ def test_missing_and_malformed_fields(tmp_path):
         ("name: x\nmodel: {name: minkowski, n: 2}\n"
          "sclv: {apex: [0,0,0], radius: 1, cut: 1}\n"
          "checks: {bg: {pairs: [[0.5, 1]]}}\n", "N and pairs"),
+        # YAML booleans are not numbers
+        ("name: x\nmodel: {name: minkowski, n: 2}\n"
+         "sclv: {apex: [0,0,0], radius: true, cut: 1}\n", r"sclv\.radius: expected a number"),
+        ("name: x\nmodel: {name: minkowski, n: 2, params: {c: false}}\n"
+         "sclv: {apex: [0,0,0], radius: 1, cut: 1}\n", r"model\.params\.c: expected a number"),
     ]:
         p = tmp_path / "frag.yaml"
         p.write_text(text)
@@ -281,6 +286,15 @@ def test_missing_scenario_flag(tmp_path, capsys, monkeypatch):
     assert rep["validate_model"]["verdict"] == "PASS"
 
 
+def test_unparsable_env_default_names_its_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LFGEOM_RESOLUTION_SCALE", "abc")
+    code = cli.main(["all", "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: LFGEOM_RESOLUTION_SCALE: cannot parse 'abc'\n")
+
+
 def test_validate_model_quartic(tmp_path):
     doc = {"name": "quartic-check",
            "model": {"name": "quartic_finsler", "n": 2,
@@ -347,6 +361,29 @@ def test_all_records_each_jet_program_once(mini_scenario, tmp_path, monkeypatch)
     monkeypatch.setattr(jets, "record", counting)
     assert cli.main(["all", "--scenario", str(mini_scenario), "--out", str(tmp_path)]) == 0
     assert sorted(traces) == [(2, 2), (4, 3), (4, 4), (4, 5)]
+
+
+def test_all_integrates_the_center_geodesic_once(tmp_path, monkeypatch):
+    # wrap radial_flow wherever a loaded lfgeom module holds it, as the bench tracer does
+    real, dirs = geodesics.radial_flow, []
+
+    def counting(m, x0, d, *args, **kw):
+        dirs.append(len(d))
+        return real(m, x0, d, *args, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "lfgeom" and getattr(mod, "radial_flow", None) is real:
+            monkeypatch.setattr(mod, "radial_flow", counting)
+    scenario = str(SCENARIOS / "mink2_gunther_weighted.yaml")
+    assert cli.main(["all", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert dirs.count(1) == 1
+    assert cli.main(["geodesic", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert dirs.count(1) == 2
+    geo_all = json.loads((tmp_path / "mink2-gunther-weighted-all.json").read_text())["geodesic"]
+    geo = json.loads((tmp_path / "mink2-gunther-weighted-geodesic.json").read_text())["geodesic"]
+    for key in ("verdict", "t_end", "status"):
+        assert geo_all[key] == geo[key], key
+    assert abs(geo_all["max_L_drift"] - geo["max_L_drift"]) <= 1e-8
 
 
 def test_library_scenarios_parse():
