@@ -51,7 +51,7 @@ def main(argv=None):
     if len(argv) != 1:
         print("usage: snapshot_reports.py OUT", file=sys.stderr)
         return 2
-    out = Path(argv[0])
+    out = Path(argv[0]).resolve()   # the lfgeom runs work in ROOT, not in the caller's cwd
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
     bundled = sorted((ROOT / "scenarios").glob("*.yaml"))

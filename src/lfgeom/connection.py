@@ -17,15 +17,15 @@ computed by LDL^T factorization over the jet ring), so dG/dx, N and the
 outer derivatives of N come out exact to round-off rather than via
 finite differences: an order-k pass carries the spray jets to order
 k - 3.  By Euler's theorem for the 2-homogeneous spray,
-sum_b N^a_b v^b = G^a; the transport matrix M^a_c = Gamma^a_bc(v) v^b
-needed for parallel transport reduces to Gamma~ v minus a single Cartan
-term in G because the Cartan tensor annihilates v in every slot.
+sum_b N^a_b v^b = G^a, and parallel transport along v is generated by N
+itself: Gamma^a_bc(v) v^b = N^a_c for the Chern connection (Bao, Chern &
+Shen, *An Introduction to Riemann-Finsler Geometry*, GTM 200, ch. 2).
 
 The jet part of the pass (`_jet_section`: L, the g-entry jets, the spray
 and its LDL^T solve) is recorded once per model and order (`jets.record`)
 and replayed on every call; its outputs are truncated to the rows the
 fields read, so the replay computes nothing else.  The fields are gathered
-from those outputs; ginv and M are computed on first read, once.
+from those outputs; ginv and the metric slopes on first read, once.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def ldl_factor(mat):
     the signature is indefinite, so pivots change sign).
     """
     d = len(mat)
-    scale = jets.apply(lambda *entries: max(float(np.max(np.abs(e))) for e in entries) or 1.0,
-                       *[mat[i][j] for i in range(d) for j in range(i + 1)])
+    scale = jets.apply(  # one reduction; the entries may differ in shape, so ravel them
+        lambda *es: float(np.max(np.abs(np.concatenate([np.ravel(e) for e in es])))) or 1.0,
+        *[mat[i][j] for i in range(d) for j in range(i + 1)])
     return _ldl(mat, lambda j, pivot: jets.apply(partial(_check_pivot, j), pivot, scale,
                                                  check=True))
 
@@ -124,8 +125,8 @@ class ConnectionData:
     Index conventions: dg_dx[..., c, a, b] = d g_ab / d x^c and likewise
     dg_dv; dG_dx[..., a, b] = d G^a / d x^b; dN_dx[..., c, a, b] =
     d N^a_b / d x^c and likewise dN_dv.  Fields beyond the requested order
-    are None.  The metric slopes, ``ginv`` and ``M`` are computed on first
-    read, once; reading them never raises (every check ran in
+    are None.  The metric slopes and ``ginv`` are computed on first read,
+    once; reading them never raises (every check ran in
     `eval_connection`).
     """
 
@@ -136,7 +137,6 @@ class ConnectionData:
     dG_dx: np.ndarray | None = None
     dN_dx: np.ndarray | None = None
     dN_dv: np.ndarray | None = None
-    v: np.ndarray | None = field(default=None, repr=False)  # the reference vectors, for M
     gc: list | None = field(default=None, repr=False)  # the g-entry outputs, rows to order 1
     gfac: tuple | None = field(default=None, repr=False)  # the checked LDL^T of g, at order 2
 
@@ -168,19 +168,6 @@ class ConnectionData:
         eye = np.eye(d)
         cols = [ldl_apply(*fac, [eye[i, j] for i in range(d)]) for j in range(d)]
         return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
-
-    @cached_property
-    def M(self) -> np.ndarray | None:
-        """M^a_c = Gamma^a_bc(v) v^b; only the first Cartan term survives the
-        contraction, with N v = G by Euler's theorem."""
-        if self.G is None:
-            return None
-        dg_dx, v = self.dg_dx, self.v
-        T1 = np.einsum("...bdg,...b->...dg", dg_dx, v)                             # d_b g_dg v^b
-        T2 = np.einsum("...gbd,...b->...dg", dg_dx, v)                             # d_g g_bd v^b
-        T3 = np.einsum("...dbg,...b->...dg", dg_dx, v)                             # d_d g_bg v^b
-        cartan_G = np.einsum("...mdg,...m->...dg", self.dg_dv, self.G)
-        return 0.5 * np.einsum("...ad,...dg->...ag", self.ginv, T1 + T2 - T3 - cartan_G)
 
 
 def _require_future_timelike(L, v):
@@ -244,9 +231,9 @@ def _batch_first(arr, k):  # the k leading (index) axes of arr go behind its bat
 def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True) -> ConnectionData:
     """One pass of the connection pipeline at (x, v).
 
-    order = 2: fundamental tensor only; order = 3 adds metric slopes,
-    the spray, and the transport matrix; order = 4 adds N and dG/dx;
-    order = 5 adds dN/dx and dN/dv.
+    order = 2: fundamental tensor only; order = 3 adds the metric slopes
+    and the spray; order = 4 adds dG/dx and N, the transport matrix
+    Gamma^a_bc(v) v^b; order = 5 adds dN/dx and dN/dv.
     """
     if order < 2 or order > 5:
         raise ValueError("order must be 2, 3, 4, or 5")
@@ -284,7 +271,7 @@ def _connection_data(outputs, m: FinslerModel, v, order: int, validate: bool) ->
         return ConnectionData(L=Lval, g=g,
                               gfac=ldl_factor([[g[..., i, j] for j in range(d)] for i in range(d)]))
 
-    out = ConnectionData(L=Lval, g=g, v=np.array(v, dtype=float), gc=gc)
+    out = ConnectionData(L=Lval, g=g, gc=gc)
     Gs = np.stack(Gc)  # [a, row] + batch
     out.G = _batch_first(Gs[:, 0], 1)
     if order == 3:
@@ -338,8 +325,8 @@ def chern_gamma(m: FinslerModel, x, v) -> np.ndarray:
 
 
 def transport_matrix(m: FinslerModel, x, v) -> np.ndarray:
-    """M^a_c = Gamma^a_bc(v) v^b, the parallel-transport generator along v."""
-    return eval_connection(m, x, v, order=3).M
+    """Gamma^a_bc(v) v^b = N^a_c, the parallel-transport generator along v."""
+    return eval_connection(m, x, v, order=4).N
 
 
 def covariant_derivative(m: FinslerModel, field, x, v, w) -> np.ndarray:

@@ -10,7 +10,7 @@ variational equation for coordinate Jacobi fields,
     J'' = -(dG/dx) J - 2 N J',
 
 and reference-parallel transport of a vector along the geodesic is
-V' = -M V with the transport matrix M.
+V' = -N V, as N^a_c = Gamma^a_bc(eta') eta'^b for the Chern connection.
 
 ``radial_flow`` evolves a whole fan of directions out of one point up to
 one horizon as a single fused ODE system, solved once.  The fused state
@@ -52,6 +52,7 @@ __all__ = [
     "integrate_geodesic",
     "exp_map",
     "radial_flow",
+    "check_base_point",
     "find_validity_times",
     "tangent_flow",
     "conjugate_scan",
@@ -354,15 +355,32 @@ def _fused_rhs(m, layout, order):
         out["eta"][...] = st["etadot"]
         out["etadot"][...] = -c.G
         if layout.n_frame:
-            out["V"][...] = -np.einsum("...ag,...kg->...ka", c.M, st["V"])
+            out["V"][...] = -(st["V"] @ np.swapaxes(c.N, -1, -2))
         if layout.n_jac:
             out["J"][...] = st["Jdot"]
-            out["Jdot"][...] = -(np.einsum("...ab,...bk->...ak", c.dG_dx, st["J"])
-                                 + 2.0 * np.einsum("...ab,...bk->...ak", c.N, st["Jdot"]))
+            out["Jdot"][...] = -(c.dG_dx @ st["J"] + 2.0 * (c.N @ st["Jdot"]))
         dt = 1.0 / (1.0 + np.sqrt(np.mean(np.sum(st["etadot"] ** 2, axis=-1))))
         return np.append(dY.ravel() * dt, dt)
 
     return rhs
+
+
+def check_base_point(m: FinslerModel, x0, dirs):
+    """L at each direction (B, d) out of x0, once the base point passes the
+    checks of every flow: future timelike directions, x0 inside the chart,
+    and a positive metric conditioning margin."""
+    if not np.all(classify(m, x0, dirs) == "future-timelike"):
+        raise CausalityError("all directions must be future timelike")
+    if _chart_margin(m, x0) <= 0:
+        raise ValueError("base point outside the model chart")
+    L0 = lagrangian(m, x0, dirs)
+    # the chart part was checked above and the causal part is positive for
+    # timelike directions, so only the conditioning part can fail here
+    cond = _margins(m, np.broadcast_to(x0, dirs.shape), dirs, L0, parts=True)[1]
+    if np.any(cond <= 0):
+        raise DegenerateMetricError(
+            f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
+    return L0
 
 
 def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=None,
@@ -382,15 +400,12 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
     t_target = float(t_target)
     if t_target <= 0:
         raise ValueError("the target time must be positive")
-    if not np.all(classify(m, x0, dirs) == "future-timelike"):
-        raise CausalityError("all directions must be future timelike")
-    if _chart_margin(m, x0) <= 0:
-        raise ValueError("base point outside the model chart")
+    L0 = check_base_point(m, x0, dirs)
 
     n_frame = 0 if frames is None else frames.shape[1]
     n_jac = 0 if jac_seeds is None else jac_seeds[0].shape[2]
     layout = _Layout(d=d, n_frame=n_frame, n_jac=n_jac)
-    order = 4 if n_jac else 3
+    order = 4 if n_frame or n_jac else 3   # frames and Jacobi fields read N
 
     Y0 = np.zeros((B, layout.width))
     st = layout.unpack(Y0)
@@ -401,14 +416,6 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
     if n_jac:
         st["J"][...] = jac_seeds[0]
         st["Jdot"][...] = jac_seeds[1]
-
-    L0 = lagrangian(m, x0, dirs)
-    # the chart part was checked above and the causal part is positive for
-    # timelike directions, so only the conditioning part can fail here
-    cond = _margins(m, np.broadcast_to(x0, dirs.shape), dirs, L0, parts=True)[1]
-    if np.any(cond <= 0):
-        raise DegenerateMetricError(
-            f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
 
     def event(s, yflat):
         stt = layout.unpack(yflat[:-1].reshape(-1, layout.width))

@@ -8,7 +8,7 @@ frame.  Two independent routes build A:
 
   variational -- project the fused variational flow (J, J') onto the
       transported frame; derivatives use the metric-compatible transport
-      D_t J = J' + M J.
+      D_t J = J' + N J, N being the Chern transport matrix.
   curvature   -- integrate the frame matrix equation A'' = -Rhat(t) A
       with Rhat_{kj} = g(E_k, R(E_j)) interpolated from Chebyshev nodes.
 
@@ -27,7 +27,8 @@ import numpy as np
 
 from .connection import DegenerateMetricError, eval_connection
 from .curvature import riemann_matrix, weight_along
-from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, radial_flow
+from .geodesics import (DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, check_base_point,
+                        radial_flow)
 from .models import FinslerModel, fundamental_tensor
 from .ode import cumulative_trapezoid, solve_ivp
 
@@ -113,11 +114,10 @@ class JacobiSamples:
 
 def _project_variational(m, st):
     """(A, A') from an unpacked flow state with frame and Jacobi blocks."""
-    conn = eval_connection(m, st["eta"], st["etadot"], order=3, validate=False)
-    DJ = st["Jdot"] + np.einsum("...ae,...ej->...aj", conn.M, st["J"])
-    A = np.einsum("...kd,...de,...ej->...kj", st["V"], conn.g, st["J"])
-    Adot = np.einsum("...kd,...de,...ej->...kj", st["V"], conn.g, DJ)
-    return A, Adot
+    conn = eval_connection(m, st["eta"], st["etadot"], order=4, validate=False)
+    DJ = st["Jdot"] + conn.N @ st["J"]
+    Vg = st["V"] @ conn.g
+    return Vg @ st["J"], Vg @ DJ
 
 
 @dataclass
@@ -199,6 +199,7 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     t_end = float(t_end)
+    check_base_point(m, x0, dirs)   # before build_frame, whose breakdown names no cause
     if frames is None:
         frames = np.array([build_frame(m, x0, v) for v in dirs])
     B, n, d = frames.shape
@@ -236,6 +237,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     _check_unit(m, x0, v0)
+    check_base_point(m, x0, v0[None])
     if frame is None:
         frame = build_frame(m, x0, v0)
     frame = np.asarray(frame, dtype=float)

@@ -1,6 +1,7 @@
 """Scenario parsing and the command-line front door (exit codes, report
 schema, run-to-run determinism)."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import yaml
 
 from lfgeom import cli, geodesics, jets
 from lfgeom.connection import DegenerateMetricError
-from lfgeom.scenario import ConfigError, load_scenario
+from lfgeom.scenario import ConfigError, ModelConfig, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,6 +200,16 @@ def test_collapsed_metric_is_a_numerical_abort(tmp_path, command):
     assert run.stderr.startswith("numerical abort:")
 
 
+def test_degenerate_base_point_is_named_by_every_subcommand(tmp_path, capsys):
+    # the flows' base-point checks run before any transported frame is built
+    p = tmp_path / "collapse.yaml"
+    p.write_text(COLLAPSE)
+    for command in ("geodesic", "curvature", "jacobi", "gunther", "all"):
+        assert cli.main([command, "--scenario", str(p), "--out", str(tmp_path)]) == 3, command
+        assert capsys.readouterr().err == ("numerical abort: metric conditioning margin "
+                                           "-1e-09 <= 0 at the base point\n"), command
+
+
 def test_jet_domain_error_is_a_numerical_abort(tmp_path):
     # the conformal factor divides by R^2 + |x|^2 = 1e-14 at the apex, below jets.DIV_TOL
     doc = {"name": "tiny-sphere",
@@ -361,6 +372,32 @@ def test_all_records_each_jet_program_once(mini_scenario, tmp_path, monkeypatch)
     monkeypatch.setattr(jets, "record", counting)
     assert cli.main(["all", "--scenario", str(mini_scenario), "--out", str(tmp_path)]) == 0
     assert sorted(traces) == [(2, 2), (4, 3), (4, 4), (4, 5)]
+
+
+def test_fan_runs_record_no_order_3_connection(tmp_path, monkeypatch):
+    # frames and Jacobi fields are transported with the order-4 N; with no
+    # coordinate oracle and no geodesic-only flow, nothing records order 3
+    built, real_build = [], ModelConfig.build
+
+    def build(self):
+        built.append(real_build(self))
+        return built[-1]
+
+    monkeypatch.setattr(ModelConfig, "build", build)
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    fan = {("fundamental_tensor", 2), ("connection", 4)}
+    curvature = fan | {("connection", 5)}
+    collapse, conjugate = inputs.write("reject", 0, tmp_path / "inputs")
+    # the collapse stops in the fan flow; the conjugate point shows on the order-5 scalar scan
+    runs = [("all", SCENARIOS / "desitter2_gunther.yaml", 0, curvature),
+            ("gunther", collapse, 2, fan), ("gunther", conjugate, 2, curvature)]
+    for command, path, code, programs in runs:
+        built.clear()
+        assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == code
+        assert {key for m in built for key in m._programs} == programs, path.name
 
 
 def test_all_integrates_the_center_geodesic_once(tmp_path, monkeypatch):

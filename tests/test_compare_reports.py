@@ -1,11 +1,14 @@
-"""scripts/compare_reports.py on two temporary report directories."""
+"""scripts/compare_reports.py on two temporary report directories, and the
+snapshot script that writes them."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "compare_reports.py"
 
 
 def compare(a, b):
@@ -68,3 +71,28 @@ def test_run_records_compare_exit_codes_and_stderr_exactly(tmp_path):
     assert status == 1
     assert "MISMATCH gunther collapse.yaml.exit: 2 != 3" in out
     assert "MISMATCH gunther collapse.yaml.stderr: " in out
+
+
+def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
+    # its lfgeom runs work in the checkout, so a relative OUT must be resolved first
+    spec = importlib.util.spec_from_file_location("snapshot_reports",
+                                                  SCRIPTS / "snapshot_reports.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    outs = []
+
+    def inputs(workload, directory):
+        outs.append(directory)
+        return [directory / f"{workload}.yaml"]
+
+    def lfgeom(command, scenario, out):
+        outs.append(out)
+        return {"exit": 0, "stderr": ""}
+
+    monkeypatch.setattr(script, "_inputs", inputs)
+    monkeypatch.setattr(script, "_lfgeom", lfgeom)
+    monkeypatch.chdir(tmp_path)
+    assert script.main(["snap"]) == 0
+    assert set(outs) == {tmp_path / "snap", tmp_path / "snap" / "inputs"}
+    runs = json.loads((tmp_path / "snap" / "runs.json").read_text())
+    assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs

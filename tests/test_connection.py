@@ -103,7 +103,7 @@ def test_minkowski_everything_vanishes():
     assert np.max(np.abs(gamma_tilde(m, x, v))) < 1e-14
     assert np.max(np.abs(chern_gamma(m, x, v))) < 1e-14
     c = eval_connection(m, x, v, order=4)
-    for arr in (c.G, c.N, c.M, c.dG_dx):
+    for arr in (c.G, c.N, transport_matrix(m, x, v), c.dG_dx):
         assert np.max(np.abs(arr)) < 1e-14
 
 
@@ -204,9 +204,10 @@ def test_euler_contraction_and_transport_reduction(m, x, v):
     c = eval_connection(m, x, v, order=4)
     scale = 1.0 + np.max(np.abs(c.G))
     assert np.max(np.abs(c.N @ v - c.G)) < 1e-9 * scale
-    assert np.max(np.abs(c.M @ v - c.G)) < 1e-9 * scale
+    assert np.max(np.abs(transport_matrix(m, x, v) @ v - c.G)) < 1e-9 * scale
+    # the Chern transport matrix Gamma^a_bc(v) v^b is N: flows transport with c.N
     full = np.einsum("abg,b->ag", chern_gamma(m, x, v), v)
-    assert np.allclose(c.M, full, atol=1e-10 * scale)
+    assert np.allclose(c.N, full, atol=1e-10 * scale)
 
 
 @given(lam=st.floats(min_value=0.05, max_value=20.0))
@@ -219,7 +220,8 @@ def test_spray_and_connection_homogeneity(lam):
     c2 = eval_connection(m, x, lam * v, order=4)
     assert np.allclose(c2.G, lam**2 * c1.G, rtol=1e-9, atol=1e-12)
     assert np.allclose(c2.N, lam * c1.N, rtol=1e-9, atol=1e-12)
-    assert np.allclose(c2.M, lam * c1.M, rtol=1e-9, atol=1e-12)
+    assert np.allclose(transport_matrix(m, x, lam * v), lam * transport_matrix(m, x, v),
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_chern_equals_gamma_tilde_for_quadratic_models():
@@ -279,7 +281,7 @@ def test_order5_keeps_lower_fields_bit_identical(m, x, v):
     V = v + 0.05 * rng.uniform(-1.0, 1.0, size=(7, m.dim))
     c4 = eval_connection(m, X, V, order=4)
     c5 = eval_connection(m, X, V, order=5)
-    for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx"):
+    for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "N", "dG_dx"):
         assert np.array_equal(getattr(c4, field), getattr(c5, field)), field
     assert c4.dN_dx is None and c4.dN_dv is None
 
@@ -343,7 +345,7 @@ def test_batched_pipeline_matches_single_points():
     for i in range(2):
         for j in range(3):
             cs = eval_connection(m, X[i, j], V[i, j], order=4)
-            for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx"):
+            for field in ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "N", "dG_dx"):
                 assert np.allclose(getattr(cb, field)[i, j], getattr(cs, field),
                                    rtol=1e-13, atol=1e-13)
 
@@ -367,10 +369,10 @@ def test_reading_only_G_never_factors_g(monkeypatch, order):
     c = eval_connection(m, x, v, order, validate=False)
     assert c.G.shape == (2, 3)
     assert calls == []
-    # ginv and M: computed on first read, once
-    ginv, M = c.ginv, c.M
+    # ginv: computed on first read, once
+    ginv, N = c.ginv, c.N
     assert calls == ["_ldl"]
-    assert c.ginv is ginv and c.M is M and calls == ["_ldl"]
+    assert c.ginv is ginv and c.N is N and calls == ["_ldl"]
     assert np.allclose(ginv @ c.g, np.eye(3), atol=1e-12)
 
 
@@ -381,7 +383,7 @@ def test_order_2_checks_g_pivots_eagerly(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     c = eval_connection(m, x, v, 2)
     assert calls == ["ldl_factor", "_ldl"]
-    assert c.ginv is c.ginv and c.M is None and calls == ["ldl_factor", "_ldl"]
+    assert c.ginv is c.ginv and c.N is None and calls == ["ldl_factor", "_ldl"]
 
 
 def test_pipeline_rejects_non_timelike_reference():

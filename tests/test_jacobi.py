@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfgeom.connection import DegenerateMetricError
 from lfgeom.geodesics import exp_map
 from lfgeom.jacobi import (
     build_frame,
@@ -88,6 +89,15 @@ def test_minkowski_path_is_linear(route):
     assert np.max(np.abs(s.A - want)) < 1e-8
     assert np.max(np.abs(s.Adot - np.eye(2))) < 1e-8
     assert np.allclose(s.detA, ts**2, atol=1e-8)
+
+
+@pytest.mark.parametrize("route", ["variational", "curvature"])
+def test_degenerate_base_point_is_named_before_any_frame(route):
+    # a = 1 - x0/2 vanishes at the apex, where no g-orthonormal frame exists
+    m = model_library("flrw", n=1, scale="affine", a0=1.0, q=-0.5)
+    make = jacobi_variational if route == "variational" else jacobi_curvature
+    with pytest.raises(DegenerateMetricError, match="conditioning margin .* at the base point"):
+        make(m, np.array([2.0, 0.0]), np.array([1.0, 0.0]), 1.0)
 
 
 def test_constant_flag_closed_form_both_routes():

@@ -82,8 +82,8 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-# every field, the lazily computed ginv and M included
-FIELDS = ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "M", "N", "dG_dx", "dN_dx", "dN_dv")
+# every field, the lazily computed ginv included; N is also the transport matrix
+FIELDS = ("L", "g", "ginv", "dg_dx", "dg_dv", "G", "N", "dG_dx", "dN_dx", "dN_dv")
 
 
 def assert_same_connection(got: ConnectionData, want: ConnectionData):
