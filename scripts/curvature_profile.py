@@ -9,7 +9,7 @@ radius and for eyeballing which comparison constants a model can certify.
 
 Usage:
     python3 scripts/curvature_profile.py --model einstein_static --n 2 \
-        --param R=1.0 --t-max 6.0
+        --param radius=1.0 --apex 0 0.5 0 --radius 0.375 --t-max 6
 """
 
 import argparse
@@ -19,7 +19,8 @@ import numpy as np
 
 from lfgeom import models
 from lfgeom.comparison import SCLVSpec, build_sclv_data, radial_bound_scan
-from lfgeom.geodesics import conjugate_scan, find_validity_times
+from lfgeom.geodesics import find_validity_times
+from lfgeom.jacobi import conjugate_scan
 
 
 def parse_params(items):

@@ -21,12 +21,13 @@ pointwise residual checks, and PASS / CONDITIONAL-PASS / FAIL verdict.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets as jr
-from .geodesics import DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
+from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
 from .jacobi import (
     JacobiPath,
     PathScalars,
@@ -143,6 +144,14 @@ def _chart_jets(m, sclv, params):
     return vals, np.moveaxis(grads, 0, 1)                        # (Q, n, d)
 
 
+@functools.cache
+def _gauss_rule(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], once per node count (read-only: shared)."""
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi.flags.writeable = wi.flags.writeable = False
+    return xi, wi
+
+
 def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQuadrature:
     """Product quadrature for the induced area measure on the patch."""
     n = m.n
@@ -152,29 +161,22 @@ def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQua
     counts = tuple(max(4, int(round(k * scale))) for k in base)
     center = sclv.center
 
+    xi, wi = _gauss_rule(counts[0])
     if n == 1:
-        xi, wi = np.polynomial.legendre.leggauss(counts[0])
-        p = center[0] + sclv.radius * xi
-        params = p[:, None]
+        params = (center[0] + sclv.radius * xi)[:, None]
         basew = sclv.radius * wi
-    elif n == 2:
-        xi, wi = np.polynomial.legendre.leggauss(counts[0])
+    else:
         s = 0.5 * sclv.radius * (xi + 1.0)
         ws = 0.5 * sclv.radius * wi
-        K = counts[1]
+        K = counts[-1]
         phi = 2.0 * np.pi * np.arange(K) / K
         wphi = np.full(K, 2.0 * np.pi / K)
+    if n == 2:
         S, P = np.meshgrid(s, phi, indexing="ij")
         params = np.stack([S.ravel(), P.ravel()], axis=-1)
         basew = np.outer(ws, wphi).ravel()
-    else:
-        xi, wi = np.polynomial.legendre.leggauss(counts[0])
-        s = 0.5 * sclv.radius * (xi + 1.0)
-        ws = 0.5 * sclv.radius * wi
-        mu, wmu = np.polynomial.legendre.leggauss(counts[1])
-        K = counts[2]
-        phi = 2.0 * np.pi * np.arange(K) / K
-        wphi = np.full(K, 2.0 * np.pi / K)
+    elif n == 3:
+        mu, wmu = _gauss_rule(counts[1])
         S, MU, P = np.meshgrid(s, mu, phi, indexing="ij")
         params = np.stack([S.ravel(), MU.ravel(), P.ravel()], axis=-1)
         basew = np.einsum("i,j,k->ijk", ws, wmu, wphi).ravel()
@@ -222,25 +224,22 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
     """Quadrature + Jacobi paths + scan scalars, built once.
 
     The fan is integrated once, and the validity of the cut is read off
-    that same flow: a direction leaving the valid region before b, or a
-    conjugate point before b, means the set is not an SCLV.
+    that same flow, whose margins include a conjugate point: a direction
+    leaving the valid region, or reaching a conjugate point, before b
+    means the set is not an SCLV.  The ValueError names the earliest such
+    direction and t, and chains the ValidityExit that carries them.
     """
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
     try:
         paths = variational_paths(m, sclv.apex, quad.nodes, b, rtol=rtol, atol=atol)
     except ValidityExit as exc:
+        why = "conjugate point" if exc.reason == CONJUGATE_POINT else exc.reason
         raise ValueError(
             f"cut b={b:.6g} exceeds the valid range of direction {exc.index} "
-            f"(reaches t={exc.t:.6g}, {exc.reason}); not an SCLV") from None
+            f"(reaches t={exc.t:.6g}, {why}); not an SCLV") from exc
     grid = sample_grid(b, t_scan)
     scalars, flag_lo, flag_hi = scalars_for_paths(paths, grid, flag_range=True)
-    for i, s in enumerate(scalars):
-        if np.min(s.detA) <= 0:
-            t_bad = s.ts[int(np.argmax(s.detA <= 0))]
-            raise ValueError(
-                f"conjugate point before the cut on direction {i} "
-                f"(det A <= 0 near t={t_bad:.6g}); not an SCLV")
     return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths,
                     scan_grid=grid, scalars=scalars,
                     flag_min=flag_lo, flag_max=flag_hi)
@@ -251,7 +250,7 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
 
 def _dir_integrals(data: SCLVData, T, tnodes):
     r"""Per-direction \int_0^T e^{-psi} det A dt by Gauss-Legendre."""
-    xi, wi = np.polynomial.legendre.leggauss(tnodes)
+    xi, wi = _gauss_rule(tnodes)
     xi01 = 0.5 * (xi + 1.0)
     wi01 = 0.5 * wi
     samples = sample_all(data.paths, T * xi01)
@@ -349,7 +348,7 @@ def _quad_meta(data: SCLVData) -> dict:
 
 
 def _gauss_integral(fn, lo, hi, nodes=128):
-    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi, wi = _gauss_rule(nodes)
     t = 0.5 * (hi - lo) * (xi + 1.0) + lo
     return 0.5 * (hi - lo) * float(np.sum(wi * fn(t)))
 

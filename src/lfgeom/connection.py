@@ -47,7 +47,6 @@ __all__ = [
     "spray",
     "nonlinear_connection",
     "chern_gamma",
-    "transport_matrix",
     "covariant_derivative",
     "ldl_factor",
     "ldl_apply",
@@ -322,11 +321,6 @@ def chern_gamma(m: FinslerModel, x, v) -> np.ndarray:
     E2 = np.einsum("...mbd,...mg->...dbg", c.dg_dv, c.N)
     E3 = np.einsum("...mbg,...md->...dbg", c.dg_dv, c.N)
     return gt - 0.5 * np.einsum("...ad,...dbg->...abg", c.ginv, E1 + E2 - E3)
-
-
-def transport_matrix(m: FinslerModel, x, v) -> np.ndarray:
-    """Gamma^a_bc(v) v^b = N^a_c, the parallel-transport generator along v."""
-    return eval_connection(m, x, v, order=4).N
 
 
 def covariant_derivative(m: FinslerModel, field, x, v, w) -> np.ndarray:

@@ -26,13 +26,20 @@ chart exit of a collapsing scale factor.  One terminal event stops the
 solve at the first zero of min(validity margin, t_target - t): the clock
 reaching the horizon, or the first validity event, which watches chart
 distance, causal character, and metric conditioning for every direction
-at once.  At a validity event the directions on the boundary record
-their exit, and the others stop there too (reason "stopped"), since
-every caller needs each direction to reach the horizon.  Every result
-still answers in t: the dense output is read at sigma(t), found by
-inverting its clock row.  A solver failure (the step size collapses)
-raises RuntimeError, a numerical abort.  ``integrate_geodesic`` is the
-one-direction case of the same flow.
+at once.  A flow carrying a frame V and Jacobi fields J also watches
+A = V g J for a conjugate point, where A turns singular (Beem, Ehrlich &
+Easley, *Global Lorentzian Geometry*, 2nd ed., ch. 10): the margin
+sqrt(n) det(A/t) / |adj(A/t)|_F is 1 at t = 0, changes sign at a
+conjugate point of odd multiplicity and touches zero at one of even
+multiplicity, which the post-scan's dip refinement finds.
+At a validity event the directions on the boundary record their exit
+("chart-exit", "degenerate-or-cone" or "conjugate-point"), and the
+others stop there too (reason "stopped"), since every caller needs each
+direction to reach the horizon.  Every result still answers in t: the
+dense output is read at sigma(t), found by inverting its clock row.  A
+solver failure (the step size collapses) raises RuntimeError, a
+numerical abort.  ``integrate_geodesic`` is the one-direction case of
+the same flow.
 """
 
 from __future__ import annotations
@@ -54,8 +61,6 @@ __all__ = [
     "radial_flow",
     "check_base_point",
     "find_validity_times",
-    "tangent_flow",
-    "conjugate_scan",
 ]
 
 DEFAULT_RTOL = 1e-10
@@ -63,7 +68,10 @@ DEFAULT_ATOL = 1e-10
 METRIC_COND_FLOOR = 1e-9   # min|eig|/max|eig| of g below this counts as degenerate
 CAUSAL_FLOOR = 1e-10       # -L/|L0| below this counts as leaving the cone
 EXIT_TOL = 1e-8            # margin slack used to decide which directions exited
+CONJUGATE_FLOOR = 1e-7     # _singularity(A/t) below this counts as conjugate
 STOPPED = "stopped"        # exit reason of a direction halted by another's exit
+CONJUGATE_POINT = "conjugate-point"
+EXIT_LABELS = ("chart-exit", "degenerate-or-cone", "degenerate-or-cone", CONJUGATE_POINT)
 SCAN_POINTS = 1024         # dense-output margin scan resolution
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
 # sigma = t + (the fan's RMS Euclidean path length), so a fan keeping its start
@@ -79,34 +87,64 @@ def _chart_margin(m: FinslerModel, x):
     return np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
 
 
-def _margins(m: FinslerModel, x, v, L0, parts=False):
-    """Per-point validity margin: positive while the state is usable.
+def _margins(m: FinslerModel, st, t, L0, parts=False):
+    """Per-point validity margin of an unpacked flow state at time t:
+    positive while the state is usable.
 
-    Deliberately avoids anything that inverts g, so it stays evaluable
-    right at (and past) a metric degeneration.
+    The parts are chart, conditioning, causal and, for a state carrying a
+    frame V and Jacobi fields J, conjugate: the singularity measure of A/t
+    with A = V g J, read as 1 at t = 0.  Deliberately avoids anything that
+    inverts g, so it stays evaluable right at (and past) a degeneration.
     """
-    eig = np.linalg.eigvalsh(fundamental_tensor(m, x, v))
-    aeig = np.abs(eig)
-    cond = np.min(aeig, axis=-1) / np.max(aeig, axis=-1) - METRIC_COND_FLOOR
-    causal = -lagrangian(m, x, v) / np.abs(L0) - CAUSAL_FLOOR
-    chart = _chart_margin(m, x)
-    if parts:
-        return chart, cond, causal
-    return np.minimum(chart, np.minimum(cond, causal))
+    x, v = st["eta"], st["etadot"]
+    g = fundamental_tensor(m, x, v)
+    aeig = np.abs(np.linalg.eigvalsh(g))
+    out = [_chart_margin(m, x),
+           np.min(aeig, axis=-1) / np.max(aeig, axis=-1) - METRIC_COND_FLOOR,
+           -lagrangian(m, x, v) / np.abs(L0) - CAUSAL_FLOOR]
+    if "V" in st and "J" in st:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sing = _singularity(st["V"] @ g @ st["J"]) / t
+        out.append(np.where(t > 0, sing, 1.0) - CONJUGATE_FLOOR)
+    return out if parts else np.min(np.broadcast_arrays(*out), axis=0)
 
 
-def _exit_label(m, x, v, L0val):
-    chart, cond, causal = _margins(m, x, v, L0val, parts=True)
-    return "chart-exit" if chart <= min(cond, causal) + EXIT_TOL else "degenerate-or-cone"
+def _singularity(A):
+    """sqrt(n) det A / |adj A|_F = sign(det A) sqrt(n) / |A^-1|_F for a stack of
+    n x n matrices: 1 at A = I, between sigma_min(A) and sqrt(n) sigma_min(A) in
+    size, so it vanishes exactly where A is singular, linearly at a conjugate
+    point of any multiplicity.  Closed form up to n = 3, a seventh of an SVD's cost.
+    """
+    n = A.shape[-1]
+    if n > 3:
+        s = np.linalg.svd(A, compute_uv=False)
+        return np.sign(np.linalg.det(A)) * np.sqrt(n / np.sum(s ** -2.0, axis=-1))
+    a = np.moveaxis(A, -1, 0)                       # the columns of A
+    if n == 1:
+        return a[0][..., 0]
+    if n == 2:
+        det = a[0][..., 0] * a[1][..., 1] - a[0][..., 1] * a[1][..., 0]
+        return det * np.sqrt(2.0 / np.sum(A * A, axis=(-2, -1)))
+    adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])     # the rows of adj A
+    det = np.sum(a[0] * adj[0], axis=-1)
+    return det * np.sqrt(3.0 / np.sum(adj * adj, axis=(0, -1)))
+
+
+def _exit_label(m, st, t, L0val):
+    """Label of the smallest margin part; the chart wins ties, then the metric."""
+    parts = _margins(m, st, t, L0val, parts=True)
+    low = min(parts) + EXIT_TOL
+    return next(label for p, label in zip(parts, EXIT_LABELS) if p <= low)
 
 
 def _first_margin_crossing(margin_fn, ts, ms):
     """First zero of the margin along sampled track (ts ascending), or None.
 
     Event detection by the ODE solver can step clean over a narrow dip
-    (e.g. a scale factor whose square touches zero and recovers), so any
-    sampled local minimum below DIP_THRESHOLD is refined by a bounded
-    minimizer before the sign test.
+    (e.g. a scale factor whose square touches zero and recovers, or a
+    conjugate point of even multiplicity), so any sampled local minimum
+    below DIP_THRESHOLD is refined by a bounded minimizer before the sign
+    test.
     """
     upper = len(ts)
     bad = np.nonzero(ms <= 0.0)[0]
@@ -376,7 +414,8 @@ def check_base_point(m: FinslerModel, x0, dirs):
     L0 = lagrangian(m, x0, dirs)
     # the chart part was checked above and the causal part is positive for
     # timelike directions, so only the conditioning part can fail here
-    cond = _margins(m, np.broadcast_to(x0, dirs.shape), dirs, L0, parts=True)[1]
+    st = {"eta": np.broadcast_to(x0, dirs.shape), "etadot": dirs}
+    cond = _margins(m, st, 0.0, L0, parts=True)[1]
     if np.any(cond <= 0):
         raise DegenerateMetricError(
             f"metric conditioning margin {float(np.min(cond)):.6g} <= 0 at the base point")
@@ -419,8 +458,7 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
 
     def event(s, yflat):
         stt = layout.unpack(yflat[:-1].reshape(-1, layout.width))
-        return min(float(np.min(_margins(m, stt["eta"], stt["etadot"], L0))),
-                   t_target - yflat[-1])
+        return min(float(np.min(_margins(m, stt, yflat[-1], L0))), t_target - yflat[-1])
 
     event.direction = -1
     speed0 = float(np.sqrt(np.mean(np.sum(dirs ** 2, axis=-1))))
@@ -432,8 +470,8 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
     if sol.status != 1:
         why = sol.message if sol.status else "the speed clock ran out"
         raise RuntimeError(f"flow integration failed at t={t_end:.6g}: {why}")
-    stt = layout.unpack(sol.y[:-1, -1].reshape(-1, layout.width))
-    mg = _margins(m, stt["eta"], stt["etadot"], L0)
+    Y = sol.y[:-1, -1].reshape(-1, layout.width)
+    mg = _margins(m, layout.unpack(Y), t_end, L0)
     reason = [None] * B
     if t_target - t_end <= np.min(mg):
         t_end = t_target          # the clock event: every direction completed
@@ -442,7 +480,7 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
         hit = mg <= EXIT_TOL
         if not np.any(hit):
             hit = mg == mg.min()
-        reason = [_exit_label(m, stt["eta"][i], stt["etadot"][i], L0[i])
+        reason = [_exit_label(m, layout.unpack(Y[i]), t_end, L0[i])
                   if hit[i] else STOPPED for i in range(B)]
     flow = RadialFlow(model=m, x0=x0, dirs=dirs, t_target=t_target,
                       t_reached=np.full(B, t_end), exit_reason=reason, layout=layout,
@@ -459,14 +497,15 @@ def _post_scan_flow(m, flow, L0):
     w = flow.layout.width
     frac = flow.t_reached.max() / flow.t_target
     sg = np.linspace(0.0, s1, max(3, int(np.ceil(frac * SCAN_POINTS)) + 1))
-    st = flow.layout.unpack(np.moveaxis(dense(sg)[:-1].reshape(len(flow.dirs), w, -1), 1, 2))
-    ms = _margins(m, st["eta"], st["etadot"], L0[:, None])    # (B, ns)
+    vals = dense(sg)
+    st = flow.layout.unpack(np.moveaxis(vals[:-1].reshape(len(flow.dirs), w, -1), 1, 2))
+    ms = _margins(m, st, vals[-1], L0[:, None])    # (B, ns)
     pos = sg > 0
     for i in range(len(flow.dirs)):
 
         def state(s, i=i):
-            stt = flow.layout.unpack(dense(s)[:-1].reshape(-1, w)[i])
-            return stt["eta"], stt["etadot"]
+            y = dense(s)
+            return flow.layout.unpack(y[:-1].reshape(-1, w)[i]), y[-1]
 
         def margin_fn(s, i=i):
             return float(_margins(m, *state(s), L0[i]))
@@ -492,55 +531,3 @@ def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):
              for v in np.asarray(dirs, dtype=float)]
     return (np.array([f.t_reached[0] for f in flows]),
             [f.exit_reason[0] for f in flows])
-
-
-def tangent_flow(m: FinslerModel, x0, v0, t_max, dx_seeds, dv_seeds, **kw) -> RadialFlow:
-    """Variational flow around one geodesic for k seeds (delta x, delta v)."""
-    dx = np.atleast_2d(np.asarray(dx_seeds, dtype=float))
-    dv = np.atleast_2d(np.asarray(dv_seeds, dtype=float))
-    J0 = dx.T[None]      # (1, d, k)
-    Jd0 = dv.T[None]
-    return radial_flow(m, x0, np.asarray(v0, dtype=float)[None], t_max,
-                       jac_seeds=(J0, Jd0), **kw)
-
-
-def conjugate_scan(m: FinslerModel, x0, v0, t_max, *, ngrid=512, tol=1e-8, **kw):
-    """Parameter times in (0, t_max] conjugate to x0 along the geodesic of v0.
-
-    Watches h(t) = det[eta'(t) | J_1(t) ... J_n(t)] / t^n, whose zeros are
-    exactly the conjugate times: sign changes are bracketed and bisected,
-    and even-multiplicity touches are caught by a |h| dip test.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    d = m.dim
-    n = d - 1
-    seeds_dx = np.zeros((n, d))
-    seeds_dv = np.eye(d)[1:]
-    flow = tangent_flow(m, x0, v0, t_max, seeds_dx, seeds_dv, **kw)
-    reach = flow.t_reached[0]
-
-    def h(t):
-        t = np.atleast_1d(t)
-        st = flow.eval(0, t)
-        mat = np.concatenate([st["etadot"][:, :, None], st["J"]], axis=2)
-        return np.linalg.det(mat) / t ** n
-
-    def h1(t):
-        return float(h(np.array([t]))[0])
-
-    ts = np.linspace(reach / ngrid, reach, ngrid)
-    hs = h(ts)
-    roots = []
-    sign_change = np.nonzero(np.sign(hs[:-1]) * np.sign(hs[1:]) < 0)[0]
-    for j in sign_change:
-        roots.append(brentq(h1, ts[j], ts[j + 1], xtol=tol))
-    # even-multiplicity touches: local minima of |h| that dip to ~zero
-    scale = np.max(np.abs(hs))
-    for j in range(1, ngrid - 1):
-        if abs(hs[j]) < abs(hs[j - 1]) and abs(hs[j]) < abs(hs[j + 1]) and abs(hs[j]) < 1e-5 * scale:
-            from scipy.optimize import minimize_scalar  # rarely reached: import on first use
-            res = minimize_scalar(lambda t: abs(h1(t)), bounds=(ts[j - 1], ts[j + 1]),
-                                  method="bounded", options={"xatol": tol})
-            if abs(res.fun) < 1e-8 * scale and not any(abs(res.x - r) < 10 * tol for r in roots):
-                roots.append(float(res.x))
-    return np.sort(np.array(roots))

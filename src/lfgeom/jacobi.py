@@ -27,9 +27,9 @@ import numpy as np
 
 from .connection import DegenerateMetricError, eval_connection
 from .curvature import riemann_matrix, weight_along
-from .geodesics import (DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow, check_base_point,
-                        radial_flow)
-from .models import FinslerModel, fundamental_tensor
+from .geodesics import (CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, STOPPED, RadialFlow,
+                        check_base_point, radial_flow)
+from .models import FinslerModel, fundamental_tensor, lorentz_norm
 from .ode import cumulative_trapezoid, solve_ivp
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "jacobi_variational",
     "jacobi_curvature",
     "variational_paths",
+    "conjugate_scan",
     "sample_grid",
     "riccati_quantities",
     "scalars_for_paths",
@@ -193,8 +194,8 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
 
     The flow runs to the one end time t_end, stops at the first validity
     event, and its dense output is scanned for margin dips; a direction
-    that leaves the valid region before t_end raises ValidityExit, naming
-    the earliest exit.
+    that leaves the valid region or reaches a conjugate point before t_end
+    raises ValidityExit, naming the earliest exit and its located t.
     """
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
@@ -214,6 +215,22 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
     return [JacobiPath(model=m, x0=x0, v0=dirs[i], frame0=frames[i],
                        t_end=t_end, route="variational",
                        flow=flow, index=i) for i in range(B)]
+
+
+def conjugate_scan(m: FinslerModel, x0, v0, t_max, **kw) -> np.ndarray:
+    """The first parameter time in (0, t_max] conjugate to x0 along the geodesic of v0,
+    read off the "conjugate-point" exit of one variational flow of v0 / F(v0): a
+    one-entry array, or an empty one when the geodesic first reaches t_max or leaves
+    the valid region.  The exit lies at most about CONJUGATE_FLOOR * t early.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    F = float(lorentz_norm(m, x0, v0))
+    try:
+        variational_paths(m, x0, v0[None] / F, F * t_max, **kw)
+    except ValidityExit as exc:
+        if exc.reason == CONJUGATE_POINT:
+            return np.array([exc.t / F])
+    return np.empty(0)
 
 
 def jacobi_variational(m: FinslerModel, x0, v0, t_end, *, frame=None,

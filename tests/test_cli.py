@@ -391,9 +391,9 @@ def test_fan_runs_record_no_order_3_connection(tmp_path, monkeypatch):
     fan = {("fundamental_tensor", 2), ("connection", 4)}
     curvature = fan | {("connection", 5)}
     collapse, conjugate = inputs.write("reject", 0, tmp_path / "inputs")
-    # the collapse stops in the fan flow; the conjugate point shows on the order-5 scalar scan
+    # the collapse and the conjugate point both stop the fan flow, before any scalar scan
     runs = [("all", SCENARIOS / "desitter2_gunther.yaml", 0, curvature),
-            ("gunther", collapse, 2, fan), ("gunther", conjugate, 2, curvature)]
+            ("gunther", collapse, 2, fan), ("gunther", conjugate, 2, fan)]
     for command, path, code, programs in runs:
         built.clear()
         assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == code

@@ -342,13 +342,30 @@ def test_cut_beyond_validity_is_rejected():
         cmp.build_sclv_data(m, sclv)
 
 
-def test_cut_beyond_conjugate_point_is_rejected():
-    # tangential boosted direction on the r=1/2 circle: conjugate point at
-    # t* = pi / (gamma beta / R) ~ 4.19 < cut
-    m = models.model_library("einstein_static", 2, radius=1.0)
-    sclv = cmp.SCLVSpec(apex=np.array([0.0, 0.5, 0.0]), radius=0.05,
-                        cut=4.5, center=np.array([0.0, 0.375]))
-    with pytest.raises(ValueError, match="conjugate"):
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_cut_beyond_conjugate_point_is_rejected(n):
+    # boosted directions on the static unit sphere: direction v meets its
+    # conjugate point, the apex's antipode, at t* = pi / (spatial speed of v);
+    # the fan's earliest t* is ~3.41 (n = 2) or ~3.55 (n = 3), before the cut.
+    # On S^3 the two transverse Jacobi fields vanish together, so det A only
+    # touches zero there.
+    m = models.model_library("einstein_static", n, radius=1.0)
+    apex = np.zeros(n + 1)
+    apex[1] = 0.5 if n == 2 else 0.49918
+    center = np.zeros(n)
+    center[1] = 0.375
+    sclv = cmp.SCLVSpec(apex=apex, radius=0.05, cut=4.5, center=center)
+    with pytest.raises(ValueError, match=r"direction \d+ \(reaches t=[\d.]+, "
+                                         r"conjugate point\); not an SCLV") as exc:
+        cmp.build_sclv_data(m, sclv, scale=0.5)
+    where = exc.value.__cause__
+    nodes = cmp.build_quadrature(m, sclv, 0.5).nodes
+    speed = 2.0 / (1.0 + apex[1] ** 2) * np.linalg.norm(nodes[:, 1:], axis=1)
+    t_star = np.pi / speed
+    assert abs(where.t - t_star[where.index]) < 1e-6
+    assert abs(where.t - t_star.min()) < 1e-6
+    if n == 3:   # a cut short of every direction's conjugate point is an SCLV
+        sclv.cut = 3.5
         cmp.build_sclv_data(m, sclv, scale=0.5)
 
 

@@ -28,7 +28,6 @@ from lfgeom.connection import (
     ldl_factor,
     nonlinear_connection,
     spray,
-    transport_matrix,
 )
 from lfgeom.models import CausalityError, fundamental_tensor, model_library
 
@@ -103,7 +102,7 @@ def test_minkowski_everything_vanishes():
     assert np.max(np.abs(gamma_tilde(m, x, v))) < 1e-14
     assert np.max(np.abs(chern_gamma(m, x, v))) < 1e-14
     c = eval_connection(m, x, v, order=4)
-    for arr in (c.G, c.N, transport_matrix(m, x, v), c.dG_dx):
+    for arr in (c.G, c.N, nonlinear_connection(m, x, v), c.dG_dx):
         assert np.max(np.abs(arr)) < 1e-14
 
 
@@ -204,7 +203,7 @@ def test_euler_contraction_and_transport_reduction(m, x, v):
     c = eval_connection(m, x, v, order=4)
     scale = 1.0 + np.max(np.abs(c.G))
     assert np.max(np.abs(c.N @ v - c.G)) < 1e-9 * scale
-    assert np.max(np.abs(transport_matrix(m, x, v) @ v - c.G)) < 1e-9 * scale
+    assert np.max(np.abs(nonlinear_connection(m, x, v) @ v - c.G)) < 1e-9 * scale
     # the Chern transport matrix Gamma^a_bc(v) v^b is N: flows transport with c.N
     full = np.einsum("abg,b->ag", chern_gamma(m, x, v), v)
     assert np.allclose(c.N, full, atol=1e-10 * scale)
@@ -220,8 +219,8 @@ def test_spray_and_connection_homogeneity(lam):
     c2 = eval_connection(m, x, lam * v, order=4)
     assert np.allclose(c2.G, lam**2 * c1.G, rtol=1e-9, atol=1e-12)
     assert np.allclose(c2.N, lam * c1.N, rtol=1e-9, atol=1e-12)
-    assert np.allclose(transport_matrix(m, x, lam * v), lam * transport_matrix(m, x, v),
-                       rtol=1e-9, atol=1e-12)
+    assert np.allclose(nonlinear_connection(m, x, lam * v),
+                       lam * nonlinear_connection(m, x, v), rtol=1e-9, atol=1e-12)
 
 
 def test_chern_equals_gamma_tilde_for_quadratic_models():

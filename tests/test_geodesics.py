@@ -9,6 +9,9 @@ Anchors used here:
   * Parallel transport must preserve g_{eta'}(.,.) pairings exactly.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,14 +19,12 @@ from lfgeom import geodesics
 from lfgeom.connection import DegenerateMetricError
 from lfgeom.geodesics import (
     STOPPED,
-    conjugate_scan,
     exp_map,
     find_validity_times,
     integrate_geodesic,
     radial_flow,
-    tangent_flow,
 )
-from lfgeom.jacobi import ValidityExit, variational_paths
+from lfgeom.jacobi import ValidityExit, conjugate_scan, variational_paths
 from lfgeom.models import fundamental_tensor, lagrangian, model_library
 
 
@@ -131,12 +132,13 @@ def test_degenerate_base_point_is_a_numerical_error():
             integrate()
 
 
-def test_tangent_flow_matches_fd_of_exponential():
+def test_variational_flow_matches_fd_of_exponential():
+    # Jacobi field columns seeded by (delta x, delta v) = (0, e2) and (e1, 0)
     m, x0, v0, *_ = boosted_circle_setup()
     t1 = 2.0
     seeds_dx = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     seeds_dv = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    flow = tangent_flow(m, x0, v0, t1, seeds_dx, seeds_dv)
+    flow = radial_flow(m, x0, v0[None], t1, jac_seeds=(seeds_dx.T[None], seeds_dv.T[None]))
     st = flow.eval(0, np.array([t1]))
     J = st["J"][0]
     fd_v = richardson_dir(lambda w: exp_map(m, x0, w, t1), v0, seeds_dv[0], 1e-5)
@@ -199,12 +201,30 @@ def test_parallel_transport_preserves_pairings():
     assert np.max(np.abs(mix - mix[0])) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_singularity_measure_matches_singular_values(n):
+    # sqrt(n) det A / |adj A|_F = sign(det A) sqrt(n / sum sigma^-2): closed forms up to n = 3
+    A = np.random.default_rng(n).normal(size=(50, n, n))
+    s = np.linalg.svd(A, compute_uv=False)
+    want = np.sign(np.linalg.det(A)) * np.sqrt(n / np.sum(s ** -2.0, axis=-1))
+    assert np.allclose(geodesics._singularity(A), want, rtol=1e-12, atol=0)
+    assert abs(geodesics._singularity(np.eye(n)) - 1.0) < 1e-15
+
+
 def test_conjugate_time_matches_closed_form():
     m, x0, v0, gamma, beta = boosted_circle_setup()
-    roots = conjugate_scan(m, x0, v0, 4.6)
-    want = np.pi / (gamma * beta)
-    assert len(roots) == 1
-    assert abs(roots[0] - want) < 1e-6
+    # n = 3, on S^3: the two transverse Jacobi fields vanish together, so
+    # det A touches zero without changing sign; t* = pi / (spatial speed) ~ 4.18450
+    m3 = model_library("einstein_static", n=3, radius=1.0)
+    x3 = np.array([0.0, 0.49918, 0.0, 0.0])
+    w3 = np.array([1.0, 0.0, 0.375, 0.0])
+    v3 = w3 / np.sqrt(-lagrangian(m3, x3, w3))
+    speed3 = 2.0 / (1.0 + x3[1] ** 2) * np.linalg.norm(v3[1:])
+    for m, x0, v0, t_max, want in [(m, x0, v0, 4.6, np.pi / (gamma * beta)),
+                                   (m3, x3, v3, 7.9, np.pi / speed3)]:
+        roots = conjugate_scan(m, x0, v0, t_max)
+        assert len(roots) == 1
+        assert abs(roots[0] - want) < 1e-6
 
 
 def test_no_conjugate_points_in_flat_and_expanding_models():
@@ -212,6 +232,19 @@ def test_no_conjugate_points_in_flat_and_expanding_models():
     assert conjugate_scan(m, np.zeros(3), np.array([1.0, 0.3, 0.0]), 8.0).size == 0
     m2 = model_library("flrw", n=2, scale="exp", H=0.6)
     assert conjugate_scan(m2, np.zeros(3), np.array([1.0, 0.05, 0.0]), 6.0).size == 0
+
+
+def test_curvature_profile_script_prints_first_conjugate_times(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "curvature_profile.py"
+    spec = importlib.util.spec_from_file_location("curvature_profile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--model", "einstein_static", "--param", "radius=1.0",
+                        "--apex", "0", "0.5", "0", "--t-max", "4.5", "--ndir", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[-2:]
+    # outward: the chart-exit comes first; inward: the antipode at pi / (spatial speed)
+    assert "none < 2.417" in rows[0]
+    assert rows[1].split()[-1] == "3.77175"
 
 
 def unit_fan(m, ps):

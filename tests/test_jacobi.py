@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfgeom.connection import DegenerateMetricError
-from lfgeom.geodesics import exp_map
+from lfgeom.geodesics import CONJUGATE_POINT, exp_map, radial_flow
 from lfgeom.jacobi import (
+    JacobiPath,
     build_frame,
     check_concavity,
     check_eq_sc,
@@ -126,14 +127,21 @@ def test_route_agreement_on_anisotropic_model():
 
 def test_boosted_circle_determinant_and_conjugate_zero():
     m, x0, v0, K0 = boosted_circle()
-    t_star = np.pi / np.sqrt(K0)
-    path = jacobi_variational(m, x0, v0, 4.6)
-    ts = np.linspace(0.3, 4.5, 15)
+    # the variational flow stops at its located conjugate point, t* = pi / sqrt(K0)
+    E = build_frame(m, x0, v0)
+    flow = radial_flow(m, x0, v0[None], 4.6, frames=E[None],
+                       jac_seeds=(np.zeros((1, 3, 2)), E.T[None].copy()), post_scan=True)
+    assert flow.exit_reason == [CONJUGATE_POINT]
+    t_star = flow.t_reached[0]
+    assert abs(t_star - np.pi / np.sqrt(K0)) < 1e-6
+    path = JacobiPath(model=m, x0=x0, v0=v0, frame0=E, t_end=t_star,
+                      route="variational", flow=flow)
+    ts = np.linspace(0.3, t_star, 15)
     want = ts * np.sin(np.sqrt(K0) * ts) / np.sqrt(K0)
     assert np.max(np.abs(path.sample(ts).detA - want)) < 1e-6
     # determinant vanishes at the conjugate time, A' covers the kernel
     s = path.sample(np.array([t_star]))
-    assert abs(s.detA[0]) < 1e-7
+    assert abs(s.detA[0]) < 1e-5
     stacked = np.concatenate([s.A[0], s.Adot[0]], axis=0)
     assert np.linalg.svd(stacked, compute_uv=False)[-1] > 1e-3
 
