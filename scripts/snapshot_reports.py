@@ -10,11 +10,15 @@ Runs, each in a fresh interpreter on this checkout's ``src``:
   seed-0 input, writing their JSON and CSV reports into OUT;
 * ``lfgeom geodesic`` on the 8 bundled scenarios, whose CSV holds the
   sampled center geodesic that the ``all`` reports only summarise;
-* ``lfgeom gunther`` on both ``reject`` seed-0 inputs, which write no
-  report.
+* ``lfgeom gunther`` on both ``reject`` seed-0 inputs and on
+  ``even-conjugate-n3``, none of which writes a report.
 
 The ``finsler3d`` and ``reject`` inputs come from ``bench/inputs.py``,
-which writes them into OUT/inputs.  OUT/runs.json records the exit code
+which writes them into OUT/inputs.  ``even-conjugate-n3`` is written
+there too: an ``einstein_static`` n = 3 fan cut past its first conjugate
+point, where det A only touches zero, so its stderr pins the exit that
+the post-scan's dip refinement locates (direction 80, t = 3.5523).
+OUT/runs.json records the exit code
 and stderr text of every run.  Two snapshots, say of a parent commit and
 of a change, are then compared in one command by
 ``scripts/compare_reports.py OUT_A OUT_B``; exit codes and stderr are
@@ -28,15 +32,34 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0",
        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the "reject-conjugate" fan with one more spatial dimension: on a round S^3
+# two Jacobi fields vanish together, so no sign change marks the exit
+EVEN_CONJUGATE = {
+    "name": "even-conjugate-n3",
+    "model": {"name": "einstein_static", "n": 3, "params": {"radius": 1.0}},
+    "sclv": {"apex": [0.0, 0.49918, 0.0, 0.0], "radius": 0.05, "cut": 4.5,
+             "center": [0.0, 0.375, 0.0]},
+    "checks": {"gunther": {}},
+    "numerics": {"quad_scale": 0.5},
+}
 
 
 def _inputs(workload, directory):
     done = subprocess.run([sys.executable, str(ROOT / "bench" / "inputs.py"), workload, "0",
                            str(directory)], capture_output=True, text=True, check=True)
     return [Path(line) for line in done.stdout.split()]
+
+
+def _even_conjugate(directory):
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{EVEN_CONJUGATE['name']}.yaml"
+    path.write_text(yaml.safe_dump(EVEN_CONJUGATE, sort_keys=False))
+    return path
 
 
 def _lfgeom(command, scenario, out):
@@ -59,7 +82,7 @@ def main(argv=None):
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
     for path in bundled:
         runs[f"geodesic {path.name}"] = _lfgeom("geodesic", path, out)
-    for path in _inputs("reject", out / "inputs"):
+    for path in [*_inputs("reject", out / "inputs"), _even_conjugate(out / "inputs")]:
         runs[f"gunther {path.name}"] = _lfgeom("gunther", path, out)
     (out / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     for name, run in runs.items():

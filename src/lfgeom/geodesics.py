@@ -32,6 +32,10 @@ Easley, *Global Lorentzian Geometry*, 2nd ed., ch. 10): the margin
 sqrt(n) det(A/t) / |adj(A/t)|_F is 1 at t = 0, changes sign at a
 conjugate point of odd multiplicity and touches zero at one of even
 multiplicity, which the post-scan's dip refinement finds.
+The post-scan (``post_scan=True``) reads the dense output in blocks of
+about SCAN_BLOCK fan states and only the rows the margins read, and
+refines candidate directions in the order of their first candidate:
+only the earliest exit is located exactly.
 At a validity event the directions on the boundary record their exit
 ("chart-exit", "degenerate-or-cone" or "conjugate-point"), and the
 others stop there too (reason "stopped"), since every caller needs each
@@ -73,6 +77,7 @@ STOPPED = "stopped"        # exit reason of a direction halted by another's exit
 CONJUGATE_POINT = "conjugate-point"
 EXIT_LABELS = ("chart-exit", "degenerate-or-cone", "degenerate-or-cone", CONJUGATE_POINT)
 SCAN_POINTS = 1024         # dense-output margin scan resolution
+SCAN_BLOCK = 8192          # fan states per block of the dense-output margin scan
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
 # sigma = t + (the fan's RMS Euclidean path length), so a fan keeping its start
 # speed reaches t_target at sigma = t_target (1 + |eta'(0)|), and a path out of the
@@ -137,28 +142,41 @@ def _exit_label(m, st, t, L0val):
     return next(label for p, label in zip(parts, EXIT_LABELS) if p <= low)
 
 
-def _first_margin_crossing(margin_fn, ts, ms):
-    """First zero of the margin along sampled track (ts ascending), or None.
+def _scan_candidates(ms):
+    """Dips and sign changes of sampled margins ms (directions x samples).
 
     Event detection by the ODE solver can step clean over a narrow dip
     (e.g. a scale factor whose square touches zero and recovers, or a
-    conjugate point of even multiplicity), so any sampled local minimum
-    below DIP_THRESHOLD is refined by a bounded minimizer before the sign
-    test.
+    conjugate point of even multiplicity), so a dip, a sampled local
+    minimum below DIP_THRESHOLD before a direction's first sample <= 0, is
+    a candidate too.  Returns boolean (directions x samples) arrays dip
+    and bad (margin <= 0).
     """
-    upper = len(ts)
-    bad = np.nonzero(ms <= 0.0)[0]
-    if bad.size:
-        upper = int(bad[0])
-    for j in range(1, upper - 1):
-        if ms[j] < DIP_THRESHOLD and ms[j] <= ms[j - 1] and ms[j] <= ms[j + 1]:
-            from scipy.optimize import minimize_scalar  # rarely reached: import on first use
-            res = minimize_scalar(margin_fn, bounds=(float(ts[j - 1]), float(ts[j + 1])),
-                                  method="bounded", options={"xatol": 1e-12})
-            if res.fun <= 0.0:
-                t = _refine_crossing(margin_fn, float(ts[j - 1]), float(res.x))
-                if t is not None:
-                    return t
+    ns = ms.shape[1]
+    bad = ms <= 0.0
+    upper = np.where(bad.any(axis=1), np.argmax(bad, axis=1), ns)
+    mid = ms[:, 1:-1]
+    dip = np.zeros_like(bad)
+    dip[:, 1:-1] = ((mid < DIP_THRESHOLD) & (mid <= ms[:, :-2]) & (mid <= ms[:, 2:])
+                    & (np.arange(1, ns - 1) < upper[:, None] - 1))
+    return dip, bad
+
+
+def _first_margin_crossing(margin_fn, ts, dips, bad):
+    """First zero of the margin along a sampled track (ts ascending), or None.
+
+    dips and bad are the track's candidate sample indices, ascending (see
+    ``_scan_candidates``): each dip is refined by a bounded minimizer,
+    then each sampled sign change by a root bracket.
+    """
+    for j in dips:
+        from scipy.optimize import minimize_scalar  # rarely reached: import on first use
+        res = minimize_scalar(margin_fn, bounds=(float(ts[j - 1]), float(ts[j + 1])),
+                              method="bounded", options={"xatol": 1e-12})
+        if res.fun <= 0.0:
+            t = _refine_crossing(margin_fn, float(ts[j - 1]), float(res.x))
+            if t is not None:
+                return t
     for j in bad:
         if j == 0:
             return float(ts[0])
@@ -311,7 +329,7 @@ class _Layout:
         return 2 * self.d + self.n_frame * self.d + 2 * self.d * self.n_jac
 
     def unpack(self, row):
-        """row: (..., width) -> dict of views."""
+        """row: (..., width), or the leading components without J' -> dict of views."""
         d = self.d
         out = {"eta": row[..., :d], "etadot": row[..., d:2 * d]}
         off = 2 * d
@@ -323,8 +341,9 @@ class _Layout:
             out["J"] = row[..., off:off + d * self.n_jac].reshape(
                 row.shape[:-1] + (d, self.n_jac))
             off += d * self.n_jac
-            out["Jdot"] = row[..., off:off + d * self.n_jac].reshape(
-                row.shape[:-1] + (d, self.n_jac))
+            if row.shape[-1] > off:
+                out["Jdot"] = row[..., off:off + d * self.n_jac].reshape(
+                    row.shape[:-1] + (d, self.n_jac))
         return out
 
 
@@ -336,7 +355,10 @@ class RadialFlow:
     the data are valid for t in [0, t_reached[i]]; if t_reached[i] <
     t_target, exit_reason[i] says why the direction ended early: its own
     exit label, or STOPPED when the fused flow stopped at the exit of
-    another direction.  A completed flow has t_reached == t_target
+    another direction.  After a post-scan that found an exit, only the
+    earliest one, min(t_reached) and its direction, is located exactly;
+    the other directions' t_reached are upper bounds of their valid range
+    (see ``_post_scan_flow``).  A completed flow has t_reached == t_target
     exactly.  The solve runs in the speed clock sigma; ``eval`` and
     ``eval_all`` take times t and read the dense output at clock.sigma(t).
     """
@@ -492,31 +514,59 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
 
 
 def _post_scan_flow(m, flow, L0):
-    """Tighten t_reached by scanning the dense solution for margin dips."""
+    """Tighten t_reached by scanning the dense solution for margin dips.
+
+    The scan reads the dense output in blocks of about SCAN_BLOCK fan
+    states and only the rows the margins read (eta, eta', V, J and the
+    clock), so it holds no more than one block's states next to the
+    (directions x samples) margins (cache blocking: Lam, Rothberg & Wolf,
+    ASPLOS 1991).  Every candidate direction is
+    refined on the exact margins of its own rows, in the order of its
+    first candidate, and only the earliest exit is located exactly: once
+    a candidate lies after the earliest crossing found, the remaining
+    directions keep the solver's t_reached and exit reason.
+    """
     _, s1, dense, _ = flow.segments[0]
-    w = flow.layout.width
+    lay = flow.layout
+    B, w = len(flow.dirs), lay.width
+    mw = w - lay.d * lay.n_jac                      # all but J': what the margins read
     frac = flow.t_reached.max() / flow.t_target
     sg = np.linspace(0.0, s1, max(3, int(np.ceil(frac * SCAN_POINTS)) + 1))
-    vals = dense(sg)
-    st = flow.layout.unpack(np.moveaxis(vals[:-1].reshape(len(flow.dirs), w, -1), 1, 2))
-    ms = _margins(m, st, vals[-1], L0[:, None])    # (B, ns)
-    pos = sg > 0
-    for i in range(len(flow.dirs)):
+    rows = np.append(np.arange(B)[:, None] * w + np.arange(mw), B * w)
+    ms, tg = np.empty((B, len(sg))), np.empty(len(sg))
+    step = max(1, SCAN_BLOCK // B)
+    for k in range(0, len(sg), step):
+        vals = dense(sg[k:k + step], rows)
+        tg[k:k + step] = vals[-1]
+        st = lay.unpack(np.moveaxis(vals[:-1].reshape(B, mw, -1), 1, 2))
+        ms[:, k:k + step] = _margins(m, st, vals[-1], L0[:, None])
+    sg, tg, ms = sg[1:], tg[1:], ms[:, 1:]        # sigma = 0 is the base point
+    dip, bad = _scan_candidates(ms)
+    cand = dip | bad
+    has = np.nonzero(cand.any(axis=1))[0]
+    left = np.maximum(np.argmax(cand[has], axis=1) - 1, 0)   # first candidate's bracket
+    t_best = np.inf
+    for i, lo in sorted(zip(has, left), key=lambda p: (tg[p[1]], p[0])):
+        if tg[lo] > t_best:
+            break
+        rows_i = np.append(i * w + np.arange(mw), B * w)
 
-        def state(s, i=i):
-            y = dense(s)
-            return flow.layout.unpack(y[:-1].reshape(-1, w)[i]), y[-1]
+        def state(s, rows_i=rows_i):
+            y = dense(s, rows_i)
+            return lay.unpack(y[:-1]), y[-1]
 
-        def margin_fn(s, i=i):
+        def margin_fn(s, i=i, state=state):
             return float(_margins(m, *state(s), L0[i]))
 
-        s_cross = _first_margin_crossing(margin_fn, sg[pos], ms[i][pos])
+        s_cross = _first_margin_crossing(margin_fn, sg, np.nonzero(dip[i])[0],
+                                         np.nonzero(bad[i])[0])
         if s_cross is None:
             continue
         t_cross = float(flow.clock.t(s_cross))
         if t_cross < flow.t_reached[i] - 1e-12:
             flow.t_reached[i] = t_cross
             flow.exit_reason[i] = _exit_label(m, *state(s_cross), L0[i])
+        t_best = min(t_best, flow.t_reached[i])
 
 
 def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):

@@ -343,45 +343,49 @@ class _Dop853Dense:
         self.F = F
         self.y_old = y_old
 
-    def __call__(self, t):
+    def __call__(self, t, rows=None):
+        """The state at t, or only its components ``rows`` (an index array):
+        the same per-component arithmetic, so the same bits."""
         t = np.asarray(t)
         if t.ndim > 1:
             raise ValueError("`t` must be a float or a 1-D array.")
+        F, y_old = (self.F, self.y_old) if rows is None else (self.F[:, rows], self.y_old[rows])
         x = (t - self.t_old) / self.h
         if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
+            y = np.zeros_like(y_old)
         else:
             x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
-        for i, f in enumerate(reversed(self.F)):
+            y = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
+        for i, f in enumerate(reversed(F)):
             y += f
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += self.y_old
+        y += y_old
         return y.T
 
 
 class OdeSolution:
     """Dense solution over the ascending step times ``ts``: one interpolant
     per step, and at a step time the earlier step's interpolant.  Called
-    with a scalar it returns the state (n,), with a 1-D array (n, points)."""
+    with a scalar it returns the state (n,), with a 1-D array (n, points);
+    ``rows`` (an index array) keeps only those components, bit for bit."""
 
     def __init__(self, ts, interpolants):
         self.ts = np.asarray(ts)
         self.interpolants = interpolants
         self.n_segments = len(interpolants)
 
-    def _call_single(self, t):
+    def _call_single(self, t, rows):
         ind = np.searchsorted(self.ts, t, side="left")
         segment = min(max(ind - 1, 0), self.n_segments - 1)
-        return self.interpolants[segment](t)
+        return self.interpolants[segment](t, rows)
 
-    def __call__(self, t):
+    def __call__(self, t, rows=None):
         t = np.asarray(t)
         if t.ndim == 0:
-            return self._call_single(t)
+            return self._call_single(t, rows)
         order = np.argsort(t)
         reverse = np.empty_like(order)
         reverse[order] = np.arange(order.shape[0])
@@ -394,7 +398,7 @@ class OdeSolution:
         group_start = 0
         for segment, group in groupby(segments):
             group_end = group_start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
+            ys.append(self.interpolants[segment](t_sorted[group_start:group_end], rows))
             group_start = group_end
         ys = np.hstack(ys)
         return ys[:, reverse]

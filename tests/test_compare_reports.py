@@ -96,3 +96,4 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     assert set(outs) == {tmp_path / "snap", tmp_path / "snap" / "inputs"}
     runs = json.loads((tmp_path / "snap" / "runs.json").read_text())
     assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs
+    assert "gunther even-conjugate-n3.yaml" in runs

@@ -304,3 +304,76 @@ def test_collapse_fan_crawls_no_more(monkeypatch):
     assert len(calls) <= 900 and set(calls) == {4}
     assert (exit_.value.index, exit_.value.reason) == (1, "chart-exit")
     assert f"{exit_.value.t:.6g}" == "2.04101"
+
+
+# ------------------------------------------------------- blocked post-scan
+
+
+def seeded_fan(m, x0, center, spread, count, seed):
+    """count unit future directions through seeded spatial offsets around center."""
+    rng = np.random.default_rng(seed)
+    p = np.asarray(center) + rng.uniform(-spread, spread, size=(count, m.dim - 1))
+    w = np.concatenate([np.ones((count, 1)), p], axis=1)
+    return w / np.sqrt(-lagrangian(m, np.broadcast_to(x0, w.shape), w))[:, None]
+
+
+def jacobi_seeds(m, x0, dirs):
+    """Frames and the (J, J') seeds of variational_paths for a fan."""
+    from lfgeom.jacobi import build_frame
+    frames = np.array([build_frame(m, x0, v) for v in dirs])
+    return {"frames": frames,
+            "jac_seeds": (np.zeros(dirs.shape + (m.dim - 1,)), np.swapaxes(frames, -1, -2).copy())}
+
+
+# one fan per margin part: (model, apex, offset centre, spread, horizon, Jacobi fields)
+SCAN_FANS = {
+    "minkowski": (("minkowski", 3, {}), [0.0] * 4, [0.0, 0.1, 0.0], 0.3, 2.0, True),
+    "conditioning": (("flrw", 2, {"scale": "affine", "a0": 1.0, "q": -0.25}),
+                     [0.0] * 3, [0.0, 0.0], 0.2, 8.0, False),
+    "conjugate": (("einstein_static", 3, {"radius": 1.0}), [0.0, 0.49918, 0.0, 0.0],
+                  [0.0, 0.375, 0.0], 0.05, 4.5, True),
+    "chart": (("minkowski", 2, {"chart_half_width": 0.4}), [0.0] * 3, [0.0, 0.0], 0.6, 2.0,
+              False),
+}
+
+
+@pytest.mark.parametrize("fan", sorted(SCAN_FANS))
+def test_blocked_scan_margins_equal_whole_fan_margins(monkeypatch, fan):
+    # the blocked, rows-only scan against _margins on the whole fan state, bit for bit
+    (name, n, params), x0, center, spread, t_target, jac = SCAN_FANS[fan]
+    m = model_library(name, n, **params)
+    x0 = np.asarray(x0)
+    dirs = seeded_fan(m, x0, center, spread, 12, seed=len(fan))
+    kw = jacobi_seeds(m, x0, dirs) if jac else {}
+    seen = []
+    real = geodesics._scan_candidates
+    monkeypatch.setattr(geodesics, "_scan_candidates", lambda ms: seen.append(ms) or real(ms))
+    monkeypatch.setattr(geodesics, "SCAN_BLOCK", 1000)   # several blocks, the last one ragged
+    flow = radial_flow(m, x0, dirs, t_target, post_scan=True, **kw)
+    (scan,) = seen
+    _, s1, dense, _ = flow.segments[0]
+    vals = dense(np.linspace(0.0, s1, scan.shape[1] + 1)[1:])
+    st = flow.layout.unpack(np.moveaxis(vals[:-1].reshape(len(dirs), flow.layout.width, -1), 1, 2))
+    exact = geodesics._margins(m, st, vals[-1], lagrangian(m, x0, dirs)[:, None])
+    assert scan.tobytes() == exact.tobytes()
+    assert np.any(exact < geodesics.DIP_THRESHOLD) == (fan != "minkowski")
+
+
+def test_post_scan_holds_one_block_of_states():
+    # a 96-direction order-4 fan (44 state components per direction, as on
+    # finsler3d): the whole-fan scan this replaced peaked at 97.6 MB here,
+    # the blocked one at 8.2 MB
+    import tracemalloc
+    m = model_library("minkowski", 3)
+    x0 = np.zeros(4)
+    dirs = seeded_fan(m, x0, [0.0, 0.0, 0.0], 0.3, 96, seed=0)
+    flow = radial_flow(m, x0, dirs, 1.0, **jacobi_seeds(m, x0, dirs))
+    assert flow.layout.width == 44
+    L0 = lagrangian(m, x0, dirs)
+    tracemalloc.start()
+    try:
+        geodesics._post_scan_flow(m, flow, L0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -128,6 +128,20 @@ def test_collapse_fan_matches_scipy(monkeypatch):
     assert got.status == 1
 
 
+def test_dense_rows_are_the_full_call_rows_bit_for_bit(monkeypatch):
+    # the post-scan reads only some components of a fused flow's dense output
+    m = model_library("einstein_static", 2, radius=1.0)
+    flow, _ = captured_flows(monkeypatch, m, [[0.1, 0.0], [0.0, 0.2]], 2.0)
+    sol = flow.segments[0][2]
+    n = sol(0.0).size
+    rows = np.array([n - 1, 0, 3, 2, n - 2])
+    inside = 0.5 * (sol.ts[:-1] + sol.ts[1:])
+    for s in [sol.ts, inside, np.concatenate([inside, sol.ts])[::-1]]:
+        assert sol(s, rows).tobytes() == sol(s)[rows].tobytes()
+        for si in s[::3]:
+            assert sol(si, rows).tobytes() == sol(si)[rows].tobytes()
+
+
 # ------------------------------------------------------------ scalar ODEs
 
 
