@@ -64,7 +64,8 @@ def main(argv=None):
         if "volume_oracle" in rep:
             vo = rep["volume_oracle"]
             print(f"  oracle   {vo['verdict']:16s} rel diff "
-                  f"{vo.get('rel_diff', float('nan')):.3g}")
+                  f"{vo.get('rel_diff', float('nan')):.3g}, coordinate error "
+                  f"{vo.get('coordinate_error', float('nan')):.3g}")
         if (code != 0) != control:
             bad.append(name)
 

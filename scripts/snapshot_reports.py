@@ -6,8 +6,9 @@ Usage:
 
 Runs, each in a fresh interpreter on this checkout's ``src``:
 
-* ``lfgeom all`` on the 8 bundled scenarios and on the ``finsler3d``
-  seed-0 input, writing their JSON and CSV reports into OUT;
+* ``lfgeom all`` on the 8 bundled scenarios, on the ``finsler3d``
+  seed-0 input and on ``near-cone-n2``, writing their JSON and CSV
+  reports into OUT;
 * ``lfgeom geodesic`` on the 8 bundled scenarios, whose CSV holds the
   sampled center geodesic that the ``all`` reports only summarise;
 * ``lfgeom gunther`` on both ``reject`` seed-0 inputs and on
@@ -18,6 +19,9 @@ which writes them into OUT/inputs.  ``even-conjugate-n3`` is written
 there too: an ``einstein_static`` n = 3 fan cut past its first conjugate
 point, where det A only touches zero, so its stderr pins the exit that
 the post-scan's dip refinement locates (direction 80, t = 3.5523).
+``near-cone-n2`` is written there too: ``mink2_gunther_weighted`` with
+its patch widened to radius 0.97, a valid SCLV close to the light cone
+whose coordinate-volume oracle must run with every ray inside the patch.
 OUT/runs.json records the exit code
 and stderr text of every run.  Two snapshots, say of a parent commit and
 of a change, are then compared in one command by
@@ -55,11 +59,20 @@ def _inputs(workload, directory):
     return [Path(line) for line in done.stdout.split()]
 
 
-def _even_conjugate(directory):
+def _write_input(spec, directory):
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{EVEN_CONJUGATE['name']}.yaml"
-    path.write_text(yaml.safe_dump(EVEN_CONJUGATE, sort_keys=False))
+    path = directory / f"{spec['name']}.yaml"
+    path.write_text(yaml.safe_dump(spec, sort_keys=False))
     return path
+
+
+def _near_cone():
+    """A valid SCLV near the light cone, renamed so that its reports do not
+    overwrite the bundled ones in OUT."""
+    spec = yaml.safe_load((ROOT / "scenarios" / "mink2_gunther_weighted.yaml").read_text())
+    spec["name"] = "near-cone-n2"
+    spec["sclv"]["radius"] = 0.97
+    return spec
 
 
 def _lfgeom(command, scenario, out):
@@ -78,11 +91,12 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     runs = {}
     bundled = sorted((ROOT / "scenarios").glob("*.yaml"))
-    for path in [*bundled, *_inputs("finsler3d", out / "inputs")]:
+    for path in [*bundled, *_inputs("finsler3d", out / "inputs"),
+                 _write_input(_near_cone(), out / "inputs")]:
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
     for path in bundled:
         runs[f"geodesic {path.name}"] = _lfgeom("geodesic", path, out)
-    for path in [*_inputs("reject", out / "inputs"), _even_conjugate(out / "inputs")]:
+    for path in [*_inputs("reject", out / "inputs"), _write_input(EVEN_CONJUGATE, out / "inputs")]:
         runs[f"gunther {path.name}"] = _lfgeom("gunther", path, out)
     (out / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     for name, run in runs.items():

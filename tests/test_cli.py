@@ -224,6 +224,21 @@ def test_jet_domain_error_is_a_numerical_abort(tmp_path):
     assert run.stderr == "numerical abort: division by jet with near-zero constant term\n"
 
 
+def test_oracle_near_the_cone_runs_inside_the_patch(tmp_path):
+    # a valid SCLV whose patch reaches radius 0.97 of the light cone: the
+    # oracle's rays all lie in the patch, so it reports instead of aborting
+    doc = yaml.safe_load((SCENARIOS / "mink2_gunther_weighted.yaml").read_text())
+    doc["name"] = "near-cone-n2"
+    doc["sclv"]["radius"] = 0.97
+    p = tmp_path / "near-cone-n2.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    run = fresh_python("-m", "lfgeom.cli", "all", "--scenario", str(p), "--out", str(tmp_path))
+    assert run.returncode in (0, 1), run.stderr
+    assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
+    oracle = json.loads((tmp_path / "near-cone-n2-all.json").read_text())["volume_oracle"]
+    assert np.isfinite(oracle["coordinate"]) and np.isfinite(oracle["coordinate_error"])
+
+
 @pytest.fixture()
 def flow_breaks_past_half(monkeypatch):
     """Every fused flow's rhs fails once a point reaches x0 > 0.5."""

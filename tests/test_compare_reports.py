@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT = SCRIPTS / "compare_reports.py"
 
@@ -97,3 +99,6 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     runs = json.loads((tmp_path / "snap" / "runs.json").read_text())
     assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs
     assert "gunther even-conjugate-n3.yaml" in runs
+    assert "all near-cone-n2.yaml" in runs
+    near = yaml.safe_load((tmp_path / "snap" / "inputs" / "near-cone-n2.yaml").read_text())
+    assert near["name"] == "near-cone-n2" and near["sclv"]["radius"] == 0.97

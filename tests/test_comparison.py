@@ -8,14 +8,17 @@ flag-curvature volume bound.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lfgeom import cli, models
 from lfgeom import comparison as cmp
-from lfgeom import models
+from lfgeom.scenario import load_scenario
 
 ATANH = np.arctanh
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +132,14 @@ def test_coordinate_route_matches_polar_n1():
     sclv = cmp.SCLVSpec(apex=np.array([0.1, -0.2]), radius=0.5, cut=1.5)
     data = cmp.build_sclv_data(m, sclv)
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct = cmp.coordinate_volume(m, sclv, 1.0, nchart=97)
+    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
     assert abs(direct - vol) < 1e-4 * vol
 
 
 def test_coordinate_route_matches_polar_n2(mink2):
     m, sclv, data = mink2
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct = cmp.coordinate_volume(m, sclv, 1.0)
+    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
     assert abs(direct - vol) < 1e-4 * vol
 
 
@@ -145,8 +148,66 @@ def test_coordinate_route_anisotropic_n2():
     sclv = cmp.SCLVSpec(apex=np.zeros(3), radius=0.4, cut=1.0)
     data = cmp.build_sclv_data(m, sclv, scale=0.5)
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct = cmp.coordinate_volume(m, sclv, 1.0)
+    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
     assert abs(direct - vol) < 1e-4 * vol
+
+
+def test_fd4_stencils_are_exact_on_quartics():
+    # the central stencil and both one-sided ones at each end: every node of a
+    # non-periodic axis is differenced without a sample outside the grid
+    x = np.linspace(-0.7, 1.3, 9)
+    f = 1.5 - 2 * x + 0.5 * x**2 + 3 * x**3 - 1.25 * x**4
+    df = -2 + x + 9 * x**2 - 5 * x**3
+    assert np.allclose(cmp._fd4(f, x[1] - x[0], axis=0), df, rtol=0, atol=1e-12)
+    stacked = np.stack([f, 2 * f])          # along a non-leading axis too
+    assert np.allclose(cmp._fd4(stacked, x[1] - x[0], axis=1),
+                       np.stack([df, 2 * df]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nt,nchart,nphi", [(48, 25, 32), (47, 25, 32), (49, 23, 32),
+                                            (49, 5, 32), (49, 25, 31), (49, 25, 14)])
+def test_coordinate_volume_rejects_grids_without_a_nested_half(mink2, nt, nchart, nphi):
+    m, sclv, _ = mink2
+    with pytest.raises(ValueError):
+        cmp.coordinate_volume(m, sclv, 1.0, nt=nt, nchart=nchart, nphi=nphi)
+
+
+def _flat_sclv(n, R):
+    return cmp.SCLVSpec(apex=np.zeros(n + 1), radius=R, cut=1.0)
+
+
+@pytest.mark.parametrize("n,R,k", [(2, 0.3, 0.3), (2, 0.5, 0.3), (2, 0.8, 0.3),
+                                   (1, 0.3, 0.0)])
+def test_coordinate_error_bounds_the_closed_form_error(n, R, k):
+    # flat 1+1 and 2+1 with constant weight k, T = 1: where the grid is
+    # asymptotic, the Richardson value lies within its own estimate
+    m = models.model_library("minkowski", n, weight=[("const", k)] if k else None)
+    exact = (np.arctanh(R) if n == 1 else
+             np.exp(-k) * (2 * np.pi / 3) * ((1 - R * R) ** -0.5 - 1))
+    direct, err = cmp.coordinate_volume(m, _flat_sclv(n, R), 1.0)
+    assert abs(direct - exact) <= err
+
+
+@pytest.mark.parametrize("name", ["mink2_bg_anchor", "flrw1_cosh_all"])
+def test_coordinate_error_bounds_the_fine_grid_move(name):
+    scen = load_scenario(SCENARIOS / f"{name}.yaml")
+    m, sclv = scen.model.build(), scen.sclv.build()
+    direct, err = cmp.coordinate_volume(m, sclv, 1.0)
+    fine, _ = cmp.coordinate_volume(m, sclv, 1.0, nt=97, nchart=49, nphi=64)
+    assert abs(direct - fine) <= err
+
+
+@pytest.mark.parametrize("R,verdict", [(0.9, "FAIL"), (0.5, "PASS")])
+def test_oracle_catches_a_coarse_polar_quadrature(R, verdict):
+    # at quad_scale 0.5 the 48-direction polar volume is 2.3e-3 low at R = 0.9
+    # (2.00340 against the closed form 2.0079706); the oracle must see it
+    m = models.model_library("minkowski", 2, weight=[("const", 0.3)])
+    entry = cli._oracle_entry(cmp.build_sclv_data(m, _flat_sclv(2, R), scale=0.5))
+    assert entry["verdict"] == verdict
+    if verdict == "FAIL":
+        assert 1e-3 < entry["rel_diff"] < 4e-3
+    else:
+        assert entry["rel_diff"] < 1e-5
 
 
 def test_closed_form_determinants_match_lapack():
