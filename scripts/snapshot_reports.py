@@ -11,8 +11,10 @@ Runs, each in a fresh interpreter on this checkout's ``src``:
   reports into OUT;
 * ``lfgeom geodesic`` on the 8 bundled scenarios, whose CSV holds the
   sampled center geodesic that the ``all`` reports only summarise;
-* ``lfgeom gunther`` on both ``reject`` seed-0 inputs and on
-  ``even-conjugate-n3``, none of which writes a report.
+* ``lfgeom gunther`` and ``lfgeom all`` on both ``reject`` seed-0 inputs
+  and on ``even-conjugate-n3``, none of which writes a report: both
+  commands integrate the same fan, the patch center included, so they
+  must reject each input with the same exit code and stderr.
 
 The ``finsler3d`` and ``reject`` inputs come from ``bench/inputs.py``,
 which writes them into OUT/inputs.  ``even-conjugate-n3`` is written
@@ -97,7 +99,8 @@ def main(argv=None):
     for path in bundled:
         runs[f"geodesic {path.name}"] = _lfgeom("geodesic", path, out)
     for path in [*_inputs("reject", out / "inputs"), _write_input(EVEN_CONJUGATE, out / "inputs")]:
-        runs[f"gunther {path.name}"] = _lfgeom("gunther", path, out)
+        for command in ("gunther", "all"):
+            runs[f"{command} {path.name}"] = _lfgeom(command, path, out)
     (out / "runs.json").write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     for name, run in runs.items():
         print(f"{name}: exit {run['exit']}")

@@ -15,7 +15,7 @@ from lfgeom.comparison import (
     sclv_volume,
 )
 from lfgeom.curvature import flag_curvature, ricci, ricci_weighted
-from lfgeom.geodesics import exp_map, integrate_geodesic, radial_flow
+from lfgeom.geodesics import integrate_geodesic, radial_flow
 from lfgeom.jacobi import (
     jacobi_curvature,
     jacobi_variational,
@@ -40,7 +40,6 @@ __all__ = [
     "bishop_gromov_check",
     "build_sclv_data",
     "coordinate_volume",
-    "exp_map",
     "flag_curvature",
     "gunther_check",
     "integrate_geodesic",

@@ -101,14 +101,6 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
 # ------------------------------------------------------------- subcommands
 
 
-def _center_direction(scen: Scenario):
-    """(model, SCLV, unit patch-center direction at the apex)."""
-    m = scen.model.build()
-    sclv = scen.sclv.build()
-    w = np.concatenate([[1.0], sclv.center])
-    return m, sclv, w / np.sqrt(-models.lagrangian(m, sclv.apex, w))
-
-
 def _scaled(scen: Scenario, args):
     f = args.resolution_scale
     num = scen.numerics
@@ -167,32 +159,32 @@ def _validate_model(scen: Scenario, args, samples=200):
 
 def _center_flow(scen: Scenario):
     """The patch-center geodesic alone: a one-direction, post-scanned order-3 flow."""
-    m, sclv, v0 = _center_direction(scen)
-    return radial_flow(m, sclv.apex, v0[None], sclv.cut, rtol=scen.numerics.ode_rtol,
-                       atol=scen.numerics.ode_atol, post_scan=True)
+    m, sclv = scen.model.build(), scen.sclv.build()
+    return radial_flow(m, sclv.apex, cmp.center_direction(m, sclv)[None], sclv.cut,
+                       rtol=scen.numerics.ode_rtol, atol=scen.numerics.ode_atol, post_scan=True)
 
 
 def _center_path(scen: Scenario):
     """The patch-center Jacobi path, whose one order-4 flow also carries the geodesic."""
-    m, sclv, v0 = _center_direction(scen)
-    return jacobi_variational(m, sclv.apex, v0, sclv.cut, rtol=scen.numerics.ode_rtol,
-                              atol=scen.numerics.ode_atol)
+    m, sclv = scen.model.build(), scen.sclv.build()
+    return jacobi_variational(m, sclv.apex, cmp.center_direction(m, sclv), sclv.cut,
+                              rtol=scen.numerics.ode_rtol, atol=scen.numerics.ode_atol)
 
 
-def _geodesic_rows(scen: Scenario, flow):
-    """Geodesic block and CSV rows of direction 0 of a flow towards the cut."""
+def _geodesic_rows(scen: Scenario, flow, i):
+    """Geodesic block and CSV rows of direction i of a flow towards the cut."""
     m = flow.model
-    t_end = float(flow.t_reached[0])
+    t_end = float(flow.t_reached[i])
     ts = np.linspace(0.0, t_end, 129)
-    st = flow.eval(0, ts)
+    st = flow.eval(i, ts)
     xs, vel = st["eta"], st["etadot"]
     L = models.lagrangian(m, xs, vel)
     rows = [[float(t)] + [float(c) for c in x] + [float(c) for c in w] +
             [float(l + 1.0)] for t, x, w, l in zip(ts, xs, vel, L)]
-    header = (["t"] + [f"x{i}" for i in range(m.dim)]
-              + [f"v{i}" for i in range(m.dim)] + ["L_drift"])
+    header = (["t"] + [f"x{k}" for k in range(m.dim)]
+              + [f"v{k}" for k in range(m.dim)] + ["L_drift"])
     report = {"verdict": "PASS" if t_end >= flow.t_target else "FAIL",
-              "t_end": t_end, "status": flow.exit_reason[0] or "completed",
+              "t_end": t_end, "status": flow.exit_reason[i] or "completed",
               "max_L_drift": float(np.max(np.abs(L + 1.0))),
               "ode_rtol": scen.numerics.ode_rtol,
               "ode_atol": scen.numerics.ode_atol}
@@ -311,7 +303,7 @@ def run(args) -> int:
         body, csv_blocks = _validate_model(scen, args)
         report["validate_model"] = body
     elif args.command == "geodesic":
-        body, csv_blocks = _geodesic_rows(scen, _center_flow(scen))
+        body, csv_blocks = _geodesic_rows(scen, _center_flow(scen), 0)
         report["geodesic"] = body
     elif args.command in ("curvature", "jacobi"):
         path = _center_path(scen)
@@ -329,17 +321,19 @@ def run(args) -> int:
     elif args.command == "all":
         body, _ = _validate_model(scen, args)
         report["validate_model"] = body
-        path = _center_path(scen)   # one center flow for all three blocks
-        report["geodesic"], _ = _geodesic_rows(scen, path.flow)
+        requested = scen.checks.requested()
+        if requested:   # the SCLV fan's center row carries all three blocks
+            data, cfg = _sclv_data(scen, args)
+            path = data.center
+        else:
+            path = _center_path(scen)
+        report["geodesic"], _ = _geodesic_rows(scen, path.flow, path.index)
         sc = _radial_scalars(path)
         report["curvature"], _ = _curvature_cmd(scen, path.model, sc)
         report["jacobi"], jac_csv = _jacobi_cmd(scen, path.model, sc)
-        requested = scen.checks.requested()
         if requested:
-            data, cfg = _sclv_data(scen, args)
-            report["checks"] = {}
-            for key in requested:
-                report["checks"][key] = _run_check(key, scen, data, cfg).to_dict()
+            report["checks"] = {key: _run_check(key, scen, data, cfg).to_dict()
+                                for key in requested}
             if scen.numerics.oracle:
                 report["volume_oracle"] = _oracle_entry(data)
             csv_blocks = [_diagnostic_rows(data, scen)]

@@ -53,6 +53,7 @@ __all__ = [
     "ComparisonReport",
     "ComparisonAbort",
     "build_quadrature",
+    "center_direction",
     "build_sclv_data",
     "sclv_volume",
     "ball_volume",
@@ -199,6 +200,12 @@ def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQua
                                params=params, counts=counts)
 
 
+def center_direction(m: FinslerModel, sclv: SCLVSpec) -> np.ndarray:
+    """The unit patch-center direction at the apex: w = (1, center) over F(w)."""
+    w = np.concatenate([[1.0], sclv.center])
+    return w / np.sqrt(-lagrangian(m, sclv.apex, w))
+
+
 @dataclass
 class SCLVData:
     """Per-scenario bundle: quadrature, Jacobi paths, and scan scalars."""
@@ -208,6 +215,7 @@ class SCLVData:
     quad: DirectionQuadrature
     b: float                           # cut value
     paths: list                        # JacobiPath per node
+    center: JacobiPath                 # the patch center: row Q of the same flow
     scan_grid: np.ndarray              # scan sample times, shared by all nodes
     scalars: list                      # PathScalars per node (scan grid)
     flag_min: np.ndarray               # (Q,) min frame-flag eigenvalue
@@ -223,16 +231,19 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
                     t_scan=T_SCAN, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> SCLVData:
     """Quadrature + Jacobi paths + scan scalars, built once.
 
-    The fan is integrated once, and the validity of the cut is read off
-    that same flow, whose margins include a conjugate point: a direction
-    leaving the valid region, or reaching a conjugate point, before b
-    means the set is not an SCLV.  The ValueError names the earliest such
-    direction and t, and chains the ValidityExit that carries them.
+    The fan, the Q quadrature nodes plus the patch center as row Q, is
+    integrated once, and the validity of the cut is read off that same
+    flow, whose margins include a conjugate point: a direction leaving
+    the valid region, or reaching a conjugate point, before b means the
+    set is not an SCLV.  The ValueError names the earliest such direction
+    and t, and chains the ValidityExit that carries them.  Scans, volumes
+    and checks read the Q node rows only.
     """
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
+    dirs = np.vstack([quad.nodes, center_direction(m, sclv)])
     try:
-        paths = variational_paths(m, sclv.apex, quad.nodes, b, rtol=rtol, atol=atol)
+        *paths, center = variational_paths(m, sclv.apex, dirs, b, rtol=rtol, atol=atol)
     except ValidityExit as exc:
         why = "conjugate point" if exc.reason == CONJUGATE_POINT else exc.reason
         raise ValueError(
@@ -240,7 +251,7 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
             f"(reaches t={exc.t:.6g}, {why}); not an SCLV") from exc
     grid = sample_grid(b, t_scan)
     scalars, flag_lo, flag_hi = scalars_for_paths(paths, grid, flag_range=True)
-    return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths,
+    return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths, center=center,
                     scan_grid=grid, scalars=scalars,
                     flag_min=flag_lo, flag_max=flag_hi)
 
@@ -566,6 +577,8 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     margin = rhs - lhs.  When c = 0 a row also carries rhs_closed_form =
     V(4 eps) + sigma e^{C0 r} / C0, a looser display bound that drops the
     lower limit's term; rhs <= rhs_closed_form holds in floating point too.
+    A bound that overflows to inf (C0 ~ n log(1/eps) / eps is large at
+    small lengths) passes its row vacuously, and the notes name its r.
     """
     m = data.model
     r_grid = np.asarray(r_grid, dtype=float)
@@ -605,18 +618,21 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
         if r <= 4 * eps_ok:
             continue
         vol, err = ball_volume(data, r, tnodes=tnodes)
-        bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
+        with np.errstate(over="ignore"):    # an overflow is inf, named in the notes
+            bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
+            closed = ({"rhs_closed_form": base + data.sigma * np.exp(C0 * r) / C0}
+                      if c == 0.0 else {})
         tol = RATIO_TOL_FLOOR + err + base_err
         margin = bound - vol
         good = margin >= -tol
         ok &= good
-        row = {"r": float(r), "lhs": vol, "rhs": bound, "margin": margin,
-               "tol": tol, "verdict": "PASS" if good else "FAIL"}
-        if c == 0.0:
-            row["rhs_closed_form"] = base + data.sigma * np.exp(C0 * r) / C0
-        results.append(row)
+        results.append({"r": float(r), "lhs": vol, "rhs": bound, "margin": margin,
+                        "tol": tol, "verdict": "PASS" if good else "FAIL", **closed})
     if not results:
         raise ValueError("r grid has no entries beyond 4 epsilon")
+    overflow = ", ".join(f"{row['r']:.6g}" for row in results if row["rhs"] == np.inf)
+    if overflow:
+        notes.append(f"growth bound overflows to inf at r = {overflow}: those rows pass vacuously")
 
     conc = max(check_concavity(s, c) for s in data.scalars)
     point_ok = conc <= POINTWISE_TOL

@@ -1,4 +1,4 @@
-"""Geodesic flow, exponential map, variational (Jacobi) flow, conjugate points.
+"""Geodesic flow, variational (Jacobi) flow, conjugate points.
 
 The geodesic equation used throughout is the Euler-Lagrange flow of L,
 
@@ -61,7 +61,6 @@ __all__ = [
     "GeodesicSegment",
     "RadialFlow",
     "integrate_geodesic",
-    "exp_map",
     "radial_flow",
     "check_base_point",
     "find_validity_times",
@@ -307,14 +306,6 @@ def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
                            sol=flow.segments[0][2], clock=flow.clock)
 
 
-def exp_map(m: FinslerModel, x0, v, t=1.0, **kw):
-    """Point reached after parameter time t along the geodesic with eta'(0) = v."""
-    seg = integrate_geodesic(m, x0, v, t, **kw)
-    if seg.t_end < t:
-        raise ValueError(f"geodesic left the valid region at t={seg.t_end} ({seg.status})")
-    return seg.position(t)
-
-
 # ------------------------------------------------------------- fused flows
 
 
@@ -373,28 +364,30 @@ class RadialFlow:
     segments: list       # [(s0, s1, dense sol over sigma, dir index array)]: the one solve
     clock: _Clock        # t(sigma) and its inverse
 
-    def _rows(self, ts, t_max, who):
-        """(B, len(ts), width) states at times ts in [0, t_max].
-
-        C-contiguous: a strided view would change the summation order of
-        reductions over it, such as the coordinate oracle's Simpson sums.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.size and (ts.min() < 0 or ts.max() > t_max + 1e-12):
-            raise ValueError(f"{who} only reaches t={t_max}")
-        _, _, dense, ids = self.segments[0]
-        vals = dense(self.clock.sigma(ts))[:-1]     # (B*w, nt)
-        return np.ascontiguousarray(
-            np.swapaxes(vals.reshape(len(ids), self.layout.width, -1), 1, 2))
-
     def eval(self, i, ts):
-        """States of direction i at times ts (ascending array or scalar)."""
-        return self.layout.unpack(self._rows(ts, self.t_reached[i], f"direction {i}")[i])
+        """States of direction i at times ts (ascending array or scalar); for
+        an index array i, stacked over those directions (leading axis len(i)).
+
+        Reads only those directions' rows of the dense output, the same bits
+        as a whole-fan read, into C-contiguous arrays: a strided view would
+        change the summation order of reductions over it, such as the
+        coordinate oracle's Simpson sums.
+        """
+        ids = np.atleast_1d(i)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        t_max = float(np.min(self.t_reached[ids]))
+        if ts.size and (ts.min() < 0 or ts.max() > t_max + 1e-12):
+            who = f"direction {i}" if np.ndim(i) == 0 else "some direction"
+            raise ValueError(f"{who} only reaches t={t_max}")
+        w = self.layout.width
+        rows = (ids[:, None] * w + np.arange(w)).ravel()
+        vals = self.segments[0][2](self.clock.sigma(ts), rows)     # (len(ids) * w, nt)
+        states = np.ascontiguousarray(np.swapaxes(vals.reshape(len(ids), w, -1), 1, 2))
+        return self.layout.unpack(states if np.ndim(i) else states[0])
 
     def eval_all(self, ts):
         """States of every direction at shared times ts, from one dense evaluation."""
-        return self.layout.unpack(
-            self._rows(ts, np.min(self.t_reached), "some direction"))
+        return self.eval(np.arange(len(self.dirs)), ts)
 
 
 def _fused_rhs(m, layout, order):

@@ -136,17 +136,15 @@ class JacobiPath:
     matrix_sol: object = None       # dense (A, A') solution, curvature route
 
     def sample(self, ts) -> JacobiSamples:
+        if self.route == "variational":
+            return sample_all([self], ts)[0]
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         st = self.flow.eval(self.index, ts)
-        if self.route == "variational":
-            A, Adot = _project_variational(self.model, st)
-        else:
-            n = self.model.n
-            y = self.matrix_sol(ts)  # (2n^2, m)
-            A = y[:n * n].T.reshape(ts.size, n, n)
-            Adot = y[n * n:].T.reshape(ts.size, n, n)
+        n = self.model.n
+        y = self.matrix_sol(ts)  # (2n^2, m)
         return JacobiSamples(ts=ts, x=st["eta"], v=st["etadot"], E=st["V"],
-                             A=A, Adot=Adot)
+                             A=y[:n * n].T.reshape(ts.size, n, n),
+                             Adot=y[n * n:].T.reshape(ts.size, n, n))
 
     def gram_drift(self, ts) -> float:
         """max |det Gram({etadot, E}) + 1| over the sample times."""
@@ -158,18 +156,18 @@ class JacobiPath:
 def sample_all(paths: list[JacobiPath], ts) -> list[JacobiSamples]:
     """Sample variational paths sharing one flow on one common grid.
 
-    One dense evaluation and one batched projection replace the
-    per-direction work of ``JacobiPath.sample``; values are identical.
+    One dense evaluation of the paths' own rows of the flow and one
+    batched projection, whatever else the flow carries.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     flow = paths[0].flow
     if any(p.flow is not flow or p.route != "variational" for p in paths):
         raise ValueError("sample_all needs variational paths on one shared flow")
-    st = flow.eval_all(ts)
+    st = flow.eval(np.array([p.index for p in paths]), ts)
     A, Adot = _project_variational(paths[0].model, st)
-    return [JacobiSamples(ts=ts, x=st["eta"][p.index], v=st["etadot"][p.index],
-                          E=st["V"][p.index], A=A[p.index], Adot=Adot[p.index])
-            for p in paths]
+    return [JacobiSamples(ts=ts, x=st["eta"][k], v=st["etadot"][k],
+                          E=st["V"][k], A=A[k], Adot=Adot[k])
+            for k in range(len(paths))]
 
 
 def _check_unit(m, x0, v0):

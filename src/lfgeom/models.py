@@ -79,10 +79,6 @@ class FinslerModel:
             prog = self._programs[key] = record()
         return prog
 
-    def with_weight(self, weight_fn) -> "FinslerModel":
-        return FinslerModel(self.name, self.n, self.L_fn, weight_fn,
-                            self.chart_lo, self.chart_hi, self.params)
-
 
 # ------------------------------------------------------------- components
 

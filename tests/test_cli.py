@@ -239,6 +239,21 @@ def test_oracle_near_the_cone_runs_inside_the_patch(tmp_path):
     assert np.isfinite(oracle["coordinate"]) and np.isfinite(oracle["coordinate_error"])
 
 
+def test_ball_bound_overflow_is_noted_not_warned(tmp_path):
+    # every length of the flat anchor times 1e-8: e^{C0 r} overflows at r = 9e-9
+    doc = yaml.safe_load((SCENARIOS / "mink2_bg_anchor.yaml").read_text())
+    doc["sclv"]["cut"] = 1e-8
+    doc["checks"]["ball"] = {"eps": 5e-10, "r_grid": [3e-9, 6e-9, 9e-9]}
+    p = tmp_path / "tiny.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    run = fresh_python("-m", "lfgeom.cli", "ball", "--scenario", str(p), "--out", str(tmp_path))
+    assert run.returncode == 0 and run.stderr == ""
+    ball = json.loads((tmp_path / "mink2-bg-anchor-ball.json").read_text())["checks"]["ball"]
+    assert [row["rhs"] for row in ball["results"]][-1] == np.inf
+    assert ball["notes"] == ["growth bound overflows to inf at r = 9e-09: "
+                             "those rows pass vacuously"]
+
+
 @pytest.fixture()
 def flow_breaks_past_half(monkeypatch):
     """Every fused flow's rhs fails once a point reaches x0 > 0.5."""
@@ -389,6 +404,41 @@ def test_all_records_each_jet_program_once(mini_scenario, tmp_path, monkeypatch)
     assert sorted(traces) == [(2, 2), (4, 3), (4, 4), (4, 5)]
 
 
+def _reject_inputs(directory):
+    """The two seed-0 ``reject`` inputs of ``bench/inputs.py``, written into directory."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.write("reject", 0, directory)
+
+
+# an einstein_static n = 3 fan cut past its first conjugate point, where det A
+# only touches zero; its patch center reaches a conjugate point too, later
+EVEN_CONJUGATE = {
+    "name": "even-conjugate-n3",
+    "model": {"name": "einstein_static", "n": 3, "params": {"radius": 1.0}},
+    "sclv": {"apex": [0.0, 0.49918, 0.0, 0.0], "radius": 0.05, "cut": 4.5,
+             "center": [0.0, 0.375, 0.0]},
+    "checks": {"gunther": {}},
+    "numerics": {"quad_scale": 0.5},
+}
+
+
+def test_all_rejects_a_non_sclv_exactly_as_gunther(tmp_path, capsys):
+    # the patch center is one more row of the SCLV fan, so a centre exit is
+    # one more fan exit and both commands name the fan's earliest one
+    even = tmp_path / "even-conjugate-n3.yaml"
+    even.write_text(yaml.safe_dump(EVEN_CONJUGATE))
+    for path in [*_reject_inputs(tmp_path / "inputs"), even]:
+        errs = []
+        for command in ("gunther", "all"):
+            assert cli.main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1], path.name
+        assert errs[0].endswith("; not an SCLV\n"), path.name
+
+
 def test_fan_runs_record_no_order_3_connection(tmp_path, monkeypatch):
     # frames and Jacobi fields are transported with the order-4 N; with no
     # coordinate oracle and no geodesic-only flow, nothing records order 3
@@ -399,13 +449,9 @@ def test_fan_runs_record_no_order_3_connection(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(ModelConfig, "build", build)
-    spec = importlib.util.spec_from_file_location(
-        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     fan = {("fundamental_tensor", 2), ("connection", 4)}
     curvature = fan | {("connection", 5)}
-    collapse, conjugate = inputs.write("reject", 0, tmp_path / "inputs")
+    collapse, conjugate = _reject_inputs(tmp_path / "inputs")
     # the collapse and the conjugate point both stop the fan flow, before any scalar scan
     runs = [("all", SCENARIOS / "desitter2_gunther.yaml", 0, curvature),
             ("gunther", collapse, 2, fan), ("gunther", conjugate, 2, fan)]
@@ -417,10 +463,10 @@ def test_fan_runs_record_no_order_3_connection(tmp_path, monkeypatch):
 
 def test_all_integrates_the_center_geodesic_once(tmp_path, monkeypatch):
     # wrap radial_flow wherever a loaded lfgeom module holds it, as the bench tracer does
-    real, dirs = geodesics.radial_flow, []
+    real, calls = geodesics.radial_flow, []
 
     def counting(m, x0, d, *args, **kw):
-        dirs.append(len(d))
+        calls.append((len(d), kw.get("frames") is not None))
         return real(m, x0, d, *args, **kw)
 
     for name, mod in list(sys.modules.items()):
@@ -428,14 +474,18 @@ def test_all_integrates_the_center_geodesic_once(tmp_path, monkeypatch):
             monkeypatch.setattr(mod, "radial_flow", counting)
     scenario = str(SCENARIOS / "mink2_gunther_weighted.yaml")
     assert cli.main(["all", "--scenario", scenario, "--out", str(tmp_path)]) == 0
-    assert dirs.count(1) == 1
+    rep = json.loads((tmp_path / "mink2-gunther-weighted-all.json").read_text())
+    q = rep["checks"]["gunther"]["quadrature"]["directions"]
+    # one frame-carrying fan flow, the patch center as its row Q, and no B = 1 flow
+    assert [c for c in calls if c[1]] == [(q + 1, True)]
+    assert all(b > 1 for b, _ in calls)
+    calls.clear()
     assert cli.main(["geodesic", "--scenario", scenario, "--out", str(tmp_path)]) == 0
-    assert dirs.count(1) == 2
-    geo_all = json.loads((tmp_path / "mink2-gunther-weighted-all.json").read_text())["geodesic"]
+    assert calls == [(1, False)]    # the geodesic subcommand keeps its order-3 flow
     geo = json.loads((tmp_path / "mink2-gunther-weighted-geodesic.json").read_text())["geodesic"]
     for key in ("verdict", "t_end", "status"):
-        assert geo_all[key] == geo[key], key
-    assert abs(geo_all["max_L_drift"] - geo["max_L_drift"]) <= 1e-8
+        assert rep["geodesic"][key] == geo[key], key
+    assert abs(rep["geodesic"]["max_L_drift"] - geo["max_L_drift"]) <= 1e-8
 
 
 def test_library_scenarios_parse():

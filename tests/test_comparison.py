@@ -443,7 +443,10 @@ def test_sclv_fan_is_integrated_once(monkeypatch):
     m = models.model_library("minkowski", 1)
     sclv = cmp.SCLVSpec(apex=np.zeros(2), radius=0.6, cut=2.0)
     data = cmp.build_sclv_data(m, sclv, scale=0.25)
-    assert fans == [len(data.paths)]
+    # the Q quadrature nodes and, as row Q, the patch center
+    assert fans == [len(data.paths) + 1]
+    assert data.center.flow is data.paths[0].flow and data.center.index == len(data.paths)
+    assert np.array_equal(data.center.v0, cmp.center_direction(m, sclv))
 
 
 # ---------------------------------------------------------------- reports
