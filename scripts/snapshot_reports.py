@@ -9,8 +9,10 @@ Runs, each in a fresh interpreter on this checkout's ``src``:
 * ``lfgeom all`` on the 8 bundled scenarios, on the ``finsler3d``
   seed-0 input and on ``near-cone-n2``, writing their JSON and CSV
   reports into OUT;
-* ``lfgeom geodesic`` on the 8 bundled scenarios, whose CSV holds the
-  sampled center geodesic that the ``all`` reports only summarise;
+* ``lfgeom geodesic``, ``lfgeom curvature`` and ``lfgeom jacobi`` on the
+  8 bundled scenarios, whose CSVs hold the sampled center geodesic and
+  the 64 center samples of the curvature and Jacobi scalars that the
+  ``all`` reports only summarise;
 * ``lfgeom gunther`` and ``lfgeom all`` on both ``reject`` seed-0 inputs
   and on ``even-conjugate-n3``, none of which writes a report: both
   commands integrate the same fan, the patch center included, so they
@@ -97,7 +99,8 @@ def main(argv=None):
                  _write_input(_near_cone(), out / "inputs")]:
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
     for path in bundled:
-        runs[f"geodesic {path.name}"] = _lfgeom("geodesic", path, out)
+        for command in ("geodesic", "curvature", "jacobi"):
+            runs[f"{command} {path.name}"] = _lfgeom(command, path, out)
     for path in [*_inputs("reject", out / "inputs"), _write_input(EVEN_CONJUGATE, out / "inputs")]:
         for command in ("gunther", "all"):
             runs[f"{command} {path.name}"] = _lfgeom(command, path, out)

@@ -9,7 +9,8 @@ computed by the polar decomposition
     rho(U) = \int_patch \int_0^b e^{-psi(t)} det A(t) dt dsigma(v),
 
 where sigma is the g_v-induced area form on the unit hyperboloid and A
-is the frame Jacobi tensor.  An independent coordinate-space route
+= V g J is the frame Jacobi tensor, so the density needs the metric g
+alone.  An independent coordinate-space route
 (forward-mapping a fine polar grid and integrating the model measure
 with a finite-difference Jacobian) cross-checks the decomposition.
 
@@ -38,7 +39,6 @@ from .jacobi import (
     monotone_ratio_check,
     s_kappa,
     s_kappa_prime,
-    sample_all,
     sample_grid,
     scalars_for_paths,
     variational_paths,
@@ -56,7 +56,6 @@ __all__ = [
     "center_direction",
     "build_sclv_data",
     "sclv_volume",
-    "ball_volume",
     "radial_bound_scan",
     "bishop_gromov_check",
     "gunther_check",
@@ -259,42 +258,45 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
 # ----------------------------------------------------------------- volumes
 
 
+def _density(data: SCLVData, ts):
+    """(e^{-psi}, det A) of the Q node rows at times ts, two (Q, len(ts)) arrays.
+
+    The polar density reads the metric alone: det A = det(V g J), with g
+    from one `fundamental_tensor` pass over one read of the node states.
+    """
+    m = data.model
+    st = data.paths[0].flow.eval([p.index for p in data.paths], ts)
+    detA = np.linalg.det(st["V"] @ fundamental_tensor(m, st["eta"], st["etadot"]) @ st["J"])
+    return np.broadcast_to(np.exp(-weight(m, st["eta"], st["etadot"])), detA.shape), detA
+
+
 def _dir_integrals(data: SCLVData, T, tnodes):
     r"""Per-direction \int_0^T e^{-psi} det A dt by Gauss-Legendre."""
     xi, wi = _gauss_rule(tnodes)
     xi01 = 0.5 * (xi + 1.0)
     wi01 = 0.5 * wi
-    samples = sample_all(data.paths, T * xi01)
-    return np.array([T * float(np.sum(wi01 * np.exp(-weight(data.model, s.x, s.v))
-                                      * s.detA)) for s in samples])
+    density, detA = _density(data, T * xi01)
+    return np.array([T * float(np.sum(wi01 * e * a)) for e, a in zip(density, detA)])
 
 
 def _polar_volume(data: SCLVData, T, *, tnodes=T_VOLUME):
-    """(volume, error estimate) with the error from t-resolution halving."""
-    full = _dir_integrals(data, T, tnodes)
-    half = _dir_integrals(data, T, max(tnodes // 2, 4))
-    vol = float(np.sum(data.quad.weights * full))
-    vol_half = float(np.sum(data.quad.weights * half))
-    return vol, abs(vol - vol_half)
+    """(volume, error estimate) up to t = T, with the error from t-resolution
+    halving; computed once per (T, tnodes) and data."""
+    key = (float(T), tnodes)
+    if key not in data.vol_cache:
+        full = _dir_integrals(data, T, tnodes)
+        half = _dir_integrals(data, T, max(tnodes // 2, 4))
+        vol = float(np.sum(data.quad.weights * full))
+        vol_half = float(np.sum(data.quad.weights * half))
+        data.vol_cache[key] = vol, abs(vol - vol_half)
+    return data.vol_cache[key]
 
 
 def sclv_volume(data: SCLVData, r, *, tnodes=T_VOLUME):
     """rho(U_x(r)): star-scaled volume, upper limit r b."""
     if not 0.0 < r <= 1.0:
         raise ValueError("the scaling parameter r lies in (0, 1]")
-    key = ("star", float(r), tnodes)
-    if key not in data.vol_cache:
-        data.vol_cache[key] = _polar_volume(data, r * data.b, tnodes=tnodes)
-    return data.vol_cache[key]
-
-
-def ball_volume(data: SCLVData, r, *, tnodes=T_VOLUME):
-    """rho of the forward ball {v in U_x : F(v) < r} (clipped at the cut)."""
-    key = ("ball", float(r), tnodes)
-    if key not in data.vol_cache:
-        data.vol_cache[key] = _polar_volume(data, min(float(r), data.b),
-                                            tnodes=tnodes)
-    return data.vol_cache[key]
+    return _polar_volume(data, r * data.b, tnodes=tnodes)
 
 
 # ------------------------------------------------------------- bound scans
@@ -454,7 +456,7 @@ def _ratio_rows(data: SCLVData, pairs, profile, Tx, tnodes):
 def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
                         tnodes=T_VOLUME, dense=T_DENSE) -> ComparisonReport:
     """Volume-ratio lower bound for effective dimension N in (n, oo)."""
-    m, n = data.model, data.model.n
+    n = data.model.n
     if not (np.isfinite(N) and N > n):
         raise ValueError(f"the ratio bound needs N in (n, oo), got N={N}")
     scan = radial_bound_scan(data, N=N)
@@ -470,10 +472,10 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
     mono_ok = True
     hi = b if c <= 0 else min(b, 0.999 * np.pi * np.sqrt(N / c))
     ts = sample_grid(float(hi), dense)
-    for s in sample_all(data.paths, ts):
-        psi = weight(m, s.x, s.v)
-        h = (np.exp(-psi) * s.detA) ** (1.0 / N)
-        res = monotone_ratio_check(ts, h, s_kappa(c / N, ts))
+    density, detA = _density(data, ts)
+    sk = s_kappa(c / N, ts)
+    for h in (density * detA) ** (1.0 / N):
+        res = monotone_ratio_check(ts, h, sk)
         mono_ok &= res["pointwise_ok"] and res["integral_ok"]
         worst["max_step"] = max(worst["max_step"], res["max_step"])
         worst["max_integral_step"] = max(worst["max_integral_step"],
@@ -580,7 +582,6 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     A bound that overflows to inf (C0 ~ n log(1/eps) / eps is large at
     small lengths) passes its row vacuously, and the notes name its r.
     """
-    m = data.model
     r_grid = np.asarray(r_grid, dtype=float)
     if np.max(r_grid) > data.b + 1e-12:
         raise ValueError("r grid exceeds the validity range (the cut b)")
@@ -589,9 +590,8 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     c, conditional, notes = _user_bound("c", c, c_cert)
 
     def f_at(t):
-        samples = sample_all(data.paths, np.array([t]))
-        return np.array([np.exp(-weight(m, s.x, s.v)[0]) * s.detA[0]
-                         for s in samples])
+        density, detA = _density(data, np.array([t]))
+        return (density * detA)[:, 0]
 
     eps0 = float(eps)
     eps_ok = None
@@ -612,12 +612,12 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     if C0 <= 0:
         raise ComparisonAbort(f"growth constant C0={C0:.6g} is not positive")
 
-    base, base_err = ball_volume(data, 4 * eps_ok, tnodes=tnodes)
+    base, base_err = _polar_volume(data, min(4 * eps_ok, data.b), tnodes=tnodes)
     results, ok = [], True
     for r in r_grid:
         if r <= 4 * eps_ok:
             continue
-        vol, err = ball_volume(data, r, tnodes=tnodes)
+        vol, err = _polar_volume(data, min(float(r), data.b), tnodes=tnodes)
         with np.errstate(over="ignore"):    # an overflow is inf, named in the notes
             bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
             closed = ({"rhs_closed_form": base + data.sigma * np.exp(C0 * r) / C0}
@@ -698,7 +698,8 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=49,
 
     Forward-maps a polar grid with the exponential map and integrates the
     model measure e^{-psi} sqrt(-det g) against a finite-difference
-    Jacobian of the map; shares no code with the Jacobi-determinant route.
+    Jacobian of the map; shares no Jacobi-determinant code with the polar
+    route (both read g from `fundamental_tensor`).
 
     One flow on the (nt, nchart, nphi) grid, every ray inside the patch
     (the chart axis ends take one-sided stencils), gives two nested grids:

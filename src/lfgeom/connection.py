@@ -131,20 +131,19 @@ class ConnectionData:
 
     L: np.ndarray
     g: np.ndarray
+    gc: list = field(repr=False)  # the g-entry outputs, rows to order 1
     G: np.ndarray | None = None
     N: np.ndarray | None = None
     dG_dx: np.ndarray | None = None
     dN_dx: np.ndarray | None = None
     dN_dv: np.ndarray | None = None
-    gc: list | None = field(default=None, repr=False)  # the g-entry outputs, rows to order 1
-    gfac: tuple | None = field(default=None, repr=False)  # the checked LDL^T of g, at order 2
 
     @cached_property
-    def dg_dx(self) -> np.ndarray | None:
+    def dg_dx(self) -> np.ndarray:
         return self._slopes(0)
 
     @cached_property
-    def dg_dv(self) -> np.ndarray | None:
+    def dg_dv(self) -> np.ndarray:
         return self._slopes(1)
 
     @cached_property
@@ -153,8 +152,6 @@ class ConnectionData:
 
     def _slopes(self, half):
         """dg[..., c, a, b]: row first[c] (c over x) or first[d + c] (over v) of entry (a, b)."""
-        if self.gc is None:
-            return None
         d = self.g.shape[-1]
         _, sym, first = _tables(d)
         return _batch_first(self._gv[sym, first[half * d:(half + 1) * d, None, None]], 3)
@@ -163,7 +160,7 @@ class ConnectionData:
     def ginv(self) -> np.ndarray:
         """Stacked LDL^T solves of unit columns; symmetric to round-off."""
         d = self.g.shape[-1]
-        fac = self.gfac or _ldl([[self.g[..., i, j] for j in range(d)] for i in range(d)])
+        fac = _ldl([[self.g[..., i, j] for j in range(d)] for i in range(d)])
         eye = np.eye(d)
         cols = [ldl_apply(*fac, [eye[i, j] for i in range(d)]) for j in range(d)]
         return np.stack([np.stack(col, axis=-1) for col in cols], axis=-1)
@@ -181,8 +178,8 @@ def _require_future_timelike(L, v):
 
 def _jet_section(m: FinslerModel, order: int):
     """The jet part of the pipeline, to record: from the lifted x and v, L
-    (order 0), the g-entry jets (upper triangle, row-major; order <= 1) and,
-    for order >= 3, the spray jets G^a (carried to order ``order - 3``); at
+    (order 0), the g-entry jets (upper triangle, row-major; order <= 1) and
+    the spray jets G^a (carried to order ``order - 3``); at
     order 5 they stop at order 1 and are followed by their v^b-derivatives
     (row-major in (a, b)), so the d^2 G / dx dx rows are never computed."""
     d = m.dim
@@ -196,8 +193,6 @@ def _jet_section(m: FinslerModel, order: int):
             for b in range(a, d):
                 gj[a][b] = gj[b][a] = 0.5 * jet_derivative(da, d + b)
         out = [Lj.truncated(0)] + [gj[a][b].truncated(1) for a in range(d) for b in range(a, d)]
-        if order == 2:
-            return out
 
         # spray, assembled in jet arithmetic at the remaining order
         rem = order - 3
@@ -230,12 +225,13 @@ def _batch_first(arr, k):  # the k leading (index) axes of arr go behind its bat
 def eval_connection(m: FinslerModel, x, v, order: int = 4, validate: bool = True) -> ConnectionData:
     """One pass of the connection pipeline at (x, v).
 
-    order = 2: fundamental tensor only; order = 3 adds the metric slopes
-    and the spray; order = 4 adds dG/dx and N, the transport matrix
-    Gamma^a_bc(v) v^b; order = 5 adds dN/dx and dN/dv.
+    order = 3: the fundamental tensor, its slopes and the spray; order = 4
+    adds dG/dx and N, the transport matrix Gamma^a_bc(v) v^b; order = 5
+    adds dN/dx and dN/dv.  The fundamental tensor alone is
+    `models.fundamental_tensor`.
     """
-    if order < 2 or order > 5:
-        raise ValueError("order must be 2, 3, 4, or 5")
+    if order < 3 or order > 5:
+        raise ValueError("order must be 3, 4, or 5")
     d = m.dim
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -266,10 +262,6 @@ def _connection_data(outputs, m: FinslerModel, v, order: int, validate: bool) ->
         _require_future_timelike(Lval, np.broadcast_to(v, batch + (d,)))
 
     g = _batch_first(np.stack([c[0] for c in gc])[sym], 2)
-    if order == 2:  # no jet LDL^T was recorded: check g's pivots now
-        return ConnectionData(L=Lval, g=g,
-                              gfac=ldl_factor([[g[..., i, j] for j in range(d)] for i in range(d)]))
-
     out = ConnectionData(L=Lval, g=g, gc=gc)
     Gs = np.stack(Gc)  # [a, row] + batch
     out.G = _batch_first(Gs[:, 0], 1)

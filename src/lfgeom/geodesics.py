@@ -281,15 +281,16 @@ class GeodesicSegment:
     clock: _Clock
 
     def state(self, t):
+        """(eta, eta') at t in [0, t_end] (any shape); no state past the exit."""
+        t = np.asarray(t, dtype=float)
+        if t.size and (t.min() < 0 or t.max() > self.t_end + 1e-12):
+            raise ValueError(f"the geodesic only reaches t={self.t_end}")
         y = self.sol(self.clock.sigma(t))
         d = len(y) // 2
         return np.moveaxis(y[:d], 0, -1), np.moveaxis(y[d:2 * d], 0, -1)
 
     def position(self, t):
         return self.state(t)[0]
-
-    def velocity(self, t):
-        return self.state(t)[1]
 
 
 def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,

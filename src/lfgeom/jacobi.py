@@ -113,11 +113,11 @@ class JacobiSamples:
         return np.linalg.det(self.A)
 
 
-def _project_variational(m, st):
-    """(A, A') from an unpacked flow state with frame and Jacobi blocks."""
-    conn = eval_connection(m, st["eta"], st["etadot"], order=4, validate=False)
-    DJ = st["Jdot"] + conn.N @ st["J"]
-    Vg = st["V"] @ conn.g
+def _project_variational(st, g, N):
+    """(A, A') from an unpacked flow state with frame and Jacobi blocks and
+    the metric g and transport matrix N at its points."""
+    DJ = st["Jdot"] + N @ st["J"]
+    Vg = st["V"] @ g
     return Vg @ st["J"], Vg @ DJ
 
 
@@ -153,18 +153,25 @@ class JacobiPath:
         return float(np.max(np.abs(dets + 1.0)))
 
 
+def _path_states(paths, ts):
+    """(ts, the states of the paths at ts) from one dense evaluation of
+    their own rows of the flow that they share."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    flow = paths[0].flow
+    if any(p.flow is not flow or p.route != "variational" for p in paths):
+        raise ValueError("variational paths on one shared flow are needed")
+    return ts, flow.eval(np.array([p.index for p in paths]), ts)
+
+
 def sample_all(paths: list[JacobiPath], ts) -> list[JacobiSamples]:
     """Sample variational paths sharing one flow on one common grid.
 
     One dense evaluation of the paths' own rows of the flow and one
     batched projection, whatever else the flow carries.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    flow = paths[0].flow
-    if any(p.flow is not flow or p.route != "variational" for p in paths):
-        raise ValueError("sample_all needs variational paths on one shared flow")
-    st = flow.eval(np.array([p.index for p in paths]), ts)
-    A, Adot = _project_variational(paths[0].model, st)
+    ts, st = _path_states(paths, ts)
+    conn = eval_connection(paths[0].model, st["eta"], st["etadot"], order=4, validate=False)
+    A, Adot = _project_variational(st, conn.g, conn.N)
     return [JacobiSamples(ts=ts, x=st["eta"][k], v=st["etadot"][k],
                           E=st["V"][k], A=A[k], Adot=Adot[k])
             for k in range(len(paths))]
@@ -322,6 +329,8 @@ def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
     """Per-direction scalars on one grid, with the curvature/weight work in one batch.
 
     The paths are variational paths sharing one flow (see ``sample_all``).
+    Their states are read once, and one order-5 `riemann_matrix` pass gives
+    the curvature, the weight derivatives and the (g, N) that project A, A'.
     With ``flag_range`` also returns per-direction (min, max) eigenvalues of
     the symmetrized frame curvature matrix over the sample times, reusing
     the same curvature batch: ``(scalars, flag_lo, flag_hi)``.
@@ -329,28 +338,30 @@ def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
     if not paths:
         return ([], np.empty(0), np.empty(0)) if flag_range else []
     m = paths[0].model
-    samples = sample_all(paths, ts)
-    xs = np.concatenate([s.x for s in samples])
-    vs = np.concatenate([s.v for s in samples])
+    ts, st = _path_states(paths, ts)
+    xs, vs = np.concatenate(st["eta"]), np.concatenate(st["etadot"])
     data = riemann_matrix(m, xs, vs)
-    rows = [a.reshape(len(samples), -1)     # one row of sample times per path
-            for a in (data.ric, *weight_along(m, xs, vs, conn=data.center))]
+    c = data.center
+    grid = st["eta"].shape[:-1]     # one row of sample times per path
+    As, Adots = _project_variational(st, c.g.reshape(grid + c.g.shape[1:]),
+                                     c.N.reshape(grid + c.N.shape[1:]))
+    rows = [a.reshape(grid) for a in (data.ric, *weight_along(m, xs, vs, conn=c))]
     out = []
-    for s, ric, psi, dpsi, d2psi in zip(samples, *rows):
-        C = np.swapaxes(np.linalg.solve(np.swapaxes(s.A, -1, -2),
-                                        np.swapaxes(s.Adot, -1, -2)), -1, -2)
+    for A, Adot, ric, psi, dpsi, d2psi in zip(As, Adots, *rows):
+        C = np.swapaxes(np.linalg.solve(np.swapaxes(A, -1, -2),
+                                        np.swapaxes(Adot, -1, -2)), -1, -2)
         lam = np.einsum("...ii->...", C)
         trC2 = np.einsum("...ij,...ji->...", C, C)
         out.append(PathScalars(
-            n=m.n, ts=s.ts, detA=np.linalg.det(s.A), lam=lam, trC2=trC2,
+            n=m.n, ts=ts, detA=np.linalg.det(A), lam=lam, trC2=trC2,
             lam_prime=-ric - trC2, ric=ric, psi=psi, dpsi=dpsi, d2psi=d2psi))
     if not flag_range:
         return out
-    Es = np.concatenate([s.E for s in samples])
+    Es = np.concatenate(st["V"])
     RE = np.einsum("...ab,...jb->...ja", data.R, Es)
-    Rhat = np.einsum("...ka,...ab,...jb->...kj", Es, data.center.g, RE)
+    Rhat = np.einsum("...ka,...ab,...jb->...kj", Es, c.g, RE)
     Rhat = 0.5 * (Rhat + np.swapaxes(Rhat, -1, -2))
-    eigs = np.linalg.eigvalsh(Rhat).reshape(len(samples), -1)
+    eigs = np.linalg.eigvalsh(Rhat).reshape(len(paths), -1)
     return out, eigs.min(axis=1), eigs.max(axis=1)
 
 

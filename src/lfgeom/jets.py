@@ -64,7 +64,6 @@ __all__ = [
     "cos",
     "sinh",
     "cosh",
-    "powr",
     "apply",
     "record",
 ]
@@ -271,21 +270,6 @@ class Jet:
     def __rtruediv__(self, other):
         return _reciprocal(self) * other
 
-    def __pow__(self, p):
-        if isinstance(p, (int, np.integer)):
-            if p < 0:
-                return _reciprocal(self.__pow__(-p))
-            out = constant(self.space, 1.0, self.order, like=self)
-            base = self
-            k = int(p)
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base if k > 1 else base
-                k >>= 1
-            return out
-        return powr(self, float(p))
-
 
 def _apply(kind, fn, args, space, order, rule, const=None) -> Jet:
     """The jet ``fn(*operand arrays)``; while recording, one op of ``kind``
@@ -444,18 +428,6 @@ def _reciprocal(jet: Jet) -> Jet:
     return _elementary(jet, _nonzero, _reciprocal_taylor)
 
 
-def _powr_taylor(p):
-    def taylor(a0, K):
-        coef = []
-        c = 1.0
-        for k in range(K + 1):
-            coef.append(c / math.factorial(k))
-            c = c * (p - k)
-        shape = (-1,) + (1,) * a0.ndim
-        return np.array(coef).reshape(shape) * a0 ** (p - np.arange(K + 1).reshape(shape))
-    return taylor
-
-
 def _sqrt_taylor(a0, K):
     shape = (-1,) + (1,) * a0.ndim
     coef = np.array([math.comb(2 * k, k) * (-1.0) ** (k + 1) / (4.0 ** k * (2 * k - 1))
@@ -506,13 +478,6 @@ sin = _dispatch(None, _sin_taylor, np.sin)
 cos = _dispatch(None, _cos_taylor, np.cos)
 sinh = _dispatch(None, _sinh_taylor, np.sinh)
 cosh = _dispatch(None, _cosh_taylor, np.cosh)
-
-
-def powr(x, p: float):
-    """Real power with positive base (jets or arrays)."""
-    if isinstance(x, Jet):
-        return _elementary(x, _positive("real power"), _powr_taylor(p))
-    return (x if isinstance(x, _Value) else np.asarray(x, dtype=float)) ** p
 
 
 # -- record and replay ------------------------------------------------------

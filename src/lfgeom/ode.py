@@ -17,8 +17,8 @@ SciPy, whose import graph dominated the start-up of every ``lfgeom``
 process.  Only what lfgeom calls is ported: forward integration of real
 states over a non-empty span, dense output always on, at most one event
 (always terminal), no ``t_eval``, ``max_step``, ``args`` or
-``vectorized``; Simpson's rule on odd sample counts only, and the
-running trapezoid on 1-D samples only.
+``vectorized``; Simpson's rule on odd counts of evenly spaced samples
+only, and the running trapezoid on 1-D samples only.
 
 SciPy's license, under which this port is distributed:
 
@@ -591,45 +591,17 @@ def cumulative_trapezoid(y, x, initial=None):
     return res
 
 
-def _ratio(num, den):
-    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-
-
-def _basic_simpson(y, start, stop, x, dx, axis):
-    slice_all = (slice(None),) * y.ndim
-    slice0 = _tupleset(slice_all, axis, slice(start, stop, 2))
-    slice1 = _tupleset(slice_all, axis, slice(start + 1, stop + 1, 2))
-    slice2 = _tupleset(slice_all, axis, slice(start + 2, stop + 2, 2))
-    if x is None:  # evenly spaced
-        result = np.sum(y[slice0] + 4.0 * y[slice1] + y[slice2], axis=axis)
-        result *= dx / 3.0
-        return result
-    h = np.diff(x, axis=axis)
-    h0 = h[slice0].astype(float, copy=False)
-    h1 = h[slice1].astype(float, copy=False)
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _ratio(h0, h1)
-    tmp = hsum / 6.0 * (y[slice0] * (2.0 - _ratio(1.0, h0divh1))
-                        + y[slice1] * (hsum * _ratio(hsum, hprod))
-                        + y[slice2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=axis)
-
-
-def simpson(y, x=None, *, dx=1.0, axis=-1):
+def simpson(y, *, dx=1.0, axis=-1):
     """Composite Simpson integral of y along axis, over an odd number of
-    samples at the 1-D points x or at spacing dx."""
+    samples at spacing dx."""
     y = np.asarray(y)
     N = y.shape[axis]
     if N % 2 == 0:
         raise ValueError("simpson takes an odd number of samples")
-    if x is not None:
-        x = np.asarray(x)
-        if x.ndim != 1:
-            raise ValueError("x must be 1-D")
-        if x.shape[0] != N:
-            raise ValueError("If given, length of x along axis must be the same as y.")
-        shapex = [1] * y.ndim
-        shapex[axis] = x.shape[0]
-        x = x.reshape(tuple(shapex))
-    return _basic_simpson(y, 0, N - 2, x, dx, axis)
+    slice_all = (slice(None),) * y.ndim
+    slice0 = _tupleset(slice_all, axis, slice(0, N - 2, 2))
+    slice1 = _tupleset(slice_all, axis, slice(1, N - 1, 2))
+    slice2 = _tupleset(slice_all, axis, slice(2, N, 2))
+    result = np.sum(y[slice0] + 4.0 * y[slice1] + y[slice2], axis=axis)
+    result *= dx / 3.0
+    return result

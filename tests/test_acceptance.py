@@ -22,7 +22,6 @@ from lfgeom.comparison import (
     gunther_check,
     sclv_volume,
 )
-from lfgeom.connection import eval_connection
 from lfgeom.curvature import riemann_matrix
 from lfgeom.geodesics import radial_flow
 from lfgeom.jacobi import (
@@ -34,7 +33,7 @@ from lfgeom.jacobi import (
     scalars_for_paths,
     variational_paths,
 )
-from lfgeom.models import lagrangian, model_library, weight
+from lfgeom.models import fundamental_tensor, lagrangian, model_library, weight
 
 D_GRID = [(round(r, 1), round(R, 1)) for r in (0.1, 0.2, 0.3, 0.4, 0.5)
           for R in (0.6, 0.7, 0.8, 0.9, 1.0)]
@@ -250,7 +249,7 @@ def test_criterion_04_radial_density_vs_dexp(jacobi_sweep):
         for i in range(20):
             s = svar[i]
             for j, t in enumerate(ts_fd):
-                g = eval_connection(m, s.x[j], s.v[j], order=2).g
+                g = fundamental_tensor(m, s.x[j], s.v[j])
                 A_fd = np.einsum("kd,de,je->kj", s.E[j], g, dexp[i, :, j])
                 worst = max(worst, abs(
                     t**-n * np.linalg.det(A_fd) - t**-n * np.linalg.det(s.A[j])))

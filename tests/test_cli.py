@@ -320,7 +320,6 @@ def test_missing_scenario_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LFGEOM_SCENARIO", raising=False)
     assert cli.main(["bg", "--out", str(tmp_path)]) == 2
     monkeypatch.setenv("LFGEOM_SCENARIO", str(SCENARIOS / "mink2_bg_anchor.yaml"))
-    monkeypatch.setenv("LFGEOM_THREADS", "2")
     code = cli.main(["validate-model", "--out", str(tmp_path)])
     assert code == 0
     rep = json.loads((tmp_path / "mink2-bg-anchor-validate-model.json").read_text())

@@ -100,5 +100,7 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs
     assert "gunther even-conjugate-n3.yaml" in runs
     assert "all near-cone-n2.yaml" in runs
+    for command in ("geodesic", "curvature", "jacobi"):
+        assert f"{command} mink2_gunther_weighted.yaml" in runs
     near = yaml.safe_load((tmp_path / "snap" / "inputs" / "near-cone-n2.yaml").read_text())
     assert near["name"] == "near-cone-n2" and near["sclv"]["radius"] == 0.97

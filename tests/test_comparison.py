@@ -8,6 +8,7 @@ flag-curvature volume bound.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,37 @@ def test_sclv_fan_is_integrated_once(monkeypatch):
     assert fans == [len(data.paths) + 1]
     assert data.center.flow is data.paths[0].flow and data.center.index == len(data.paths)
     assert np.array_equal(data.center.v0, cmp.center_direction(m, sclv))
+
+
+def test_each_sample_set_takes_one_connection_pass(monkeypatch):
+    # volumes and density sweeps read det A = det(V g J) from fundamental_tensor
+    # alone, and the scan scalars project A, A' with their one order-5 pass, so
+    # the only order-4 passes are the fan flow's own, over its Q + 1 rows
+    from lfgeom import connection, jacobi
+    real, calls = connection.eval_connection, []
+
+    def counting(m, x, v, order=4, validate=True):
+        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)[:-1])
+        calls.append((order, int(np.prod(batch))))
+        return real(m, x, v, order, validate)
+
+    for name, mod in list(sys.modules.items()):   # wherever a loaded lfgeom module holds it
+        if name.split(".")[0] == "lfgeom" and getattr(mod, "eval_connection", None) is real:
+            monkeypatch.setattr(mod, "eval_connection", counting)
+    scen = load_scenario(SCENARIOS / "mink2_gunther_weighted.yaml")
+    data = cmp.build_sclv_data(scen.model.build(), scen.sclv.build(),
+                               scale=scen.numerics.quad_scale)
+    Q = len(data.paths)
+    assert (4, Q + 1) in calls
+    for check in (lambda: cmp.bishop_gromov_check(data, 4.0, [(0.5, 1.0)]),
+                  lambda: cmp.gunther_check(data, k=0.3),
+                  lambda: cmp.bg_infinity_check(data, [(0.5, 1.0)]),
+                  lambda: cmp.ball_bound_check(data, 0.05, [0.3, 0.6, 0.9])):
+        check()   # the ball check reads psi of a constant weight, a scalar
+        assert max(b for order, b in calls if order == 4) <= Q + 1
+    calls.clear()
+    jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
+    assert calls == [(5, Q * data.scan_grid.size)]
 
 
 # ---------------------------------------------------------------- reports

@@ -109,8 +109,10 @@ def test_chart_exit_detected():
     assert seg.status == "chart-exit"
     assert abs(seg.t_end - 10.0) < 1e-6
     flow = radial_flow(m, np.zeros(3), np.array([[1.0, 0.3, 0.0]]), 50.0, post_scan=True)
-    with pytest.raises(ValueError):   # no state past the exit
-        flow.eval(0, 50.0)
+    for read in (lambda: flow.eval(0, 50.0), lambda: seg.position(50.0),
+                 lambda: seg.position(-1.0)):
+        with pytest.raises(ValueError):   # no state past the exit, nor before the start
+            read()
 
 
 def test_metric_collapse_detected():

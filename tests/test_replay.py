@@ -95,7 +95,7 @@ def assert_same_connection(got: ConnectionData, want: ConnectionData):
 
 
 @pytest.mark.parametrize("m", library_models(), ids=_ids)
-@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [3, 4, 5])
 def test_replay_matches_direct_evaluation(m, order):
     for seed, batch in enumerate([(), (1,), (5,), (2, 3)]):
         x, v = points(m, batch, seed)
@@ -119,12 +119,12 @@ def test_program_traced_at_apex_replays_at_generic_points(index):
     # x = 0 zeroes every x-term of the trace values; the program must keep them
     m = library_models()[index]  # a fresh model: its programs are traced here
     d = m.dim
-    for order in (2, 3, 4, 5):
+    for order in (3, 4, 5):
         eval_connection(m, np.zeros(d), np.eye(d)[0], order)
     fundamental_tensor(m, np.zeros(d), np.eye(d)[0])
-    assert len(m._programs) == 5
+    assert len(m._programs) == 4
     x, v = points(m, (6,), 3)
-    for order in (2, 3, 4, 5):
+    for order in (3, 4, 5):
         assert_same_connection(eval_connection(m, x, v, order), direct_connection(m, x, v, order))
     assert same_bits(fundamental_tensor(m, x, v), direct_fundamental_tensor(m, x, v))
 
@@ -181,7 +181,7 @@ def test_degenerate_metric_is_caught_at_replay():
 def test_domain_error_is_caught_at_replay():
     m = model_library("quartic_finsler", n=2, eps=0.3)  # divides by v0^2 + |v_s|^2
     d = m.dim
-    for order in (2, 3, 4):
+    for order in (3, 4):
         eval_connection(m, np.zeros(d), np.eye(d)[0], order, validate=False)
         with pytest.raises(JetDomainError):
             eval_connection(m, np.zeros(d), np.zeros(d), order, validate=False)
@@ -342,7 +342,7 @@ def test_runtime_values_follow_numpy():
     def section(inputs):
         x, v = inputs
         a = 2.0 / (1.0 + x * x)
-        return [v * (x ** 0.5) + jets.powr(x, 1.5) - a * v + jets.exp(-x) * jets.sqrt(x), a]
+        return [v * (x ** 0.5) + x ** 1.5 - a * v + jets.exp(-x) * jets.sqrt(x), a]
 
     program = jets.record(section, sp, [1], [1.0, 0.5])
     xs, vs = np.array([0.3, 2.0, 7.0]), np.array([1.0, 2.0, -1.0])
