@@ -13,6 +13,16 @@ Runs, each in a fresh interpreter on this checkout's ``src``:
   8 bundled scenarios, whose CSVs hold the sampled center geodesic and
   the 64 center samples of the curvature and Jacobi scalars that the
   ``all`` reports only summarise;
+* ``lfgeom validate-model`` and the four single-check subcommands
+  (``bg``, ``gunther``, ``bg-inf``, ``ball``) on the 8 bundled scenarios:
+  a check that a scenario does not configure exits 2, and one that it
+  does writes its diagnostic CSV;
+* ``lfgeom all`` and ``lfgeom validate-model`` with ``--seed 7`` on
+  ``seed-7``, a copy of ``flrw1_cosh_all``, so that validate-model's
+  random draw is pinned off the default seed;
+* ``lfgeom all`` on ``no-checks-n2``, ``mink2_gunther_weighted`` with its
+  ``checks`` block removed, which integrates the center Jacobi path alone
+  and writes its CSV;
 * ``lfgeom gunther`` and ``lfgeom all`` on both ``reject`` seed-0 inputs
   and on ``even-conjugate-n3``, none of which writes a report: both
   commands integrate the same fan, the patch center included, so they
@@ -26,8 +36,11 @@ the post-scan's dip refinement locates (direction 80, t = 3.5523).
 ``near-cone-n2`` is written there too: ``mink2_gunther_weighted`` with
 its patch widened to radius 0.97, a valid SCLV close to the light cone
 whose coordinate-volume oracle must run with every ray inside the patch.
+``seed-7`` and ``no-checks-n2`` are written there too, renamed so that
+their reports do not overwrite the bundled ones in OUT.
 OUT/runs.json records the exit code
-and stderr text of every run.  Two snapshots, say of a parent commit and
+and stderr text of every run (its key names the command, any extra flag
+and the input file).  Two snapshots, say of a parent commit and
 of a change, are then compared in one command by
 ``scripts/compare_reports.py OUT_A OUT_B``; exit codes and stderr are
 exact leaves there.  Exit code 0 once every run has ended, whatever its
@@ -70,18 +83,31 @@ def _write_input(spec, directory):
     return path
 
 
+def _bundled(stem, name):
+    """A bundled scenario renamed, so that its reports do not overwrite the
+    bundled ones in OUT."""
+    spec = yaml.safe_load((ROOT / "scenarios" / f"{stem}.yaml").read_text())
+    spec["name"] = name
+    return spec
+
+
 def _near_cone():
-    """A valid SCLV near the light cone, renamed so that its reports do not
-    overwrite the bundled ones in OUT."""
-    spec = yaml.safe_load((ROOT / "scenarios" / "mink2_gunther_weighted.yaml").read_text())
-    spec["name"] = "near-cone-n2"
+    """A valid SCLV near the light cone."""
+    spec = _bundled("mink2_gunther_weighted", "near-cone-n2")
     spec["sclv"]["radius"] = 0.97
     return spec
 
 
-def _lfgeom(command, scenario, out):
+def _no_checks():
+    """A scenario without checks: `all` runs the center Jacobi path alone."""
+    spec = _bundled("mink2_gunther_weighted", "no-checks-n2")
+    del spec["checks"]
+    return spec
+
+
+def _lfgeom(command, scenario, out, *flags):
     done = subprocess.run([sys.executable, "-m", "lfgeom.cli", command, "--scenario",
-                           str(scenario), "--out", str(out)],
+                           str(scenario), "--out", str(out), *flags],
                           capture_output=True, text=True, env=ENV, cwd=ROOT)
     return {"exit": done.returncode, "stderr": done.stderr}
 
@@ -96,11 +122,16 @@ def main(argv=None):
     runs = {}
     bundled = sorted((ROOT / "scenarios").glob("*.yaml"))
     for path in [*bundled, *_inputs("finsler3d", out / "inputs"),
-                 _write_input(_near_cone(), out / "inputs")]:
+                 _write_input(_near_cone(), out / "inputs"),
+                 _write_input(_no_checks(), out / "inputs")]:
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
     for path in bundled:
-        for command in ("geodesic", "curvature", "jacobi"):
+        for command in ("geodesic", "curvature", "jacobi", "validate-model",
+                        "bg", "gunther", "bg-inf", "ball"):
             runs[f"{command} {path.name}"] = _lfgeom(command, path, out)
+    seeded = _write_input(_bundled("flrw1_cosh_all", "seed-7"), out / "inputs")
+    for command in ("all", "validate-model"):
+        runs[f"{command} --seed 7 {seeded.name}"] = _lfgeom(command, seeded, out, "--seed", "7")
     for path in [*_inputs("reject", out / "inputs"), _write_input(EVEN_CONJUGATE, out / "inputs")]:
         for command in ("gunther", "all"):
             runs[f"{command} {path.name}"] = _lfgeom(command, path, out)

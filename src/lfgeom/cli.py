@@ -12,12 +12,16 @@ Flags may also be set by environment variables with the ``LFGEOM_``
 prefix (``LFGEOM_SCENARIO``, ``LFGEOM_OUT``, ``LFGEOM_SEED``,
 ``LFGEOM_RESOLUTION_SCALE``); explicit flags win.  Reports are
 byte-identical across runs: no timestamps are embedded.
+
+The four checks are the rows of one table, ``CHECKS``: each maps a
+``ChecksConfig`` field to its ``comparison`` function, whose keyword
+names are that config's field names.  Every CSV block is a 2-D float
+array, written with ``%.17g`` cells.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -27,14 +31,21 @@ import numpy as np
 
 from . import comparison as cmp
 from . import models
+from .curvature import ric_N
 from .geodesics import radial_flow
 from .jacobi import gunther_f, jacobi_variational, riccati_quantities, weighted_density
 from .scenario import ConfigError, Scenario, load_scenario, scenario_fields
 
 SCHEMA = 1
+# check name (a ChecksConfig field) -> its function in `comparison`, looked up
+# at call time so that a wrapper installed on the module (bench/tracer.py) sees it
+CHECKS = {"bg": "bishop_gromov_check", "gunther": "gunther_check",
+          "bg_inf": "bg_infinity_check", "ball": "ball_bound_check"}
 SUBCOMMANDS = ("validate-model", "curvature", "geodesic", "jacobi",
-               "bg", "gunther", "bg-inf", "ball", "all")
+               *(name.replace("_", "-") for name in CHECKS), "all")
 _ENV_PREFIX = "LFGEOM_"
+VALIDATE_SAMPLES = 200
+ORACLE_TOL = 1e-4
 
 
 def _env_default(name, cast, fallback):
@@ -76,12 +87,11 @@ def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
 
 
 def _write_csv(out_dir: Path, stem: str, header, rows) -> Path:
+    """The header, then one line of %.17g cells per row of the 2-D array rows."""
     path = out_dir / f"{stem}.csv"
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+        fh.write(",".join(header) + "\r\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
     return path
 
 
@@ -109,21 +119,23 @@ def _scaled(scen: Scenario, args):
             "t_volume": max(4, int(round(num.t_volume * f)))}
 
 
-def _validate_model(scen: Scenario, args, samples=200):
+def _validate_model(scen: Scenario, args):
     m = scen.model.build()
     rng = np.random.default_rng(args.seed)
-    d = m.dim
+    d, samples = m.dim, VALIDATE_SAMPLES
     box = min(1.0, 0.25 * min(min(-lo for lo in m.chart_lo),
                               min(hi for hi in m.chart_hi)))
-    xs, vs = [], []
+    # candidate rows (x, spatial velocity, scale), drawn in blocks: the same
+    # doubles, in the same order, as one candidate at a time
+    lo = np.concatenate([np.full(d, -box), np.full(m.n, -0.7), [0.5]])
+    hi = np.concatenate([np.full(d, box), np.full(m.n, 0.7), [2.0]])
+    xs, vs = np.empty((0, d)), np.empty((0, d))
     while len(xs) < samples:
-        x = rng.uniform(-box, box, size=d)
-        v = np.concatenate([[1.0], rng.uniform(-0.7, 0.7, size=m.n)])
-        v *= rng.uniform(0.5, 2.0)
-        if models.classify(m, x, v) == "future-timelike":
-            xs.append(x)
-            vs.append(v)
-    xs, vs = np.array(xs), np.array(vs)
+        cand = rng.uniform(lo, hi, size=(2 * samples, d + m.n + 1))
+        x = cand[:, :d]
+        v = np.concatenate([np.ones((len(cand), 1)), cand[:, d:-1]], axis=1) * cand[:, -1:]
+        keep = models.classify(m, x, v) == "future-timelike"
+        xs, vs = np.vstack([xs, x[keep]])[:samples], np.vstack([vs, v[keep]])[:samples]
 
     s = 1.7
     L = models.lagrangian(m, xs, vs)
@@ -179,8 +191,7 @@ def _geodesic_rows(scen: Scenario, flow, i):
     st = flow.eval(i, ts)
     xs, vel = st["eta"], st["etadot"]
     L = models.lagrangian(m, xs, vel)
-    rows = [[float(t)] + [float(c) for c in x] + [float(c) for c in w] +
-            [float(l + 1.0)] for t, x, w, l in zip(ts, xs, vel, L)]
+    rows = np.column_stack([ts, xs, vel, L + 1.0])
     header = (["t"] + [f"x{k}" for k in range(m.dim)]
               + [f"v{k}" for k in range(m.dim)] + ["L_drift"])
     report = {"verdict": "PASS" if t_end >= flow.t_target else "FAIL",
@@ -206,10 +217,9 @@ def _flag_params(scen: Scenario, n):
 
 def _curvature_cmd(scen: Scenario, m, sc):
     N, _ = _flag_params(scen, m.n)
-    ricN = sc.ric + sc.d2psi - sc.dpsi**2 / (N - m.n)
+    ricN = ric_N(sc.ric, sc.dpsi, sc.d2psi, N, m.n)
     header = ["t", "ric", "ric_inf", f"ric_N_{N:g}", "psi", "dpsi", "d2psi"]
-    rows = [[float(a) for a in row] for row in
-            zip(sc.ts, sc.ric, sc.ric + sc.d2psi, ricN, sc.psi, sc.dpsi, sc.d2psi)]
+    rows = np.column_stack([sc.ts, sc.ric, sc.ric + sc.d2psi, ricN, sc.psi, sc.dpsi, sc.d2psi])
     report = {"verdict": "PASS", "N": float(N), "samples": len(rows),
               "inf_ric_N": float(np.min(ricN)),
               "ode_rtol": scen.numerics.ode_rtol,
@@ -219,10 +229,9 @@ def _curvature_cmd(scen: Scenario, m, sc):
 
 def _jacobi_cmd(scen: Scenario, m, sc):
     N, c_flag = _flag_params(scen, m.n)
-    h, _, _ = weighted_density(sc, N)
-    f = gunther_f(sc, c_flag)
     header = ["t", "detA", "lambda", "h", "f"]
-    rows = [[float(a) for a in row] for row in zip(sc.ts, sc.detA, sc.lam, h, f)]
+    rows = np.column_stack([sc.ts, sc.detA, sc.lam, weighted_density(sc, N)[0],
+                            gunther_f(sc, c_flag)])
     report = {"verdict": "PASS", "N": float(N), "c_flag": float(c_flag),
               "samples": len(rows), "min_detA": float(np.min(sc.detA)),
               "ode_rtol": scen.numerics.ode_rtol,
@@ -240,19 +249,8 @@ def _sclv_data(scen: Scenario, args):
 
 
 def _run_check(name, scen: Scenario, data, cfg):
-    ck = scen.checks
-    tn = cfg["t_volume"]
-    if name == "bg":
-        return cmp.bishop_gromov_check(data, ck.bg.N, ck.bg.pairs, c=ck.bg.c,
-                                       tnodes=tn)
-    if name == "gunther":
-        return cmp.gunther_check(data, c=ck.gunther.c, k=ck.gunther.k,
-                                 tnodes=tn)
-    if name == "bg_inf":
-        return cmp.bg_infinity_check(data, ck.bg_inf.pairs, c=ck.bg_inf.c,
-                                     a=ck.bg_inf.a, tnodes=tn)
-    return cmp.ball_bound_check(data, ck.ball.eps, ck.ball.r_grid,
-                                c=ck.ball.c, tnodes=tn)
+    return getattr(cmp, CHECKS[name])(data, **vars(getattr(scen.checks, name)),
+                                      tnodes=cfg["t_volume"])
 
 
 def _oracle_entry(data):
@@ -260,31 +258,21 @@ def _oracle_entry(data):
     if m.n > 2:
         return {"verdict": "SKIPPED", "reason": "oracle covers n <= 2"}
     vol, err = cmp.sclv_volume(data, 1.0)
-    direct, direct_err = cmp.coordinate_volume(m, data.sclv, 1.0)
+    direct, direct_err = cmp.coordinate_volume(m, data.sclv)
     rel = abs(direct - vol) / vol
-    return {"verdict": "PASS" if rel < 1e-4 else "FAIL",
+    return {"verdict": "PASS" if rel < ORACLE_TOL else "FAIL",
             "polar": vol, "polar_t_error": err, "coordinate": direct,
-            "coordinate_error": direct_err, "rel_diff": rel, "tolerance": 1e-4}
+            "coordinate_error": direct_err, "rel_diff": rel, "tolerance": ORACLE_TOL}
 
 
 def _diagnostic_rows(data, scen: Scenario):
     N, c_flag = _flag_params(scen, data.model.n)
     header = ["direction", "t", "detA", "lambda", "ric", "psi", "dpsi",
               "d2psi", "h", "f"]
-    rows = []
-    for i, sc in enumerate(data.scalars):
-        h, _, _ = weighted_density(sc, N)
-        f = gunther_f(sc, c_flag)
-        for k in range(sc.ts.size):
-            rows.append([i, float(sc.ts[k]), float(sc.detA[k]),
-                         float(sc.lam[k]), float(sc.ric[k]), float(sc.psi[k]),
-                         float(sc.dpsi[k]), float(sc.d2psi[k]),
-                         float(h[k]), float(f[k])])
-    return header, rows
-
-
-_CHECK_NAMES = {"bg": "bg", "gunther": "gunther", "bg-inf": "bg_inf",
-                "ball": "ball"}
+    return header, np.vstack([
+        np.column_stack([np.full(sc.ts.size, i), sc.ts, sc.detA, sc.lam, sc.ric, sc.psi,
+                         sc.dpsi, sc.d2psi, weighted_density(sc, N)[0], gunther_f(sc, c_flag)])
+        for i, sc in enumerate(data.scalars)])
 
 
 def run(args) -> int:
@@ -310,8 +298,7 @@ def run(args) -> int:
         cmd = _curvature_cmd if args.command == "curvature" else _jacobi_cmd
         body, csv_blocks = cmd(scen, path.model, _radial_scalars(path))
         report[args.command] = body
-    elif args.command in _CHECK_NAMES:
-        key = _CHECK_NAMES[args.command]
+    elif (key := args.command.replace("-", "_")) in CHECKS:
         if getattr(scen.checks, key) is None:
             raise ConfigError(f"scenario {scen.name} does not configure "
                               f"the {args.command} check")

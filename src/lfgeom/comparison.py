@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets as jr
+from .curvature import ric_N
 from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
 from .jacobi import (
     JacobiPath,
@@ -319,10 +320,7 @@ def radial_bound_scan(data: SCLVData, N=None) -> dict:
         "directions": int(len(data.paths)),
     }
     if N is not None:
-        if np.isinf(N):
-            out["inf_ric_N"] = out["inf_ric_inf"]
-        else:
-            out["inf_ric_N"] = float(np.min(ric + d2 - d1**2 / (N - n)))
+        out["inf_ric_N"] = float(np.min(ric_N(ric, d1, d2, N, n)))
     return out
 
 
@@ -360,8 +358,8 @@ def _quad_meta(data: SCLVData) -> dict:
     }
 
 
-def _gauss_integral(fn, lo, hi, nodes=128):
-    xi, wi = _gauss_rule(nodes)
+def _gauss_integral(fn, lo, hi):
+    xi, wi = _gauss_rule(128)
     t = 0.5 * (hi - lo) * (xi + 1.0) + lo
     return 0.5 * (hi - lo) * float(np.sum(wi * fn(t)))
 
@@ -423,6 +421,13 @@ def _user_bound(name, user, scanned, *, upper=False):
     return user, False, []
 
 
+def _margin_row(lhs, rhs, margin, tol, **keys):
+    """(result row, passed): a row passes when margin >= -tol."""
+    good = margin >= -tol
+    return {**keys, "lhs": lhs, "rhs": rhs, "margin": margin, "tol": tol,
+            "verdict": "PASS" if good else "FAIL"}, good
+
+
 def _verdict(ok: bool, conditional: bool) -> str:
     if not ok:
         return "FAIL"
@@ -444,17 +449,14 @@ def _ratio_rows(data: SCLVData, pairs, profile, Tx, tnodes):
         lhs = vr / vR
         rhs = _gauss_integral(profile, 0.0, r * Tx) / _gauss_integral(profile, 0.0, R * Tx)
         tol = RATIO_TOL_FLOOR + lhs * (er / max(vr, 1e-300) + eR / max(vR, 1e-300))
-        margin = lhs - rhs
-        good = margin >= -tol
+        row, good = _margin_row(lhs, rhs, lhs - rhs, tol, r=r, R=R)
         ok &= good
-        results.append({"r": r, "R": R, "lhs": lhs, "rhs": rhs,
-                        "margin": margin, "tol": tol,
-                        "verdict": "PASS" if good else "FAIL"})
+        results.append(row)
     return results, ok
 
 
 def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
-                        tnodes=T_VOLUME, dense=T_DENSE) -> ComparisonReport:
+                        tnodes=T_VOLUME) -> ComparisonReport:
     """Volume-ratio lower bound for effective dimension N in (n, oo)."""
     n = data.model.n
     if not (np.isfinite(N) and N > n):
@@ -471,7 +473,7 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
     worst = {"max_step": -np.inf, "max_integral_step": -np.inf}
     mono_ok = True
     hi = b if c <= 0 else min(b, 0.999 * np.pi * np.sqrt(N / c))
-    ts = sample_grid(float(hi), dense)
+    ts = sample_grid(float(hi), T_DENSE)
     density, detA = _density(data, ts)
     sk = s_kappa(c / N, ts)
     for h in (density * detA) ** (1.0 / N):
@@ -516,17 +518,15 @@ def gunther_check(data: SCLVData, *, c=None, k=None,
     lhs, err = _polar_volume(data, data.b, tnodes=tnodes)
     rhs = np.exp(-k) * data.sigma * _gauss_integral(
         lambda t: s_kappa(-c, t) ** data.model.n, 0.0, data.b)
-    tol = RATIO_TOL_FLOOR + err
-    margin = lhs - rhs
+    row, good = _margin_row(lhs, rhs, lhs - rhs, RATIO_TOL_FLOOR + err)
     f_min = min(float(np.min(gunther_f(s, c))) for s in data.scalars)
     point_ok = f_min >= 1.0 - POINTWISE_TOL
-    ok = margin >= -tol and point_ok and hypothesis_ok
+    ok = good and point_ok and hypothesis_ok
     return ComparisonReport(
         check="gunther", verdict=_verdict(ok, conditional),
         bounds={"c": float(c), "c_certified": c_cert, "k": float(k),
                 "k_certified": k_cert, "scan": scan},
-        results=[{"lhs": lhs, "rhs": rhs, "margin": margin, "tol": tol,
-                  "verdict": "PASS" if margin >= -tol else "FAIL"}],
+        results=[row],
         pointwise={"min_f": f_min, "f_tol": POINTWISE_TOL},
         quadrature=_quad_meta(data), notes=notes)
 
@@ -622,12 +622,10 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
             bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
             closed = ({"rhs_closed_form": base + data.sigma * np.exp(C0 * r) / C0}
                       if c == 0.0 else {})
-        tol = RATIO_TOL_FLOOR + err + base_err
-        margin = bound - vol
-        good = margin >= -tol
+        row, good = _margin_row(vol, bound, bound - vol, RATIO_TOL_FLOOR + err + base_err,
+                                r=float(r), **closed)
         ok &= good
-        results.append({"r": float(r), "lhs": vol, "rhs": bound, "margin": margin,
-                        "tol": tol, "verdict": "PASS" if good else "FAIL", **closed})
+        results.append(row)
     if not results:
         raise ValueError("r grid has no entries beyond 4 epsilon")
     overflow = ", ".join(f"{row['r']:.6g}" for row in results if row["rhs"] == np.inf)
@@ -691,10 +689,9 @@ def _grid_volume(pos, vel, dens, dt, du, dphi):
     return float(simpson(val, dx=du, axis=0))
 
 
-def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=49,
-                      nchart=25, nphi=32,
-                      rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> tuple[float, float]:
-    """rho(U_x(r)) by direct coordinate-space integration, and its error estimate.
+def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, *, nt=49,
+                      nchart=25, nphi=32) -> tuple[float, float]:
+    """rho(U_x) by direct coordinate-space integration, and its error estimate.
 
     Forward-maps a polar grid with the exponential map and integrates the
     model measure e^{-psi} sqrt(-det g) against a finite-difference
@@ -736,8 +733,8 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, r, *, nt=49,
     w = np.concatenate([np.ones((offsets.shape[0], 1)), offsets], axis=1)
     F = np.sqrt(-lagrangian(m, np.broadcast_to(apex, w.shape), w))
     rays = w / F[:, None]
-    T = r * float(sclv.cut)
-    flow = radial_flow(m, apex, rays, T, rtol=rtol, atol=atol)
+    T = float(sclv.cut)
+    flow = radial_flow(m, apex, rays, T)
     st = flow.eval_all(np.linspace(0.0, T, nt))
     pos = st["eta"].reshape(chart_shape + (nt, m.dim))
     vel = st["etadot"].reshape(chart_shape + (nt, m.dim))

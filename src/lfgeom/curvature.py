@@ -38,6 +38,7 @@ __all__ = [
     "ricci",
     "weight_along",
     "ricci_weighted",
+    "ric_N",
 ]
 
 DPSI_TOL = 1e-10
@@ -141,14 +142,16 @@ def ricci_weighted(m: FinslerModel, x, v, N, data: CurvatureData | None = None):
     the volume-ratio theorem consumes N in (n, oo]) -- restricting the
     domain is the caller's job.
     """
-    n = m.n
     if data is None:
         data = riemann_matrix(m, x, v)
-    ric = data.ric
-    psi, dpsi, d2psi = weight_along(m, x, v, conn=data.center)
-    base = ric + d2psi
+    _, dpsi, d2psi = weight_along(m, x, v, conn=data.center)
+    return ric_N(data.ric, dpsi, d2psi, N, m.n)
+
+
+def ric_N(ric, dpsi, d2psi, N, n):
+    """Ric_N from sampled Ric, psi', psi'' (see `ricci_weighted`), elementwise."""
     if np.isinf(N):
-        return base
+        return ric + d2psi
     if abs(N - n) <= 1e-12:
-        return np.where(np.abs(dpsi) <= DPSI_TOL, base, -np.inf)
-    return base - dpsi**2 / (N - n)
+        return np.where(np.abs(dpsi) <= DPSI_TOL, ric + d2psi, -np.inf)
+    return ric + d2psi - dpsi**2 / (N - n)

@@ -293,15 +293,14 @@ class GeodesicSegment:
         return self.state(t)[0]
 
 
-def integrate_geodesic(m: FinslerModel, x0, v0, t_max, *, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL) -> GeodesicSegment:
+def integrate_geodesic(m: FinslerModel, x0, v0, t_max) -> GeodesicSegment:
     """Integrate eta'' = -G from (x0, v0) up to t_max or a validity boundary.
 
     A one-direction, post-scanned ``radial_flow``: the same stepping,
     margin event, dip scan and exit labels as every SCLV flow.
     """
     flow = radial_flow(m, x0, np.asarray(v0, dtype=float)[None], float(t_max),
-                       rtol=rtol, atol=atol, post_scan=True)
+                       post_scan=True)
     return GeodesicSegment(t_max=float(t_max), t_end=float(flow.t_reached[0]),
                            status=flow.exit_reason[0] or "completed",
                            sol=flow.segments[0][2], clock=flow.clock)
@@ -563,15 +562,14 @@ def _post_scan_flow(m, flow, L0):
         t_best = min(t_best, flow.t_reached[i])
 
 
-def find_validity_times(m: FinslerModel, x0, dirs, t_cap, **kw):
+def find_validity_times(m: FinslerModel, x0, dirs, t_cap):
     """Largest parameter time each direction stays inside the valid region.
 
     Each direction runs as its own flow, so one exit does not stop the
     others.  Returns (t_valid, reasons); reasons entries are None for
     directions that reach the cap untroubled.
     """
-    kw.setdefault("post_scan", True)
-    flows = [radial_flow(m, x0, v[None], float(t_cap), **kw)
+    flows = [radial_flow(m, x0, v[None], float(t_cap), post_scan=True)
              for v in np.asarray(dirs, dtype=float)]
     return (np.array([f.t_reached[0] for f in flows]),
             [f.exit_reason[0] for f in flows])

@@ -61,7 +61,7 @@ UNIT_TOL = 1e-8
 CURVATURE_NODES = 40
 
 
-def build_frame(m: FinslerModel, x, v, tol=1e-10) -> np.ndarray:
+def build_frame(m: FinslerModel, x, v) -> np.ndarray:
     """g_v-orthonormal spacelike frame orthogonal to unit timelike v; (n, d)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -76,7 +76,7 @@ def build_frame(m: FinslerModel, x, v, tol=1e-10) -> np.ndarray:
         for e in frame:
             w = w - (e @ g @ w) * e
         nrm2 = w @ g @ w
-        if nrm2 <= tol * scale:
+        if nrm2 <= 1e-10 * scale:
             continue  # seed (numerically) inside span{v, frame}
         frame.append(w / np.sqrt(nrm2))
         if len(frame) == m.n:
@@ -193,7 +193,7 @@ class ValidityExit(ValueError):
         self.index, self.t, self.reason = index, t, reason
 
 
-def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
+def variational_paths(m: FinslerModel, x0, dirs, t_end, *,
                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> list[JacobiPath]:
     """Variational-route paths for a fan of unit directions sharing one flow.
 
@@ -206,8 +206,7 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
     dirs = np.asarray(dirs, dtype=float)
     t_end = float(t_end)
     check_base_point(m, x0, dirs)   # before build_frame, whose breakdown names no cause
-    if frames is None:
-        frames = np.array([build_frame(m, x0, v) for v in dirs])
+    frames = np.array([build_frame(m, x0, v) for v in dirs])
     B, n, d = frames.shape
     seeds = (np.zeros((B, d, n)), np.swapaxes(frames, -1, -2).copy())
     flow = radial_flow(m, x0, dirs, t_end, frames=frames, jac_seeds=seeds,
@@ -222,7 +221,7 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *, frames=None,
                        flow=flow, index=i) for i in range(B)]
 
 
-def conjugate_scan(m: FinslerModel, x0, v0, t_max, **kw) -> np.ndarray:
+def conjugate_scan(m: FinslerModel, x0, v0, t_max) -> np.ndarray:
     """The first parameter time in (0, t_max] conjugate to x0 along the geodesic of v0,
     read off the "conjugate-point" exit of one variational flow of v0 / F(v0): a
     one-entry array, or an empty one when the geodesic first reaches t_max or leaves
@@ -231,26 +230,24 @@ def conjugate_scan(m: FinslerModel, x0, v0, t_max, **kw) -> np.ndarray:
     v0 = np.asarray(v0, dtype=float)
     F = float(lorentz_norm(m, x0, v0))
     try:
-        variational_paths(m, x0, v0[None] / F, F * t_max, **kw)
+        variational_paths(m, x0, v0[None] / F, F * t_max)
     except ValidityExit as exc:
         if exc.reason == CONJUGATE_POINT:
             return np.array([exc.t / F])
     return np.empty(0)
 
 
-def jacobi_variational(m: FinslerModel, x0, v0, t_end, *, frame=None,
+def jacobi_variational(m: FinslerModel, x0, v0, t_end, *,
                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiPath:
     """Jacobi path by the second-variation route, A(0)=0, A'(0)=I."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     _check_unit(m, x0, v0)
-    frames = None if frame is None else np.asarray(frame, dtype=float)[None]
-    return variational_paths(m, x0, v0[None], t_end, frames=frames, rtol=rtol, atol=atol)[0]
+    return variational_paths(m, x0, v0[None], t_end, rtol=rtol, atol=atol)[0]
 
 
 def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
-                     nodes=CURVATURE_NODES, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL) -> JacobiPath:
+                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiPath:
     """Jacobi path by integrating A'' = -Rhat(t) A in the parallel frame.
 
     Rhat is sampled at Chebyshev-Lobatto nodes along the geodesic and
@@ -272,13 +269,13 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
             f"geodesic leaves validity at t={flow.t_reached[0]:.6g} "
             f"({flow.exit_reason[0]}) before requested t={t_end:.6g}")
 
-    t_nodes = 0.5 * t_end * (1.0 - np.cos(np.linspace(0.0, np.pi, nodes)))
+    t_nodes = 0.5 * t_end * (1.0 - np.cos(np.linspace(0.0, np.pi, CURVATURE_NODES)))
     st = flow.eval(0, t_nodes)
     data = riemann_matrix(m, st["eta"], st["etadot"])
     RE = np.einsum("...ab,...jb->...ja", data.R, st["V"])
     Rhat = np.einsum("...ka,...ab,...jb->...kj", st["V"], data.center.g, RE)
     from scipy.interpolate import BarycentricInterpolator  # this route only: import on first use
-    interp = BarycentricInterpolator(t_nodes, Rhat.reshape(nodes, n * n))
+    interp = BarycentricInterpolator(t_nodes, Rhat.reshape(CURVATURE_NODES, n * n))
 
     def rhs(t, y):
         A = y[:n * n].reshape(n, n)
@@ -293,7 +290,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
                       route="curvature", flow=flow, matrix_sol=sol.sol)
 
 
-def sample_grid(t_end, npts=400):
+def sample_grid(t_end, npts):
     """Evaluation grid: geometric near 0 (det A ~ t^n), uniform after."""
     n_geo = max(npts // 4, 8)
     geo = t_end * np.geomspace(1e-6, 0.1, n_geo)
@@ -450,17 +447,18 @@ def gunther_f(scal: PathScalars, c):
     return scal.detA / s_kappa(-c, scal.ts) ** scal.n
 
 
-def monotone_ratio_check(ts, numer, denom, *, slack_abs=1e-8, slack_rel=1e-6):
-    """Non-increase of numer/denom and of the running-integral ratio."""
+def monotone_ratio_check(ts, numer, denom):
+    """Non-increase of numer/denom and of the running-integral ratio, up to a
+    slack of 1e-8 + 1e-6 |ratio| per step."""
     ts = np.asarray(ts, dtype=float)
     ratio = np.asarray(numer, dtype=float) / np.asarray(denom, dtype=float)
-    slack = slack_abs + slack_rel * np.abs(ratio[:-1])
+    slack = 1e-8 + 1e-6 * np.abs(ratio[:-1])
     steps = np.diff(ratio)
     In = cumulative_trapezoid(numer, ts, initial=0.0)
     Id = cumulative_trapezoid(denom, ts, initial=0.0)
     iratio = In[1:] / Id[1:]
     isteps = np.diff(iratio)
-    islack = slack_abs + slack_rel * np.abs(iratio[:-1])
+    islack = 1e-8 + 1e-6 * np.abs(iratio[:-1])
     return {
         "pointwise_ok": bool(np.all(steps <= slack)),
         "integral_ok": bool(np.all(isteps <= islack)),

@@ -1,14 +1,18 @@
 """Scenario files: one YAML document describing a model, an SCLV, the
 checks to run, and the numeric configuration.
 
-Parsing is strict: unknown keys anywhere in the tree are rejected with
-their full path, and ``Scenario.to_dict`` reproduces the parsed content
-losslessly (defaults excluded), so parse -> dump -> parse is stable.
+Each key is declared once, as a field of a config dataclass that carries
+its converter; a field without a default is a required key.  One reader,
+``_section``, reads every mapping of the tree against its dataclass.
+Parsing is strict: a wrong type, an unknown key and a missing required
+key are rejected with their full path ("<path> needs a, b, and c"), and
+``Scenario.to_dict`` reproduces the parsed content losslessly (defaults
+excluded), so parse -> dump -> parse is stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +42,6 @@ def _require_mapping(node, path):
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
     return node
-
-
-def _take(node: dict, path: str, known: dict):
-    """Pop known keys; reject whatever is left, reporting full paths."""
-    out = {}
-    for key, conv in known.items():
-        if key in node:
-            out[key] = conv(node.pop(key), f"{path}.{key}")
-    if node:
-        extra = ", ".join(f"{path}.{k}" for k in sorted(node))
-        raise ConfigError(f"unknown key(s): {extra}")
-    return out
 
 
 def _float(v, path):
@@ -116,12 +108,48 @@ def _params(v, path):
             for k, val in node.items()}
 
 
+def _key(parse, **kw):
+    """A scenario key: a config field with its converter; no default means required."""
+    return field(metadata={"parse": parse}, **kw)
+
+
+def _listing(names):
+    return (" and ".join(names) if len(names) <= 2
+            else ", ".join(names[:-1]) + ", and " + names[-1])
+
+
+def _section(cls, node, path):
+    """One scenario mapping read into the config dataclass cls.
+
+    Each field declared with `_key` is a key, converted by its parser;
+    the first wrong type, then any unknown key, then a missing required
+    key is reported with its full path.  A field whose parser is itself
+    a config dataclass is a nested section, read the same way once its
+    parent's own keys are settled.
+    """
+    keys = [(f, f.metadata["parse"]) for f in fields(cls) if "parse" in f.metadata]
+    node, kw = dict(_require_mapping(node, path)), {}
+    for f, parse in keys:
+        if f.name in node:
+            kw[f.name] = (_require_mapping if is_dataclass(parse) else parse)(
+                node.pop(f.name), f"{path}.{f.name}")
+    if node:
+        raise ConfigError("unknown key(s): " + ", ".join(f"{path}.{k}" for k in sorted(node)))
+    required = [f.name for f, _ in keys if f.default is MISSING and f.default_factory is MISSING]
+    if not kw.keys() >= set(required):
+        raise ConfigError(f"{path} needs {_listing(required)}")
+    for f, parse in keys:
+        if f.name in kw and is_dataclass(parse):
+            kw[f.name] = _section(parse, kw[f.name], f"{path}.{f.name}")
+    return cls(**kw)
+
+
 @dataclass
 class ModelConfig:
-    name: str
-    n: int
-    params: dict = field(default_factory=dict)
-    weight: list = field(default_factory=list)
+    name: str = _key(_str)
+    n: int = _key(_int)
+    params: dict = _key(_params, default_factory=dict)
+    weight: list = _key(_weight_terms, default_factory=list)
     _model: object = field(default=None, init=False, repr=False, compare=False)
 
     def build(self):
@@ -141,10 +169,10 @@ class ModelConfig:
 
 @dataclass
 class SCLVConfig:
-    apex: list
-    radius: float
-    cut: float
-    center: list | None = None
+    apex: list = _key(_floats)
+    radius: float = _key(_float)
+    cut: float = _key(_float)
+    center: list | None = _key(_floats, default=None)
 
     def build(self):
         from .comparison import SCLVSpec
@@ -157,62 +185,64 @@ class SCLVConfig:
             raise ConfigError(f"sclv: {exc}") from exc
 
 
+# Each check's field names are its comparison function's keyword names.
+
+
 @dataclass
 class BGConfig:
-    N: float
-    pairs: list
-    c: float | None = None
+    N: float = _key(_float)
+    pairs: list = _key(_pairs)
+    c: float | None = _key(_float, default=None)
 
 
 @dataclass
 class GuntherConfig:
-    c: float | None = None
-    k: float | None = None
+    c: float | None = _key(_float, default=None)
+    k: float | None = _key(_float, default=None)
 
 
 @dataclass
 class BGInfConfig:
-    pairs: list
-    c: float | None = None
-    a: float | None = None
+    pairs: list = _key(_pairs)
+    c: float | None = _key(_float, default=None)
+    a: float | None = _key(_float, default=None)
 
 
 @dataclass
 class BallConfig:
-    eps: float
-    r_grid: list
-    c: float | None = None
+    eps: float = _key(_float)
+    r_grid: list = _key(_floats)
+    c: float | None = _key(_float, default=None)
 
 
 @dataclass
 class ChecksConfig:
-    bg: BGConfig | None = None
-    gunther: GuntherConfig | None = None
-    bg_inf: BGInfConfig | None = None
-    ball: BallConfig | None = None
+    bg: BGConfig | None = _key(BGConfig, default=None)
+    gunther: GuntherConfig | None = _key(GuntherConfig, default=None)
+    bg_inf: BGInfConfig | None = _key(BGInfConfig, default=None)
+    ball: BallConfig | None = _key(BallConfig, default=None)
 
     def requested(self):
-        return [name for name in ("bg", "gunther", "bg_inf", "ball")
-                if getattr(self, name) is not None]
+        return [f.name for f in fields(self) if getattr(self, f.name) is not None]
 
 
 @dataclass
 class NumericsConfig:
-    ode_rtol: float = 1e-10
-    ode_atol: float = 1e-10
-    quad_scale: float = 1.0
-    t_scan: int = 32
-    t_volume: int = 48
-    oracle: bool = False
+    ode_rtol: float = _key(_float, default=1e-10)
+    ode_atol: float = _key(_float, default=1e-10)
+    quad_scale: float = _key(_float, default=1.0)
+    t_scan: int = _key(_int, default=32)
+    t_volume: int = _key(_int, default=48)
+    oracle: bool = _key(_bool, default=False)
 
 
 @dataclass
 class Scenario:
-    name: str
-    model: ModelConfig
-    sclv: SCLVConfig
-    checks: ChecksConfig
-    numerics: NumericsConfig
+    name: str = _key(_str)
+    model: ModelConfig = _key(ModelConfig)
+    sclv: SCLVConfig = _key(SCLVConfig)
+    checks: ChecksConfig = _key(ChecksConfig, default_factory=ChecksConfig)
+    numerics: NumericsConfig = _key(NumericsConfig, default_factory=NumericsConfig)
     _raw: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
@@ -229,75 +259,14 @@ def _deep_copy(node):
 
 
 def parse_scenario(doc: dict, origin="scenario") -> Scenario:
-    raw = _deep_copy(_require_mapping(doc, origin))
-    top = _take(dict(doc), origin, {
-        "name": _str,
-        "model": _require_mapping,
-        "sclv": _require_mapping,
-        "checks": _require_mapping,
-        "numerics": _require_mapping,
-    })
-    for key in ("name", "model", "sclv"):
-        if key not in top:
-            raise ConfigError(f"{origin}.{key} is required")
-
-    mk = _take(dict(top["model"]), f"{origin}.model", {
-        "name": _str, "n": _int, "params": _params, "weight": _weight_terms,
-    })
-    if "name" not in mk or "n" not in mk:
-        raise ConfigError(f"{origin}.model needs name and n")
-    model = ModelConfig(**mk)
-
-    sk = _take(dict(top["sclv"]), f"{origin}.sclv", {
-        "apex": _floats, "radius": _float, "cut": _float, "center": _floats,
-    })
-    if not {"apex", "radius", "cut"} <= sk.keys():
-        raise ConfigError(f"{origin}.sclv needs apex, radius, and cut")
-    sclv = SCLVConfig(**sk)
-    if len(sk["apex"]) != model.n + 1:
-        raise ConfigError(f"{origin}.sclv.apex: expected {model.n + 1} components")
-    if sclv.center is not None and len(sclv.center) != model.n:
-        raise ConfigError(f"{origin}.sclv.center: expected {model.n} components")
-
-    checks = ChecksConfig()
-    if "checks" in top:
-        ck = _take(dict(top["checks"]), f"{origin}.checks", {
-            "bg": _require_mapping, "gunther": _require_mapping,
-            "bg_inf": _require_mapping, "ball": _require_mapping,
-        })
-        if "bg" in ck:
-            kw = _take(dict(ck["bg"]), f"{origin}.checks.bg",
-                       {"N": _float, "pairs": _pairs, "c": _float})
-            if not {"N", "pairs"} <= kw.keys():
-                raise ConfigError(f"{origin}.checks.bg needs N and pairs")
-            checks.bg = BGConfig(**kw)
-        if "gunther" in ck:
-            kw = _take(dict(ck["gunther"]), f"{origin}.checks.gunther",
-                       {"c": _float, "k": _float})
-            checks.gunther = GuntherConfig(**kw)
-        if "bg_inf" in ck:
-            kw = _take(dict(ck["bg_inf"]), f"{origin}.checks.bg_inf",
-                       {"pairs": _pairs, "c": _float, "a": _float})
-            if "pairs" not in kw:
-                raise ConfigError(f"{origin}.checks.bg_inf needs pairs")
-            checks.bg_inf = BGInfConfig(**kw)
-        if "ball" in ck:
-            kw = _take(dict(ck["ball"]), f"{origin}.checks.ball",
-                       {"eps": _float, "r_grid": _floats, "c": _float})
-            if not {"eps", "r_grid"} <= kw.keys():
-                raise ConfigError(f"{origin}.checks.ball needs eps and r_grid")
-            checks.ball = BallConfig(**kw)
-
-    numerics = NumericsConfig()
-    if "numerics" in top:
-        nk = _take(dict(top["numerics"]), f"{origin}.numerics", {
-            "ode_rtol": _float, "ode_atol": _float, "quad_scale": _float,
-            "t_scan": _int, "t_volume": _int, "oracle": _bool,
-        })
-        numerics = NumericsConfig(**nk)
-
-    return Scenario(name=top["name"], model=model, sclv=sclv,
-                    checks=checks, numerics=numerics, _raw=raw)
+    scen = _section(Scenario, doc, origin)
+    scen._raw = _deep_copy(doc)
+    n = scen.model.n
+    if len(scen.sclv.apex) != n + 1:
+        raise ConfigError(f"{origin}.sclv.apex: expected {n + 1} components")
+    if scen.sclv.center is not None and len(scen.sclv.center) != n:
+        raise ConfigError(f"{origin}.sclv.center: expected {n} components")
+    return scen
 
 
 def load_scenario(path) -> Scenario:

@@ -398,7 +398,7 @@ def test_criterion_11_volume_oracle(mink2_data):
     worst = 0.0
     for key, (m, spec, data) in mink2_data.items():
         polar, _ = sclv_volume(data, 1.0)
-        coord, _ = coordinate_volume(m, spec, 1.0)
+        coord, _ = coordinate_volume(m, spec)
         worst = max(worst, abs(coord - polar) / polar)
     ok = worst < 1e-4
     _report(11, ok, f"max |coordinate - polar| / polar {worst:.2e} (<1e-4) "

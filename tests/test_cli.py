@@ -107,6 +107,53 @@ def test_not_yaml_and_missing_file(tmp_path):
         load_scenario(tmp_path / "absent.yaml")
 
 
+def _drop(*keys):
+    def mutate(d):
+        for k in keys[:-1]:
+            d = d[k]
+        del d[keys[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # one case per converter kind
+    (lambda d: d["model"].update(n=2.5), "f.yaml.model.n: expected an integer, got 2.5"),
+    (lambda d: d["numerics"].update(oracle=1),
+     "f.yaml.numerics.oracle: expected true/false, got 1"),
+    (lambda d: d.update(name=3), "f.yaml.name: expected a string, got 3"),
+    (lambda d: d["sclv"].update(apex=0.0), "f.yaml.sclv.apex: expected a list of numbers"),
+    (lambda d: d["checks"]["bg"].update(pairs=[[0.5]]),
+     "f.yaml.checks.bg.pairs[0]: expected exactly two numbers"),
+    (lambda d: d["model"].update(weight=[["linear_x0"]]),
+     "f.yaml.model.weight[0]: expected [kind, param]"),
+    (lambda d: d.update(sclv=[0.0, 1.0]), "f.yaml.sclv: expected a mapping, got list"),
+    (lambda d: d["checks"].update(gunther=0), "f.yaml.checks.gunther: expected a mapping, got int"),
+    # one case per required set
+    (_drop("model", "name"), "f.yaml.model needs name and n"),
+    (_drop("sclv", "cut"), "f.yaml.sclv needs apex, radius, and cut"),
+    (_drop("checks", "bg", "N"), "f.yaml.checks.bg needs N and pairs"),
+    (_drop("checks", "bg_inf", "pairs"), "f.yaml.checks.bg_inf needs pairs"),
+    (_drop("checks", "ball", "r_grid"), "f.yaml.checks.ball needs eps and r_grid"),
+    (_drop("name"), "f.yaml needs name, model, and sclv"),
+])
+def test_section_reader_names_each_fault_in_full(tmp_path, mutate, message):
+    doc = yaml.safe_load(MINK1_ALL)
+    mutate(doc)
+    p = tmp_path / "f.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(p)
+    assert str(exc.value) == message
+
+
+def test_empty_scenario_file(tmp_path):
+    p = tmp_path / "empty.yaml"
+    p.write_text("# nothing here\n")
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(p)
+    assert str(exc.value) == f"{p}: empty scenario file"
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -237,6 +284,42 @@ def test_oracle_near_the_cone_runs_inside_the_patch(tmp_path):
     assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
     oracle = json.loads((tmp_path / "near-cone-n2-all.json").read_text())["volume_oracle"]
     assert np.isfinite(oracle["coordinate"]) and np.isfinite(oracle["coordinate_error"])
+
+
+def test_all_without_checks_reads_the_center_path_alone(tmp_path):
+    # no checks: `all` runs the center Jacobi path by itself, and its blocks and
+    # CSV are those of the single-block subcommands
+    doc = yaml.safe_load((SCENARIOS / "mink2_gunther_weighted.yaml").read_text())
+    doc["name"] = "bare"
+    del doc["checks"]
+    p = tmp_path / "bare.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    reps = {}
+    for command in ("all", "geodesic", "curvature", "jacobi"):
+        assert cli.main([command, "--scenario", str(p), "--out", str(tmp_path)]) == 0, command
+        reps[command] = json.loads((tmp_path / f"bare-{command}.json").read_text())
+    full = reps["all"]
+    assert "checks" not in full and "volume_oracle" not in full
+    assert full["curvature"] == reps["curvature"]["curvature"]
+    assert full["jacobi"] == reps["jacobi"]["jacobi"]
+    assert ((tmp_path / "bare-all.csv").read_bytes()
+            == (tmp_path / "bare-jacobi.csv").read_bytes())
+    geo, ref = full["geodesic"], reps["geodesic"]["geodesic"]
+    assert [geo[k] for k in ("verdict", "t_end", "status")] == \
+        [ref[k] for k in ("verdict", "t_end", "status")]
+    assert abs(geo["max_L_drift"] - ref["max_L_drift"]) <= 1e-8
+
+
+def test_oracle_skips_above_two_spatial_dimensions(tmp_path):
+    doc = {"name": "mink3", "model": {"name": "minkowski", "n": 3},
+           "sclv": {"apex": [0.0, 0.0, 0.0, 0.0], "radius": 0.5, "cut": 1.0},
+           "checks": {"gunther": {}}, "numerics": {"quad_scale": 0.5, "oracle": True}}
+    p = tmp_path / "mink3.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert cli.main(["all", "--scenario", str(p), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "mink3-all.json").read_text())
+    assert rep["volume_oracle"] == {"verdict": "SKIPPED", "reason": "oracle covers n <= 2"}
+    assert rep["verdict"] == "PASS"
 
 
 def test_ball_bound_overflow_is_noted_not_warned(tmp_path):

@@ -87,7 +87,7 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
         outs.append(directory)
         return [directory / f"{workload}.yaml"]
 
-    def lfgeom(command, scenario, out):
+    def lfgeom(command, scenario, out, *flags):
         outs.append(out)
         return {"exit": 0, "stderr": ""}
 
@@ -99,8 +99,14 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     runs = json.loads((tmp_path / "snap" / "runs.json").read_text())
     assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs
     assert "gunther even-conjugate-n3.yaml" in runs
-    assert "all near-cone-n2.yaml" in runs
-    for command in ("geodesic", "curvature", "jacobi"):
+    assert "all near-cone-n2.yaml" in runs and "all no-checks-n2.yaml" in runs
+    for command in ("geodesic", "curvature", "jacobi", "validate-model",
+                    "bg", "gunther", "bg-inf", "ball"):
         assert f"{command} mink2_gunther_weighted.yaml" in runs
+    assert "all --seed 7 seed-7.yaml" in runs and "validate-model --seed 7 seed-7.yaml" in runs
     near = yaml.safe_load((tmp_path / "snap" / "inputs" / "near-cone-n2.yaml").read_text())
     assert near["name"] == "near-cone-n2" and near["sclv"]["radius"] == 0.97
+    bare = yaml.safe_load((tmp_path / "snap" / "inputs" / "no-checks-n2.yaml").read_text())
+    assert bare["name"] == "no-checks-n2" and "checks" not in bare
+    seeded = yaml.safe_load((tmp_path / "snap" / "inputs" / "seed-7.yaml").read_text())
+    assert seeded["name"] == "seed-7" and seeded["checks"]

@@ -133,14 +133,14 @@ def test_coordinate_route_matches_polar_n1():
     sclv = cmp.SCLVSpec(apex=np.array([0.1, -0.2]), radius=0.5, cut=1.5)
     data = cmp.build_sclv_data(m, sclv)
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
+    direct, _ = cmp.coordinate_volume(m, sclv)
     assert abs(direct - vol) < 1e-4 * vol
 
 
 def test_coordinate_route_matches_polar_n2(mink2):
     m, sclv, data = mink2
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
+    direct, _ = cmp.coordinate_volume(m, sclv)
     assert abs(direct - vol) < 1e-4 * vol
 
 
@@ -149,7 +149,7 @@ def test_coordinate_route_anisotropic_n2():
     sclv = cmp.SCLVSpec(apex=np.zeros(3), radius=0.4, cut=1.0)
     data = cmp.build_sclv_data(m, sclv, scale=0.5)
     vol, _ = cmp.sclv_volume(data, 1.0)
-    direct, _ = cmp.coordinate_volume(m, sclv, 1.0)
+    direct, _ = cmp.coordinate_volume(m, sclv)
     assert abs(direct - vol) < 1e-4 * vol
 
 
@@ -170,7 +170,7 @@ def test_fd4_stencils_are_exact_on_quartics():
 def test_coordinate_volume_rejects_grids_without_a_nested_half(mink2, nt, nchart, nphi):
     m, sclv, _ = mink2
     with pytest.raises(ValueError):
-        cmp.coordinate_volume(m, sclv, 1.0, nt=nt, nchart=nchart, nphi=nphi)
+        cmp.coordinate_volume(m, sclv, nt=nt, nchart=nchart, nphi=nphi)
 
 
 def _flat_sclv(n, R):
@@ -185,7 +185,7 @@ def test_coordinate_error_bounds_the_closed_form_error(n, R, k):
     m = models.model_library("minkowski", n, weight=[("const", k)] if k else None)
     exact = (np.arctanh(R) if n == 1 else
              np.exp(-k) * (2 * np.pi / 3) * ((1 - R * R) ** -0.5 - 1))
-    direct, err = cmp.coordinate_volume(m, _flat_sclv(n, R), 1.0)
+    direct, err = cmp.coordinate_volume(m, _flat_sclv(n, R))
     assert abs(direct - exact) <= err
 
 
@@ -193,8 +193,8 @@ def test_coordinate_error_bounds_the_closed_form_error(n, R, k):
 def test_coordinate_error_bounds_the_fine_grid_move(name):
     scen = load_scenario(SCENARIOS / f"{name}.yaml")
     m, sclv = scen.model.build(), scen.sclv.build()
-    direct, err = cmp.coordinate_volume(m, sclv, 1.0)
-    fine, _ = cmp.coordinate_volume(m, sclv, 1.0, nt=97, nchart=49, nphi=64)
+    direct, err = cmp.coordinate_volume(m, sclv)
+    fine, _ = cmp.coordinate_volume(m, sclv, nt=97, nchart=49, nphi=64)
     assert abs(direct - fine) <= err
 
 
