@@ -7,8 +7,8 @@ Usage:
 Runs, each in a fresh interpreter on this checkout's ``src``:
 
 * ``lfgeom all`` on the 8 bundled scenarios, on the ``finsler3d``
-  seed-0 input and on ``near-cone-n2``, writing their JSON and CSV
-  reports into OUT;
+  seed-0 input, on ``near-cone-n2`` and on ``sphere-ball``, writing their
+  JSON and CSV reports into OUT;
 * ``lfgeom geodesic``, ``lfgeom curvature`` and ``lfgeom jacobi`` on the
   8 bundled scenarios, whose CSVs hold the sampled center geodesic and
   the 64 center samples of the curvature and Jacobi scalars that the
@@ -36,6 +36,10 @@ the post-scan's dip refinement locates (direction 80, t = 3.5523).
 ``near-cone-n2`` is written there too: ``mink2_gunther_weighted`` with
 its patch widened to radius 0.97, a valid SCLV close to the light cone
 whose coordinate-volume oracle must run with every ray inside the patch.
+``sphere-ball`` is written there too: ``boosted_sphere_gunther_fail``
+with its checks replaced by the ball check, whose scanned c > 0 takes the
+closed-form bound's erfcx branch (``seed-7`` and ``flrw1_cosh_all``, with
+c < 0, take its Dawson branch).
 ``seed-7`` and ``no-checks-n2`` are written there too, renamed so that
 their reports do not overwrite the bundled ones in OUT.
 OUT/runs.json records the exit code
@@ -98,6 +102,13 @@ def _near_cone():
     return spec
 
 
+def _sphere_ball():
+    """A ball check whose scanned Ric_oo bound c is positive."""
+    spec = _bundled("boosted_sphere_gunther_fail", "sphere-ball")
+    spec["checks"] = {"ball": {"eps": 0.02, "r_grid": [0.45, 0.9, 1.5]}}
+    return spec
+
+
 def _no_checks():
     """A scenario without checks: `all` runs the center Jacobi path alone."""
     spec = _bundled("mink2_gunther_weighted", "no-checks-n2")
@@ -123,6 +134,7 @@ def main(argv=None):
     bundled = sorted((ROOT / "scenarios").glob("*.yaml"))
     for path in [*bundled, *_inputs("finsler3d", out / "inputs"),
                  _write_input(_near_cone(), out / "inputs"),
+                 _write_input(_sphere_ball(), out / "inputs"),
                  _write_input(_no_checks(), out / "inputs")]:
         runs[f"all {path.name}"] = _lfgeom("all", path, out)
     for path in bundled:

@@ -55,7 +55,7 @@ import numpy as np
 from .connection import DegenerateMetricError, eval_connection
 from .jets import JetDomainError
 from .models import CausalityError, FinslerModel, classify, fundamental_tensor, lagrangian
-from .ode import brentq, solve_ivp
+from .ode import brentq, fminbound, solve_ivp
 
 __all__ = [
     "GeodesicSegment",
@@ -169,11 +169,9 @@ def _first_margin_crossing(margin_fn, ts, dips, bad):
     then each sampled sign change by a root bracket.
     """
     for j in dips:
-        from scipy.optimize import minimize_scalar  # rarely reached: import on first use
-        res = minimize_scalar(margin_fn, bounds=(float(ts[j - 1]), float(ts[j + 1])),
-                              method="bounded", options={"xatol": 1e-12})
-        if res.fun <= 0.0:
-            t = _refine_crossing(margin_fn, float(ts[j - 1]), float(res.x))
+        x, fx, _ = fminbound(margin_fn, float(ts[j - 1]), float(ts[j + 1]))
+        if fx <= 0.0:
+            t = _refine_crossing(margin_fn, float(ts[j - 1]), float(x))
             if t is not None:
                 return t
     for j in bad:

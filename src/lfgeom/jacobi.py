@@ -246,6 +246,23 @@ def jacobi_variational(m: FinslerModel, x0, v0, t_end, *,
     return variational_paths(m, x0, v0[None], t_end, rtol=rtol, atol=atol)[0]
 
 
+def _lobatto_interpolant(t_nodes, values):
+    """The polynomial through values[j] at the Chebyshev-Lobatto nodes t_nodes[j],
+    by the barycentric formula with weights (-1)^j, halved at both ends
+    (Berrut & Trefethen, SIAM Review 46(3), 2004); exact at the nodes."""
+    w = np.where(np.arange(len(t_nodes)) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+
+    def at(t):
+        d = t - t_nodes
+        hit = np.flatnonzero(d == 0.0)
+        if hit.size:
+            return values[hit[0]]
+        c = w / d
+        return c @ values / c.sum()
+    return at
+
+
 def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
                      rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> JacobiPath:
     """Jacobi path by integrating A'' = -Rhat(t) A in the parallel frame.
@@ -274,8 +291,7 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
     data = riemann_matrix(m, st["eta"], st["etadot"])
     RE = np.einsum("...ab,...jb->...ja", data.R, st["V"])
     Rhat = np.einsum("...ka,...ab,...jb->...kj", st["V"], data.center.g, RE)
-    from scipy.interpolate import BarycentricInterpolator  # this route only: import on first use
-    interp = BarycentricInterpolator(t_nodes, Rhat.reshape(CURVATURE_NODES, n * n))
+    interp = _lobatto_interpolant(t_nodes, Rhat.reshape(CURVATURE_NODES, n * n))
 
     def rhs(t, y):
         A = y[:n * n].reshape(n, n)

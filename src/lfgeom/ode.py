@@ -5,20 +5,25 @@ explicit Runge-Kutta method of order 8(5,3) of Dormand and Prince, with its
 7th-order dense output (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., Springer 1993, Sec. II.10).  Validity
 exits are located on that dense output by Brent's method (Brent,
-*Algorithms for Minimization without Derivatives*, 1973, Ch. 4), and
-sampled densities are integrated by Simpson's and the trapezoidal rule.
+*Algorithms for Minimization without Derivatives*, 1973, Ch. 4), a
+margin that dips to zero without a sign change by Brent's bounded
+minimizer (Ch. 5), and sampled densities are integrated by Simpson's and
+the trapezoidal rule.
 
 This module ports exactly the SciPy 1.17 code those paths run:
 ``integrate/_ivp/{ivp,rk,base,common,dop853_coefficients}.py``,
-``integrate/_quadrature.py``, and the C ``brentq`` behind
-``optimize.brentq``.  It does the same floating-point operations in the
-same order, so its results equal SciPy's bit for bit, without importing
-SciPy, whose import graph dominated the start-up of every ``lfgeom``
-process.  Only what lfgeom calls is ported: forward integration of real
-states over a non-empty span, dense output always on, at most one event
-(always terminal), no ``t_eval``, ``max_step``, ``args`` or
-``vectorized``; Simpson's rule on odd counts of evenly spaced samples
-only, and the running trapezoid on 1-D samples only.
+``integrate/_quadrature.py``, the C ``brentq`` behind ``optimize.brentq``
+and ``optimize/_optimize.py::_minimize_scalar_bounded`` behind
+``minimize_scalar(method="bounded")``.  It does the same floating-point
+operations in the same order, so its results equal SciPy's bit for bit,
+without importing SciPy, whose import graph dominated the start-up of
+every ``lfgeom`` process.  Only what lfgeom calls is ported: forward
+integration of real states over a non-empty span, dense output always
+on, at most one event (always terminal), no ``t_eval``, ``max_step``,
+``args`` or ``vectorized``; the bounded minimizer on finite ordered
+bounds, without ``args``, ``disp`` or a status flag; Simpson's rule on
+odd counts of evenly spaced samples only, and the running trapezoid on
+1-D samples only.
 
 SciPy's license, under which this port is distributed:
 
@@ -64,8 +69,8 @@ from itertools import groupby
 
 import numpy as np
 
-__all__ = ["OdeResult", "OdeSolution", "brentq", "cumulative_trapezoid", "simpson",
-           "solve_ivp"]
+__all__ = ["OdeResult", "OdeSolution", "brentq", "cumulative_trapezoid", "fminbound",
+           "simpson", "solve_ivp"]
 
 EPS = np.finfo(float).eps
 
@@ -560,6 +565,70 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * EPS, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+FMIN_XATOL = 1e-12  # the one tolerance a margin dip is located to
+FMIN_MAXITER = 500  # SciPy's default evaluation cap
+
+
+def fminbound(func, x1, x2):
+    """(x, func(x), evaluations) at a local minimum of func on [x1, x2].
+
+    SciPy's ``_minimize_scalar_bounded`` statement for statement: parabolic
+    steps safeguarded by golden-section ones, until x is known to about
+    FMIN_XATOL, or for at most FMIN_MAXITER evaluations.
+    """
+    xatol, maxiter = FMIN_XATOL, FMIN_MAXITER
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
 
 
 # ---------------------------------------------------------- quadrature

@@ -383,18 +383,64 @@ def test_singular_solve_is_a_numerical_abort(tmp_path, capsys, monkeypatch):
 
 
 SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# run first in a fresh interpreter: from then on any import of SciPy raises
+NO_SCIPY = """\
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name}: a run needs no SciPy")
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def without_scipy(code):
+    return fresh_python("-c", NO_SCIPY + code + f"\n{SCIPY_MODULES}")
 
 
 def test_cli_import_loads_no_scipy():
-    run = fresh_python("-c", f"import sys, lfgeom.cli; {SCIPY_MODULES}")
+    # the import that setup_s times loads the standard library, numpy (with the
+    # Cython runtime its extensions register), yaml and lfgeom, and nothing else
+    run = without_scipy("before = set(sys.modules)\nimport lfgeom.cli\n"
+                        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                        " - sys.stdlib_module_names))")
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    loaded, scipy_modules = run.stdout.splitlines()
+    loaded = set(loaded.split())
+    assert scipy_modules == "[]"
+    assert {"lfgeom", "numpy", "yaml"} <= loaded
+    assert {m for m in loaded - {"lfgeom", "numpy", "yaml", "cython_runtime"}
+            if not m.startswith("_cython_")} == set()
 
 
-def test_all_on_a_bundled_scenario_loads_no_scipy(tmp_path):
-    argv = ["all", "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"), "--out", str(tmp_path)]
-    run = fresh_python("-c", f"import sys; from lfgeom import cli; "
-                             f"assert cli.main({argv!r}) == 0; {SCIPY_MODULES}")
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.yaml")))
+def test_all_on_a_bundled_scenario_loads_no_scipy(tmp_path, scenario):
+    argv = ["all", "--scenario", str(SCENARIOS / f"{scenario}.yaml"), "--out", str(tmp_path)]
+    code = 1 if scenario == "boosted_sphere_gunther_fail" else 0
+    run = without_scipy(f"from lfgeom import cli\nassert cli.main({argv!r}) == {code}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_dip_refinement_loads_no_scipy(tmp_path):
+    # det A only touches zero on this fan, so its exit is found by the bounded minimizer
+    even = tmp_path / "even-conjugate-n3.yaml"
+    even.write_text(yaml.safe_dump(EVEN_CONJUGATE, sort_keys=False))
+    argv = ["gunther", "--scenario", str(even), "--out", str(tmp_path)]
+    run = without_scipy(f"from lfgeom import cli\nassert cli.main({argv!r}) == 2")
+    assert run.returncode == 0, run.stderr
+    assert "direction 80" in run.stderr and "t=3.5523" in run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_curvature_route_jacobi_loads_no_scipy():
+    run = without_scipy("import numpy as np\n"
+                        "from lfgeom.jacobi import jacobi_curvature\n"
+                        "from lfgeom.models import model_library\n"
+                        "m = model_library('minkowski', n=2)\n"
+                        "s = jacobi_curvature(m, np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0)"
+                        ".sample([2.0])\n"
+                        "assert np.allclose(s.A[0], 2.0 * np.eye(2), atol=1e-8)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
 

@@ -100,6 +100,7 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     assert "all finsler3d.yaml" in runs and "gunther reject.yaml" in runs
     assert "gunther even-conjugate-n3.yaml" in runs
     assert "all near-cone-n2.yaml" in runs and "all no-checks-n2.yaml" in runs
+    assert "all sphere-ball.yaml" in runs
     for command in ("geodesic", "curvature", "jacobi", "validate-model",
                     "bg", "gunther", "bg-inf", "ball"):
         assert f"{command} mink2_gunther_weighted.yaml" in runs
@@ -108,5 +109,7 @@ def test_snapshot_writes_every_run_into_a_relative_out(tmp_path, monkeypatch):
     assert near["name"] == "near-cone-n2" and near["sclv"]["radius"] == 0.97
     bare = yaml.safe_load((tmp_path / "snap" / "inputs" / "no-checks-n2.yaml").read_text())
     assert bare["name"] == "no-checks-n2" and "checks" not in bare
+    ball = yaml.safe_load((tmp_path / "snap" / "inputs" / "sphere-ball.yaml").read_text())
+    assert ball["name"] == "sphere-ball" and list(ball["checks"]) == ["ball"]
     seeded = yaml.safe_load((tmp_path / "snap" / "inputs" / "seed-7.yaml").read_text())
     assert seeded["name"] == "seed-7" and seeded["checks"]

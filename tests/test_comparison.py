@@ -8,6 +8,7 @@ flag-curvature volume bound.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -371,6 +372,24 @@ def test_growth_integral_closed_form():
                               (800.0, 0.5, 0.2, 1.5), (2000.0, 1600.0, 0.2, 1.5),
                               (4000.0, 4000.0, 1.2, 1.5)]:
             assert cmp._growth_integral(C0, c, lo, hi) == np.inf
+
+
+def test_erfcx_dawson_and_erf_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    # each side of every regime switch: 0.2 and 8 for Dawson, 26 for erfcx
+    edges = [np.nextafter(e, d) for e in (0.2, 8.0, 26.0) for d in (0.0, np.inf)]
+    xs = np.unique(np.concatenate([np.linspace(0.0, 40.0, 1601), np.geomspace(1e-8, 1e3, 401),
+                                   [0.2, 8.0, 26.0], edges]))
+    ref = {"erfcx": lambda x: mp.exp(x * x) * mp.erfc(x),
+           "dawson": lambda x: mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x),
+           "erf": mp.erf}
+    ours = {"erfcx": cmp._erfcx, "dawson": cmp._dawson, "erf": math.erf}
+    with mp.workdps(40):
+        for name, f in ours.items():
+            worst = max(abs(mp.mpf(f(float(x))) / ref[name](mp.mpf(float(x))) - 1)
+                        for x in xs[1:])
+            assert worst <= 2e-15, name
+    assert cmp._dawson(0.0) == 0.0 and cmp._erfcx(0.0) == 1.0
 
 
 def test_ball_bound_halves_epsilon(mink1):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from lfgeom.connection import DegenerateMetricError
 from lfgeom.geodesics import CONJUGATE_POINT, integrate_geodesic, radial_flow
 from lfgeom.jacobi import (
+    CURVATURE_NODES,
     JacobiPath,
+    _lobatto_interpolant,
     build_frame,
     check_concavity,
     check_eq_sc,
@@ -112,6 +114,20 @@ def test_constant_flag_closed_form_both_routes():
         s = make(m, x0, v0, 2.0).sample(ts)
         assert np.max(np.abs(s.A - want)) < 1e-7
         assert np.max(np.abs(s.Adot - np.cosh(H * ts)[:, None, None] * np.eye(2))) < 1e-7
+
+
+def test_lobatto_interpolant_matches_scipy_barycentric():
+    from scipy.interpolate import BarycentricInterpolator
+    t_end = 2.3
+    t_nodes = 0.5 * t_end * (1.0 - np.cos(np.linspace(0.0, np.pi, CURVATURE_NODES)))
+    values = np.stack([np.cos(1.7 * t_nodes), np.exp(-t_nodes), t_nodes ** 3 - t_nodes,
+                       1.0 / (1.0 + t_nodes ** 2)], axis=1)
+    ours = _lobatto_interpolant(t_nodes, values)
+    ref = BarycentricInterpolator(t_nodes, values)
+    for t in np.linspace(0.0, t_end, 997):
+        assert np.max(np.abs(ours(t) - ref(t))) <= 1e-13 * np.max(np.abs(ref(t)))
+    for j, t in enumerate(t_nodes):
+        assert np.array_equal(ours(t), values[j])
 
 
 def test_route_agreement_on_anisotropic_model():

@@ -3,8 +3,8 @@
 With SciPy 1.17, the version the port was taken from, every result must
 be equal bit for bit: step times and states, status, the times of every
 rhs call, event times, dense output, roots and every point brentq
-evaluates, quadratures.  With any other SciPy the results must agree to
-1e-9 relative.
+evaluates, minima and every point fminbound evaluates, quadratures.  With
+any other SciPy the results must agree to 1e-9 relative.
 """
 
 import math
@@ -16,6 +16,7 @@ from scipy.integrate import cumulative_trapezoid as sp_cumulative_trapezoid
 from scipy.integrate import simpson as sp_simpson
 from scipy.integrate import solve_ivp as sp_solve_ivp
 from scipy.optimize import brentq as sp_brentq
+from scipy.optimize import minimize_scalar as sp_minimize_scalar
 
 from lfgeom import geodesics, ode
 from lfgeom.models import lagrangian, model_library
@@ -267,6 +268,45 @@ def test_brentq_tiny_values_of_one_sign_are_a_sign_error():
     for solver in (ode.brentq, sp_brentq):
         with pytest.raises(ValueError, match="different signs"):
             solver(lambda x: 1e-200, 0.0, 1.0)
+
+
+# -------------------------------------------------------------- fminbound
+
+
+def random_dip(rng):
+    r = float(rng.uniform(-2, 2))
+    k = float(rng.uniform(0.1, 10))
+    f = [lambda x: k * (x - r) ** 2 + 0.3,
+         lambda x: (x - r) ** 2 - 1e-14,            # a margin that only touches zero
+         lambda x: math.cos(k * (x - r)),           # several minima in the bracket
+         lambda x: (x - r) ** 4,                    # a flat minimum
+         lambda x: math.exp(k * x),                 # the minimum is the lower bound
+         lambda x: math.sqrt((x - r) ** 2 + 1e-6) + 0.1 * x][rng.integers(6)]
+    lo, hi = r - float(rng.uniform(1e-3, 3)), r + float(rng.uniform(1e-3, 3))
+    if rng.random() < 0.1:
+        lo = r + 0.5 * (hi - r)                     # the bracket misses r
+    return f, lo, hi
+
+
+def fminbound_agrees_with_scipy(rng, runs, maxiter):
+    for _ in range(runs):
+        f, lo, hi = random_dip(rng)
+        got_xs, want_xs = [], []
+        x, fx, nfev = ode.fminbound(lambda t: got_xs.append(t) or f(t), lo, hi)
+        ref = sp_minimize_scalar(lambda t: want_xs.append(t) or f(t), bounds=(lo, hi),
+                                 method="bounded", options={"xatol": 1e-12, "maxiter": maxiter})
+        assert agree(x, ref.x) and agree(fx, ref.fun)
+        if EXACT:
+            assert nfev == ref.nfev and agree(got_xs, want_xs)
+
+
+def test_fminbound_matches_scipy_on_random_brackets():
+    fminbound_agrees_with_scipy(np.random.default_rng(20261020), 500, maxiter=500)
+
+
+def test_fminbound_stops_at_the_evaluation_cap_as_scipy_does(monkeypatch):
+    monkeypatch.setattr(ode, "FMIN_MAXITER", 6)
+    fminbound_agrees_with_scipy(np.random.default_rng(20261021), 100, maxiter=6)
 
 
 # ------------------------------------------------------------- quadrature
