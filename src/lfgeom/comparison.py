@@ -39,6 +39,7 @@ from .jacobi import (
     check_hric,
     gunther_f,
     monotone_ratio_check,
+    path_blocks,
     s_kappa,
     s_kappa_prime,
     sample_grid,
@@ -238,7 +239,10 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
     the valid region, or reaching a conjugate point, before b means the
     set is not an SCLV.  The ValueError names the earliest such direction
     and t, and chains the ValidityExit that carries them.  Scans, volumes
-    and checks read the Q node rows only.
+    and checks read the Q node rows only.  The scan scalars and, later, the
+    polar density stream those rows in blocks of whole paths
+    (`path_blocks`), so past the flow and its validity scan, memory does
+    not grow with Q.
     """
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
@@ -264,12 +268,18 @@ def _density(data: SCLVData, ts):
     """(e^{-psi}, det A) of the Q node rows at times ts, two (Q, len(ts)) arrays.
 
     The polar density reads the metric alone: det A = det(V g J), with g
-    from one `fundamental_tensor` pass over one read of the node states.
+    from a `fundamental_tensor` pass over the node states.  The rows are
+    filled block by block (`path_blocks`, the blocks of the scan scalars),
+    so the states and g of one block are held at a time; every entry is
+    computed per point, the same whatever the block size.
     """
-    m = data.model
-    st = data.paths[0].flow.eval([p.index for p in data.paths], ts)
-    detA = np.linalg.det(st["V"] @ fundamental_tensor(m, st["eta"], st["etadot"]) @ st["J"])
-    return np.broadcast_to(np.exp(-weight(m, st["eta"], st["etadot"])), detA.shape), detA
+    m, paths = data.model, data.paths
+    density, detA = np.empty((len(paths), len(ts))), np.empty((len(paths), len(ts)))
+    for blk, st in path_blocks(paths, ts):
+        detA[blk] = np.linalg.det(
+            st["V"] @ fundamental_tensor(m, st["eta"], st["etadot"]) @ st["J"])
+        density[blk] = np.exp(-weight(m, st["eta"], st["etadot"]))
+    return density, detA
 
 
 def _dir_integrals(data: SCLVData, T, tnodes):

@@ -372,16 +372,32 @@ class RadialFlow:
         coordinate oracle's Simpson sums.
         """
         ids = np.atleast_1d(i)
+        who = f"direction {i}" if np.ndim(i) == 0 else "some direction"
+        states = self._rows(ids, self._sigma(ids, ts, who))
+        return self.layout.unpack(states if np.ndim(i) else states[0])
+
+    def eval_blocks(self, blocks, ts):
+        """``eval`` of each index array of ``blocks`` in turn, at shared times
+        ts: an iterator that maps the times to sigma once and reads a block's
+        rows only when it reaches that block, so the caller holds one
+        block's states at a time."""
+        s = self._sigma(np.concatenate(blocks), ts)
+        return (self.layout.unpack(self._rows(ids, s)) for ids in blocks)
+
+    def _sigma(self, ids, ts, who="some direction"):
+        """clock.sigma(ts), once every time lies in the valid range of directions ids."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         t_max = float(np.min(self.t_reached[ids]))
         if ts.size and (ts.min() < 0 or ts.max() > t_max + 1e-12):
-            who = f"direction {i}" if np.ndim(i) == 0 else "some direction"
             raise ValueError(f"{who} only reaches t={t_max}")
+        return self.clock.sigma(ts)
+
+    def _rows(self, ids, s):
+        """Packed states (len(ids), len(s), width) of directions ids at sigma values s."""
         w = self.layout.width
         rows = (ids[:, None] * w + np.arange(w)).ravel()
-        vals = self.segments[0][2](self.clock.sigma(ts), rows)     # (len(ids) * w, nt)
-        states = np.ascontiguousarray(np.swapaxes(vals.reshape(len(ids), w, -1), 1, 2))
-        return self.layout.unpack(states if np.ndim(i) else states[0])
+        vals = self.segments[0][2](s, rows)     # (len(ids) * w, len(s))
+        return np.ascontiguousarray(np.swapaxes(vals.reshape(len(ids), w, -1), 1, 2))
 
     def eval_all(self, ts):
         """States of every direction at shared times ts, from one dense evaluation."""

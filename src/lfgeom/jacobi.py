@@ -44,6 +44,7 @@ __all__ = [
     "variational_paths",
     "conjugate_scan",
     "sample_grid",
+    "path_blocks",
     "riccati_quantities",
     "scalars_for_paths",
     "s_kappa",
@@ -59,6 +60,7 @@ __all__ = [
 
 UNIT_TOL = 1e-8
 CURVATURE_NODES = 40
+BLOCK = 1024           # sample points (paths x times) per block of a pass over a fan
 
 
 def build_frame(m: FinslerModel, x, v) -> np.ndarray:
@@ -153,28 +155,21 @@ class JacobiPath:
         return float(np.max(np.abs(dets + 1.0)))
 
 
-def _path_states(paths, ts):
-    """(ts, the states of the paths at ts) from one dense evaluation of
-    their own rows of the flow that they share."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    flow = paths[0].flow
-    if any(p.flow is not flow or p.route != "variational" for p in paths):
-        raise ValueError("variational paths on one shared flow are needed")
-    return ts, flow.eval(np.array([p.index for p in paths]), ts)
-
-
 def sample_all(paths: list[JacobiPath], ts) -> list[JacobiSamples]:
     """Sample variational paths sharing one flow on one common grid.
 
-    One dense evaluation of the paths' own rows of the flow and one
-    batched projection, whatever else the flow carries.
+    Per block of paths (`path_blocks`), one dense evaluation of their own
+    rows of the flow and one batched projection, whatever else the flow
+    carries.
     """
-    ts, st = _path_states(paths, ts)
-    conn = eval_connection(paths[0].model, st["eta"], st["etadot"], order=4, validate=False)
-    A, Adot = _project_variational(st, conn.g, conn.N)
-    return [JacobiSamples(ts=ts, x=st["eta"][k], v=st["etadot"][k],
-                          E=st["V"][k], A=A[k], Adot=Adot[k])
-            for k in range(len(paths))]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = []
+    for _, st in path_blocks(paths, ts):
+        conn = eval_connection(paths[0].model, st["eta"], st["etadot"], order=4, validate=False)
+        A, Adot = _project_variational(st, conn.g, conn.N)
+        out += [JacobiSamples(ts=ts, x=x, v=v, E=E, A=a, Adot=ad)
+                for x, v, E, a, ad in zip(st["eta"], st["etadot"], st["V"], A, Adot)]
+    return out
 
 
 def _check_unit(m, x0, v0):
@@ -338,20 +333,57 @@ def riccati_quantities(path: JacobiPath, ts) -> PathScalars:
     return scalars_for_paths([path], ts)[0]
 
 
+def path_blocks(paths: list[JacobiPath], ts):
+    """(slice, states) for each block of consecutive paths, ``max(1, BLOCK //
+    len(ts))`` to a block and in path order: the states of the variational
+    paths in the slice at ts, their own rows of the flow they share.
+
+    Every sample pass over a fan reads it this way, so it holds one block's
+    states and temporaries at a time: its peak memory is set by `BLOCK`,
+    not by the size of the fan (cache blocking: Lam, Rothberg & Wolf,
+    ASPLOS 1991; strip-mining: Allen & Kennedy, *Optimizing Compilers for
+    Modern Architectures*, 2001, ch. 9).  The times map to the flow's
+    clock once for all blocks.
+    """
+    flow = paths[0].flow
+    if any(p.flow is not flow or p.route != "variational" for p in paths):
+        raise ValueError("variational paths on one shared flow are needed")
+    step = max(1, BLOCK // max(np.size(ts), 1))
+    blocks = [slice(k, k + step) for k in range(0, len(paths), step)]
+    index = np.array([p.index for p in paths])
+    return zip(blocks, flow.eval_blocks([index[b] for b in blocks], ts))
+
+
 def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
-    """Per-direction scalars on one grid, with the curvature/weight work in one batch.
+    """Per-direction scalars on one grid, with the curvature/weight work batched.
 
     The paths are variational paths sharing one flow (see ``sample_all``).
-    Their states are read once, and one order-5 `riemann_matrix` pass gives
-    the curvature, the weight derivatives and the (g, N) that project A, A'.
-    With ``flag_range`` also returns per-direction (min, max) eigenvalues of
-    the symmetrized frame curvature matrix over the sample times, reusing
-    the same curvature batch: ``(scalars, flag_lo, flag_hi)``.
+    They are streamed in blocks of whole paths (`path_blocks`): each block
+    reads its states once, and one order-5 `riemann_matrix` pass over it
+    gives the curvature, the weight derivatives and the (g, N) that project
+    A, A'.  Every value is computed per sample point, so the results do not
+    depend on the block size.  With ``flag_range`` also returns
+    per-direction (min, max) eigenvalues of the symmetrized frame curvature
+    matrix over the sample times, from the same curvature pass:
+    ``(scalars, flag_lo, flag_hi)``.
     """
     if not paths:
         return ([], np.empty(0), np.empty(0)) if flag_range else []
-    m = paths[0].model
-    ts, st = _path_states(paths, ts)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out, flags = [], []
+    for _, st in path_blocks(paths, ts):
+        scal, flag = _block_scalars(paths[0].model, ts, st, flag_range)
+        out += scal
+        flags.append(flag)
+    if not flag_range:
+        return out
+    lo, hi = (np.concatenate(f) for f in zip(*flags))
+    return out, lo, hi
+
+
+def _block_scalars(m, ts, st, flag_range):
+    """(PathScalars per path, (flag_lo, flag_hi) or None) of one block of
+    paths, from their states st at ts."""
     xs, vs = np.concatenate(st["eta"]), np.concatenate(st["etadot"])
     data = riemann_matrix(m, xs, vs)
     c = data.center
@@ -369,13 +401,13 @@ def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
             n=m.n, ts=ts, detA=np.linalg.det(A), lam=lam, trC2=trC2,
             lam_prime=-ric - trC2, ric=ric, psi=psi, dpsi=dpsi, d2psi=d2psi))
     if not flag_range:
-        return out
+        return out, None
     Es = np.concatenate(st["V"])
     RE = np.einsum("...ab,...jb->...ja", data.R, Es)
     Rhat = np.einsum("...ka,...ab,...jb->...kj", Es, c.g, RE)
     Rhat = 0.5 * (Rhat + np.swapaxes(Rhat, -1, -2))
-    eigs = np.linalg.eigvalsh(Rhat).reshape(len(paths), -1)
-    return out, eigs.min(axis=1), eigs.max(axis=1)
+    eigs = np.linalg.eigvalsh(Rhat).reshape(grid[0], -1)
+    return out, (eigs.min(axis=1), eigs.max(axis=1))
 
 
 def s_kappa(kappa, t):

@@ -129,12 +129,16 @@ class JetSpace:
         """Gather/scatter tables for the truncated product at a given order.
 
         Pairs (I, J) run i-major, j-minor; pair p adds into coefficient K[p].
+        Indices are graded by degree, so the partners j of row i are the
+        prefix ``range(ncoef_at[out_order - deg i])``: the tables are built
+        from those prefix lengths, in memory proportional to the pairs.
         """
         tab = self._mult_tables.get(out_order)
         if tab is None:
             nc = self.ncoef_at[out_order]
-            deg = self.degrees[:nc]
-            I, J = np.nonzero(deg[:, None] + deg[None, :] <= out_order)
+            counts = np.array(self.ncoef_at)[out_order - self.degrees[:nc]]
+            I = np.repeat(np.arange(nc), counts)
+            J = np.arange(len(I)) - np.repeat(np.cumsum(counts) - counts, counts)
             tab = (I, J, self._index_of_codes(self._code[I] + self._code[J]))
             self._mult_tables[out_order] = tab
         return tab

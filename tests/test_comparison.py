@@ -7,6 +7,7 @@ is exactly 1/8 - 1/32; the exponential-scale cosmology saturates the
 flag-curvature volume bound.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -471,8 +472,9 @@ def test_sclv_fan_is_integrated_once(monkeypatch):
 
 def test_each_sample_set_takes_one_connection_pass(monkeypatch):
     # volumes and density sweeps read det A = det(V g J) from fundamental_tensor
-    # alone, and the scan scalars project A, A' with their one order-5 pass, so
-    # the only order-4 passes are the fan flow's own, over its Q + 1 rows
+    # alone, and the scan scalars project A, A' from their order-5 passes, so
+    # the only order-4 passes are the fan flow's own, over its Q + 1 rows; the
+    # order-5 passes partition the Q x grid points into blocks of whole paths
     from lfgeom import connection, jacobi
     real, calls = connection.eval_connection, []
 
@@ -495,9 +497,57 @@ def test_each_sample_set_takes_one_connection_pass(monkeypatch):
                   lambda: cmp.ball_bound_check(data, 0.05, [0.3, 0.6, 0.9])):
         check()   # the ball check reads psi of a constant weight, a scalar
         assert max(b for order, b in calls if order == 4) <= Q + 1
-    calls.clear()
-    jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
-    assert calls == [(5, Q * data.scan_grid.size)]
+    nt = data.scan_grid.size
+    for block in (jacobi.BLOCK, 7 * nt, nt - 1):    # the default, uneven, under one path
+        monkeypatch.setattr(jacobi, "BLOCK", block)
+        calls.clear()
+        jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
+        widths = [b for order, b in calls if order == 5]
+        assert len(widths) == len(calls) and sum(widths) == Q * nt
+        assert all(b % nt == 0 and (b <= block or b == nt) for b in widths)
+
+
+def _blocked_values(data):
+    """Every value a pass over the fan feeds: the scan scalars and flag range,
+    the polar density, a volume and the reports of all four checks."""
+    from lfgeom import jacobi
+    scalars, lo, hi = jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
+    data = dataclasses.replace(data, scalars=scalars, flag_min=lo, flag_max=hi, vol_cache={})
+    fields = [getattr(s, f.name) for s in scalars for f in dataclasses.fields(s)]
+    arrays = [*fields, lo, hi, *cmp._density(data, np.linspace(0.01, data.b, 37))]
+    reports = [cmp.bishop_gromov_check(data, data.model.n + 2.0, [(0.5, 1.0)]),
+               cmp.gunther_check(data),
+               cmp.bg_infinity_check(data, [(0.5, 1.0)]),
+               cmp.ball_bound_check(data, 0.05, [0.3, 0.6, 0.9])]
+    return arrays, cmp.sclv_volume(data, 0.8), [r.to_dict() for r in reports]
+
+
+@pytest.mark.parametrize("case", ["mink2_gunther_weighted", "quartic_flrw_n3"])
+def test_blocked_passes_are_bit_identical(case, monkeypatch):
+    # the scan scalars and the polar density stream the fan in blocks of whole
+    # paths; one path per block, and blocks that split Q unevenly, give the
+    # same bits as the default blocks
+    from lfgeom import jacobi
+    if case == "quartic_flrw_n3":
+        m = models.model_library("quartic_flrw", 3, eps=0.05, H=0.1,
+                                 weight=[("linear_x0", 0.4)])
+        sclv = cmp.SCLVSpec(apex=np.zeros(4), radius=0.3, cut=1.0)
+        scale = 0.25
+    else:
+        scen = load_scenario(SCENARIOS / f"{case}.yaml")
+        m, sclv, scale = scen.model.build(), scen.sclv.build(), scen.numerics.quad_scale
+    data = cmp.build_sclv_data(m, sclv, scale=scale)
+    Q, nt = len(data.paths), data.scan_grid.size
+    assert Q * nt > jacobi.BLOCK        # the default splits the scan pass
+    arrays, vol, reports = _blocked_values(data)
+    for block in (1, 5 * nt):           # one path per block; 5 paths, Q % 5 != 0
+        assert Q % 5
+        monkeypatch.setattr(jacobi, "BLOCK", block)
+        got_arrays, got_vol, got_reports = _blocked_values(data)
+        assert len(got_arrays) == len(arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(got_arrays, arrays))
+        assert got_vol == vol
+        assert json.dumps(got_reports) == json.dumps(reports)
 
 
 # ---------------------------------------------------------------- reports
