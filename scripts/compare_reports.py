@@ -8,16 +8,22 @@ Pairs the same-named ``*.json`` and ``*.csv`` files of the two
 directories and walks every JSON leaf and every CSV cell.  For each file
 it prints ``identical`` when the two files are byte-identical, and
 otherwise the worst relative float difference |a - b| / max(|a|, |b|, 1)
-and where it occurs.  Every other leaf -- a verdict, a count, a string,
-a key set or a list length -- must match exactly; each mismatch is
-printed.  So the ``runs.json`` that ``scripts/snapshot_reports.py`` writes
-pins each run's exit code and stderr text exactly.  Exit code 1 if the file sets differ or any such leaf differs,
-2 if a directory is missing, 0 otherwise.
+and where it occurs, then the worst difference of each leaf class that
+moved: the leaf path with list indices and CSV row numbers as ``*``.
+Every other leaf -- a verdict, a count, a string, a key set or a list
+length -- must match exactly; each mismatch is printed.  A CSV whose row
+count differs is one ``rows: A != B`` mismatch, and its cells are not
+paired.  So the ``runs.json`` that ``scripts/snapshot_reports.py`` writes
+pins each run's exit code and stderr text exactly.  Last, over all files,
+the worst difference of each leaf class and the file it occurs in.  Exit
+code 1 if the file sets differ or any such leaf differs, 2 if a directory
+is missing, 0 otherwise.
 """
 
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -48,11 +54,16 @@ def _load(path):
         return dict(_leaves(json.loads(path.read_text())))
     rows = list(csv.reader(path.open(newline="")))
     header = rows[0] if rows else []
-    out = {"header": header}
+    out = {"header": header, "rows": len(rows) - 1}
     for r, row in enumerate(rows[1:], start=1):
         for c, text in enumerate(row):
             out[f"row {r}.{header[c] if c < len(header) else c}"] = _cell(text)
     return out
+
+
+def _leaf_class(key):
+    """The leaf path with list indices and CSV row numbers replaced by ``*``."""
+    return re.sub(r"^row \d+\.", "row *.", re.sub(r"\[\d+\]", "[*]", key))
 
 
 def _rel_diff(a, b):
@@ -64,9 +75,12 @@ def _rel_diff(a, b):
 
 
 def compare_file(path_a, path_b):
-    """Return (worst float diff, its path, list of non-float mismatches)."""
+    """Return (worst float diff, its path, list of non-float mismatches,
+    {leaf class: worst float diff} of the classes that moved)."""
     la, lb = _load(path_a), _load(path_b)
-    worst, where, bad = 0.0, "-", []
+    if path_a.suffix == ".csv" and la["rows"] != lb["rows"]:   # the cells do not pair
+        la, lb = ({k: v for k, v in d.items() if not k.startswith("row ")} for d in (la, lb))
+    worst, where, bad, classes = 0.0, "-", [], {}
     for key in sorted(set(la) | set(lb)):
         if key not in la or key not in lb:
             bad.append(f"{key}: only in {'B' if key not in la else 'A'}")
@@ -78,9 +92,12 @@ def compare_file(path_a, path_b):
             diff = _rel_diff(float(a), float(b))
             if diff > worst:
                 worst, where = diff, key
+            cls = _leaf_class(key)
+            if diff > classes.get(cls, 0.0):
+                classes[cls] = diff
         elif a != b or type(a) is not type(b):
             bad.append(f"{key}: {a!r} != {b!r}")
-    return worst, where, bad
+    return worst, where, bad, classes
 
 
 def _report_names(directory):
@@ -101,15 +118,22 @@ def main(argv=None):
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {'A' if name in names_a else 'B'}")
     failed = names_a != names_b
+    overall = {}
     for name in sorted(names_a & names_b):
         if (dir_a / name).read_bytes() == (dir_b / name).read_bytes():
             print(f"{name}: identical")
             continue
-        worst, where, bad = compare_file(dir_a / name, dir_b / name)
+        worst, where, bad, classes = compare_file(dir_a / name, dir_b / name)
         print(f"{name}: worst rel diff {worst:.3g} at {where}")
+        for cls, diff in sorted(classes.items()):
+            print(f"  class {cls}: worst rel diff {diff:.3g}")
+            if diff > overall.get(cls, (0.0,))[0]:
+                overall[cls] = diff, name
         for line in bad:
             print(f"  MISMATCH {line}")
         failed = failed or bool(bad)
+    for cls, (diff, name) in sorted(overall.items()):
+        print(f"all files: class {cls}: worst rel diff {diff:.3g} in {name}")
     return 1 if failed else 0
 
 

@@ -56,7 +56,7 @@ def main(argv=None):
     for _ in range(12):
         try:
             sclv = SCLVSpec(apex=apex, radius=args.radius, cut=cut)
-            data = build_sclv_data(m, sclv, scale=0.5, t_scan=24)
+            data = build_sclv_data(m, sclv, scale=0.5, t_nodes=24)
             scan = radial_bound_scan(data)
             break
         except ValueError:

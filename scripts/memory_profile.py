@@ -12,8 +12,8 @@ functions of each pipeline stage:
     record         jets.record (each jet program, on its first use)
     fan flow       comparison.variational_paths (the SCLV fan's one flow)
     post-scan      geodesics._post_scan_flow (the flow's validity scan)
-    curvature pass jacobi.scalars_for_paths (the order-5 scan scalars)
-    density        comparison._density (the polar volumes and sweeps)
+    curvature pass jacobi.scalars_for_paths (the one order-5 sample pass)
+    density        comparison._density (the ball check's epsilon search)
     checks         the check functions of `cli.CHECKS`
     oracle         comparison.coordinate_volume
 

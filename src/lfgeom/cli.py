@@ -111,14 +111,6 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
 # ------------------------------------------------------------- subcommands
 
 
-def _scaled(scen: Scenario, args):
-    f = args.resolution_scale
-    num = scen.numerics
-    return {"scale": num.quad_scale * f,
-            "t_scan": max(8, int(round(num.t_scan * f))),
-            "t_volume": max(4, int(round(num.t_volume * f)))}
-
-
 def _validate_model(scen: Scenario, args):
     m = scen.model.build()
     rng = np.random.default_rng(args.seed)
@@ -240,17 +232,17 @@ def _jacobi_cmd(scen: Scenario, m, sc):
 
 
 def _sclv_data(scen: Scenario, args):
-    m = scen.model.build()
-    sclv = scen.sclv.build()
-    cfg = _scaled(scen, args)
-    data = cmp.build_sclv_data(m, sclv, scale=cfg["scale"], t_scan=cfg["t_scan"],
-                               rtol=scen.numerics.ode_rtol, atol=scen.numerics.ode_atol)
-    return data, cfg
+    """The SCLV data, with --resolution-scale applied to the direction rule and
+    to the Chebyshev node count."""
+    f, num = args.resolution_scale, scen.numerics
+    return cmp.build_sclv_data(scen.model.build(), scen.sclv.build(),
+                               scale=num.quad_scale * f,
+                               t_nodes=max(8, int(round(cmp.T_NODES * f))),
+                               rtol=num.ode_rtol, atol=num.ode_atol)
 
 
-def _run_check(name, scen: Scenario, data, cfg):
-    return getattr(cmp, CHECKS[name])(data, **vars(getattr(scen.checks, name)),
-                                      tnodes=cfg["t_volume"])
+def _run_check(name, scen: Scenario, data):
+    return getattr(cmp, CHECKS[name])(data, **vars(getattr(scen.checks, name)))
 
 
 def _oracle_entry(data):
@@ -302,15 +294,15 @@ def run(args) -> int:
         if getattr(scen.checks, key) is None:
             raise ConfigError(f"scenario {scen.name} does not configure "
                               f"the {args.command} check")
-        data, cfg = _sclv_data(scen, args)
-        report["checks"] = {key: _run_check(key, scen, data, cfg).to_dict()}
+        data = _sclv_data(scen, args)
+        report["checks"] = {key: _run_check(key, scen, data).to_dict()}
         csv_blocks = [_diagnostic_rows(data, scen)]
     elif args.command == "all":
         body, _ = _validate_model(scen, args)
         report["validate_model"] = body
         requested = scen.checks.requested()
         if requested:   # the SCLV fan's center row carries all three blocks
-            data, cfg = _sclv_data(scen, args)
+            data = _sclv_data(scen, args)
             path = data.center
         else:
             path = _center_path(scen)
@@ -319,7 +311,7 @@ def run(args) -> int:
         report["curvature"], _ = _curvature_cmd(scen, path.model, sc)
         report["jacobi"], jac_csv = _jacobi_cmd(scen, path.model, sc)
         if requested:
-            report["checks"] = {key: _run_check(key, scen, data, cfg).to_dict()
+            report["checks"] = {key: _run_check(key, scen, data).to_dict()
                                 for key in requested}
             if scen.numerics.oracle:
                 report["volume_oracle"] = _oracle_entry(data)

@@ -32,6 +32,7 @@ from . import jets as jr
 from .curvature import ric_N
 from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
 from .jacobi import (
+    HEAD,
     JacobiPath,
     PathScalars,
     ValidityExit,
@@ -45,6 +46,7 @@ from .jacobi import (
     sample_grid,
     scalars_for_paths,
     variational_paths,
+    weighted_density,
 )
 from .models import FinslerModel, classify, fundamental_tensor, lagrangian, weight
 from .ode import simpson
@@ -68,9 +70,7 @@ __all__ = [
 ]
 
 QUAD_COUNTS = {1: (32,), 2: (12, 16), 3: (8, 8, 12)}
-T_VOLUME = 48        # Gauss nodes per direction in t-integrals
-T_SCAN = 32          # per-direction samples for bound scans / residuals
-T_DENSE = 160        # per-direction samples for monotonicity sweeps
+T_NODES = 32         # Chebyshev nodes per direction on (0, b]: every t-integral, scan and sweep
 POINTWISE_TOL = 1e-6
 RATIO_TOL_FLOOR = 1e-9
 EPS_HALVING_STEPS = 12
@@ -122,14 +122,12 @@ def _chart_jets(m, sclv, params):
     elif n == 2:
         s, phi = th
         p = [center[0] + s * jr.cos(phi), center[1] + s * jr.sin(phi)]
-    elif n == 3:
+    else:
         s, mu, phi = th
         root = jr.sqrt(1.0 - mu * mu)
         p = [center[0] + s * root * jr.cos(phi),
              center[1] + s * root * jr.sin(phi),
              center[2] + s * mu]
-    else:
-        raise ValueError(f"no direction chart for n={n}")
     w = [1.0] + p
     apex_c = [float(c) for c in sclv.apex]
     L0 = np.asarray(m.L_fn(apex_c, [np.ones_like(params[:, 0])]
@@ -158,10 +156,9 @@ def _gauss_rule(nodes):
 def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQuadrature:
     """Product quadrature for the induced area measure on the patch."""
     n = m.n
-    base = QUAD_COUNTS[n] if n in QUAD_COUNTS else None
-    if base is None:
+    if n not in QUAD_COUNTS:
         raise ValueError(f"no direction chart for n={n}")
-    counts = tuple(max(4, int(round(k * scale))) for k in base)
+    counts = tuple(max(4, int(round(k * scale))) for k in QUAD_COUNTS[n])
     center = sclv.center
 
     xi, wi = _gauss_rule(counts[0])
@@ -210,7 +207,7 @@ def center_direction(m: FinslerModel, sclv: SCLVSpec) -> np.ndarray:
 
 @dataclass
 class SCLVData:
-    """Per-scenario bundle: quadrature, Jacobi paths, and scan scalars."""
+    """Per-scenario bundle: quadrature, Jacobi paths, and their sampled scalars."""
 
     model: FinslerModel
     sclv: SCLVSpec
@@ -218,11 +215,10 @@ class SCLVData:
     b: float                           # cut value
     paths: list                        # JacobiPath per node
     center: JacobiPath                 # the patch center: row Q of the same flow
-    scan_grid: np.ndarray              # scan sample times, shared by all nodes
-    scalars: list                      # PathScalars per node (scan grid)
+    scan_grid: np.ndarray              # the one t-grid (`sample_grid`), shared by all nodes
+    scalars: list                      # PathScalars per node on scan_grid
     flag_min: np.ndarray               # (Q,) min frame-flag eigenvalue
     flag_max: np.ndarray               # (Q,)
-    vol_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def sigma(self) -> float:
@@ -230,8 +226,8 @@ class SCLVData:
 
 
 def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
-                    t_scan=T_SCAN, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> SCLVData:
-    """Quadrature + Jacobi paths + scan scalars, built once.
+                    t_nodes=T_NODES, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> SCLVData:
+    """Quadrature + Jacobi paths + their scalars on one t-grid, built once.
 
     The fan, the Q quadrature nodes plus the patch center as row Q, is
     integrated once, and the validity of the cut is read off that same
@@ -239,10 +235,11 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
     the valid region, or reaching a conjugate point, before b means the
     set is not an SCLV.  The ValueError names the earliest such direction
     and t, and chains the ValidityExit that carries them.  Scans, volumes
-    and checks read the Q node rows only.  The scan scalars and, later, the
-    polar density stream those rows in blocks of whole paths
-    (`path_blocks`), so past the flow and its validity scan, memory does
-    not grow with Q.
+    and checks read the Q node rows only, each sampled once, on
+    ``sample_grid(b, t_nodes)``, by one order-5 pass that streams them in
+    blocks of whole paths (`path_blocks`): past the flow and its validity
+    scan, memory does not grow with Q.  Every volume, scan and sweep reads
+    those samples.
     """
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
@@ -254,7 +251,7 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
         raise ValueError(
             f"cut b={b:.6g} exceeds the valid range of direction {exc.index} "
             f"(reaches t={exc.t:.6g}, {why}); not an SCLV") from exc
-    grid = sample_grid(b, t_scan)
+    grid = sample_grid(b, t_nodes)
     scalars, flag_lo, flag_hi = scalars_for_paths(paths, grid, flag_range=True)
     return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths, center=center,
                     scan_grid=grid, scalars=scalars,
@@ -267,11 +264,11 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
 def _density(data: SCLVData, ts):
     """(e^{-psi}, det A) of the Q node rows at times ts, two (Q, len(ts)) arrays.
 
-    The polar density reads the metric alone: det A = det(V g J), with g
-    from a `fundamental_tensor` pass over the node states.  The rows are
-    filled block by block (`path_blocks`, the blocks of the scan scalars),
-    so the states and g of one block are held at a time; every entry is
-    computed per point, the same whatever the block size.
+    Point reads for the ball check's epsilon search, which reads f near
+    t = 0 in relative terms; everything else reads the sampled scalars.
+    det A = det(V g J), with g from a `fundamental_tensor` pass over the
+    node states, block by block (`path_blocks`); every entry is computed per
+    point, the same whatever the block size.
     """
     m, paths = data.model, data.paths
     density, detA = np.empty((len(paths), len(ts))), np.empty((len(paths), len(ts)))
@@ -282,33 +279,45 @@ def _density(data: SCLVData, ts):
     return density, detA
 
 
-def _dir_integrals(data: SCLVData, T, tnodes):
-    r"""Per-direction \int_0^T e^{-psi} det A dt by Gauss-Legendre."""
-    xi, wi = _gauss_rule(tnodes)
-    xi01 = 0.5 * (xi + 1.0)
-    wi01 = 0.5 * wi
-    density, detA = _density(data, T * xi01)
-    return np.array([T * float(np.sum(wi01 * e * a)) for e, a in zip(density, detA)])
+@functools.cache
+def _lobatto_coeffs(K):
+    """(K+1, K+1) matrix taking values at the Chebyshev-Lobatto points
+    x_j = -cos(pi j / K), j = 0..K, to the coefficients of their interpolant
+    in T_0..T_K (a DCT-I; Trefethen, ATAP, ch. 3).  Read-only: shared."""
+    k = np.arange(K + 1)
+    half = np.where(k % K, 1.0, 0.5)
+    C = (2.0 / K) * np.outer(half, half) * np.cos(np.pi * (np.outer(k, K - k) % (2 * K)) / K)
+    C.flags.writeable = False
+    return C
 
 
-def _polar_volume(data: SCLVData, T, *, tnodes=T_VOLUME):
-    """(volume, error estimate) up to t = T, with the error from t-resolution
-    halving; computed once per (T, tnodes) and data."""
-    key = (float(T), tnodes)
-    if key not in data.vol_cache:
-        full = _dir_integrals(data, T, tnodes)
-        half = _dir_integrals(data, T, max(tnodes // 2, 4))
-        vol = float(np.sum(data.quad.weights * full))
-        vol_half = float(np.sum(data.quad.weights * half))
-        data.vol_cache[key] = vol, abs(vol - vol_half)
-    return data.vol_cache[key]
+def sclv_volume(data: SCLVData, r):
+    r"""(rho(U_x(r)), t-error estimate): the star-scaled volume, upper limit r b.
 
-
-def sclv_volume(data: SCLVData, r, *, tnodes=T_VOLUME):
-    """rho(U_x(r)): star-scaled volume, upper limit r b."""
+    Each node's e^{-psi} det A is read at the K Lobatto nodes of its grid
+    and, at x = -1, as f(0) = 0.  Its interpolant sum_k c_k T_k(x),
+    x = 2t/b - 1, is integrated exactly up to r b (Clenshaw-Curtis at r = 1):
+    with x = -cos(delta), \int_{-1}^{x} T_k = (-1)^k [s(k+1) - s(k-1)],
+    s(m) = sin^2(m delta/2)/m and s(0) = 0, a form free of cancellation near
+    x = -1.  The t-error of a node is r b times its series' tail, the size
+    of the two last coefficients (Aurentz & Trefethen, ACM TOMS 43(4),
+    2017), plus K ulps of the coefficients' sum for the rounding of the
+    transform; the nodes' errors add up with their weights.
+    """
     if not 0.0 < r <= 1.0:
         raise ValueError("the scaling parameter r lies in (0, 1]")
-    return _polar_volume(data, r * data.b, tnodes=tnodes)
+    f = np.array([np.exp(-s.psi[HEAD:]) * s.detA[HEAD:] for s in data.scalars])
+    K = f.shape[1]
+    c = f @ _lobatto_coeffs(K)[:, 1:].T
+    delta = 2.0 * math.asin(math.sqrt(r))
+    m = np.arange(-1, K + 2)
+    s = np.sin(0.5 * m * delta) ** 2 / np.where(m == 0, 1, m)
+    k = np.arange(K + 1)
+    integral = 0.5 * data.b * np.where(k % 2, -1.0, 1.0) * (s[k + 2] - s[k])
+    a = np.abs(c)
+    tail = r * data.b * (a[:, -2:].sum(axis=1) + K * np.finfo(float).eps * a.sum(axis=1))
+    w = data.quad.weights
+    return float(w @ (c @ integral)), float(w @ tail)
 
 
 # ------------------------------------------------------------- bound scans
@@ -495,13 +504,13 @@ def _verdict(ok: bool, conditional: bool) -> str:
     return "CONDITIONAL-PASS" if conditional else "PASS"
 
 
-def _ratio_rows(data: SCLVData, pairs, profile, Tx, tnodes):
+def _ratio_rows(data: SCLVData, pairs, profile, Tx):
     """Rows comparing rho(U(r)) / rho(U(R)) with the model ratio
     int_0^{r T_x} profile / int_0^{R T_x} profile; returns (rows, all passed)."""
     for r, R in pairs:
         if not (0 < r <= R <= 1):
             raise ValueError(f"need 0 < r <= R <= 1, got ({r}, {R})")
-    vols = {r: sclv_volume(data, r, tnodes=tnodes)
+    vols = {r: sclv_volume(data, r)
             for r in sorted({x for pair in pairs for x in pair})}
     results, ok = [], True
     for (r, R) in pairs:
@@ -516,8 +525,7 @@ def _ratio_rows(data: SCLVData, pairs, profile, Tx, tnodes):
     return results, ok
 
 
-def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
-                        tnodes=T_VOLUME) -> ComparisonReport:
+def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None) -> ComparisonReport:
     """Volume-ratio lower bound for effective dimension N in (n, oo)."""
     n = data.model.n
     if not (np.isfinite(N) and N > n):
@@ -527,18 +535,18 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
     c, conditional, notes = _user_bound("c", c, c_cert)
     b = data.b
     Tx = b if c <= 0 else min(b, np.pi * np.sqrt(N / c))
-    results, ok = _ratio_rows(data, pairs, lambda t: s_kappa(c / N, t) ** N, Tx, tnodes)
+    results, ok = _ratio_rows(data, pairs, lambda t: s_kappa(c / N, t) ** N, Tx)
 
     # per-direction density inequality and ratio monotonicity
     hric_res = max(check_hric(s, c, N) for s in data.scalars)
     worst = {"max_step": -np.inf, "max_integral_step": -np.inf}
     mono_ok = True
     hi = b if c <= 0 else min(b, 0.999 * np.pi * np.sqrt(N / c))
-    ts = sample_grid(float(hi), T_DENSE)
-    density, detA = _density(data, ts)
+    sweep = data.scan_grid <= hi
+    ts = data.scan_grid[sweep]
     sk = s_kappa(c / N, ts)
-    for h in (density * detA) ** (1.0 / N):
-        res = monotone_ratio_check(ts, h, sk)
+    for s in data.scalars:
+        res = monotone_ratio_check(ts, weighted_density(s, N)[0][sweep], sk)
         mono_ok &= res["pointwise_ok"] and res["integral_ok"]
         worst["max_step"] = max(worst["max_step"], res["max_step"])
         worst["max_integral_step"] = max(worst["max_integral_step"],
@@ -556,8 +564,7 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None,
         quadrature=_quad_meta(data), notes=notes)
 
 
-def gunther_check(data: SCLVData, *, c=None, k=None,
-                  tnodes=T_VOLUME) -> ComparisonReport:
+def gunther_check(data: SCLVData, *, c=None, k=None) -> ComparisonReport:
     """Volume lower bound from a flag-curvature upper bound K <= -c, c >= 0."""
     scan = radial_bound_scan(data)
     c_cert = -scan["sup_flag"]
@@ -576,7 +583,7 @@ def gunther_check(data: SCLVData, *, c=None, k=None,
     conditional |= k_conditional
     notes += k_notes
 
-    lhs, err = _polar_volume(data, data.b, tnodes=tnodes)
+    lhs, err = sclv_volume(data, 1.0)
     rhs = np.exp(-k) * data.sigma * _gauss_integral(
         lambda t: s_kappa(-c, t) ** data.model.n, 0.0, data.b)
     row, good = _margin_row(lhs, rhs, lhs - rhs, RATIO_TOL_FLOOR + err)
@@ -592,8 +599,7 @@ def gunther_check(data: SCLVData, *, c=None, k=None,
         quadrature=_quad_meta(data), notes=notes)
 
 
-def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
-                      tnodes=T_VOLUME) -> ComparisonReport:
+def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None) -> ComparisonReport:
     """Volume-ratio bound at N = infinity with weight-slope parameter a."""
     n = data.model.n
     scan = radial_bound_scan(data)
@@ -604,8 +610,7 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
     conditional, notes = c_conditional or a_conditional, c_notes + a_notes
     b = data.b
     Tx = b if c <= 0 else min(b, 0.5 * np.pi / np.sqrt(c))
-    results, ok = _ratio_rows(data, pairs, lambda t: np.exp(a * t) * s_kappa(c, t) ** n,
-                              Tx, tnodes)
+    results, ok = _ratio_rows(data, pairs, lambda t: np.exp(a * t) * s_kappa(c, t) ** n, Tx)
 
     # Pointwise conclusion of the proof: lam_psi <= lam_c + a below T_x.
     # Both sides diverge like n/t at 0, so the floor keeps the cancellation
@@ -628,8 +633,7 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None,
         quadrature=_quad_meta(data), notes=notes)
 
 
-def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
-                     tnodes=T_VOLUME) -> ComparisonReport:
+def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None) -> ComparisonReport:
     r"""Future-ball volume growth bound under Ric_inf >= c.
 
     Each row compares lhs = the volume of the ball of radius r with
@@ -673,12 +677,12 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None,
     if C0 <= 0:
         raise ComparisonAbort(f"growth constant C0={C0:.6g} is not positive")
 
-    base, base_err = _polar_volume(data, min(4 * eps_ok, data.b), tnodes=tnodes)
+    base, base_err = sclv_volume(data, min(4 * eps_ok, data.b) / data.b)
     results, ok = [], True
     for r in r_grid:
         if r <= 4 * eps_ok:
             continue
-        vol, err = _polar_volume(data, min(float(r), data.b), tnodes=tnodes)
+        vol, err = sclv_volume(data, min(float(r), data.b) / data.b)
         with np.errstate(over="ignore"):    # an overflow is inf, named in the notes
             bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
             closed = ({"rhs_closed_form": base + data.sigma * np.exp(C0 * r) / C0}

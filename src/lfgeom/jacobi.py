@@ -61,6 +61,7 @@ __all__ = [
 UNIT_TOL = 1e-8
 CURVATURE_NODES = 40
 BLOCK = 1024           # sample points (paths x times) per block of a pass over a fan
+HEAD = 8               # geometric samples of sample_grid below its first Chebyshev node
 
 
 def build_frame(m: FinslerModel, x, v) -> np.ndarray:
@@ -301,12 +302,15 @@ def jacobi_curvature(m: FinslerModel, x0, v0, t_end, *, frame=None,
                       route="curvature", flow=flow, matrix_sol=sol.sol)
 
 
-def sample_grid(t_end, npts):
-    """Evaluation grid: geometric near 0 (det A ~ t^n), uniform after."""
-    n_geo = max(npts // 4, 8)
-    geo = t_end * np.geomspace(1e-6, 0.1, n_geo)
-    uni = np.linspace(0.1 * t_end, t_end, npts - n_geo + 1)[1:]
-    return np.concatenate([geo, uni])
+def sample_grid(t_end, nodes):
+    """The one t-grid of a direction: the Chebyshev-Lobatto nodes
+    t_j = t_end sin^2(pi j / 2 nodes), j = 1..nodes, on (0, t_end] (t = 0 is
+    dropped: det A(0) = 0 is known there), after HEAD geometric samples from
+    1e-6 t_end to below t_1, where det A ~ t^n and lam ~ n/t move on their
+    own scale."""
+    lobatto = t_end * np.sin(0.5 * np.pi * np.arange(1, nodes + 1) / nodes) ** 2
+    head = np.geomspace(1e-6 * t_end, lobatto[0], HEAD + 1)[:-1]
+    return np.concatenate([head, lobatto])
 
 
 @dataclass

@@ -59,10 +59,8 @@ __all__ = [
     "jet_derivative",
     "sqrt",
     "exp",
-    "log",
     "sin",
     "cos",
-    "sinh",
     "cosh",
     "apply",
     "record",
@@ -444,10 +442,6 @@ def _exp_taylor(a0, K):
     return np.array([e / math.factorial(k) for k in range(K + 1)])
 
 
-def _log_taylor(a0, K):
-    return np.array([np.log(a0)] + [(-1.0) ** (k + 1) / (k * a0 ** k) for k in range(1, K + 1)])
-
-
 def _sin_taylor(a0, K):
     s, c = np.sin(a0), np.cos(a0)
     return np.array([(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(K + 1)])
@@ -456,10 +450,6 @@ def _sin_taylor(a0, K):
 def _cos_taylor(a0, K):
     s, c = np.sin(a0), np.cos(a0)
     return np.array([(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(K + 1)])
-
-
-def _sinh_taylor(a0, K):
-    return np.array([(np.sinh(a0), np.cosh(a0))[k % 2] / math.factorial(k) for k in range(K + 1)])
 
 
 def _cosh_taylor(a0, K):
@@ -477,10 +467,8 @@ def _dispatch(check, taylor, fn_np):
 
 sqrt = _dispatch(_positive("sqrt"), _sqrt_taylor, np.sqrt)
 exp = _dispatch(None, _exp_taylor, np.exp)
-log = _dispatch(_positive("log"), _log_taylor, np.log)
 sin = _dispatch(None, _sin_taylor, np.sin)
 cos = _dispatch(None, _cos_taylor, np.cos)
-sinh = _dispatch(None, _sinh_taylor, np.sinh)
 cosh = _dispatch(None, _cosh_taylor, np.cosh)
 
 

@@ -231,8 +231,6 @@ class NumericsConfig:
     ode_rtol: float = _key(_float, default=1e-10)
     ode_atol: float = _key(_float, default=1e-10)
     quad_scale: float = _key(_float, default=1.0)
-    t_scan: int = _key(_int, default=32)
-    t_volume: int = _key(_int, default=48)
     oracle: bool = _key(_bool, default=False)
 
 

@@ -58,13 +58,15 @@ def test_parse_round_trip_is_lossless(mini_scenario):
     assert scen.to_dict() == yaml.safe_load(MINK1_ALL)
     assert scen.model.weight == [("linear_x0", 0.4)]
     assert scen.checks.requested() == ["bg", "gunther", "bg_inf", "ball"]
-    assert scen.numerics.oracle and scen.numerics.t_scan == 32
+    assert scen.numerics.oracle and scen.numerics.quad_scale == 1.0
 
 
 @pytest.mark.parametrize("mutate, path_bit", [
     (lambda d: d["model"].update(novel=1), "model.novel"),
     (lambda d: d["checks"]["bg"].update(slope=2), "checks.bg.slope"),
     (lambda d: d["numerics"].update(fast=True), "numerics.fast"),
+    (lambda d: d["numerics"].update(t_scan=32), "numerics.t_scan"),
+    (lambda d: d["numerics"].update(t_volume=48), "numerics.t_volume"),
     (lambda d: d.update(extra={}), "extra"),
 ])
 def test_unknown_keys_rejected_with_path(tmp_path, mutate, path_bit):
@@ -169,6 +171,19 @@ def test_bg_anchor_report(tmp_path):
     assert row["tol"] > 0  # every number carries its tolerance
     csv_text = (tmp_path / "mink2-bg-anchor-bg.csv").read_text().splitlines()
     assert csv_text[0].split(",")[:4] == ["direction", "t", "detA", "lambda"]
+
+
+@pytest.mark.parametrize("scale, directions, samples", [(1.0, 32, 8 + 32), (0.5, 16, 8 + 16)])
+def test_resolution_scale_scales_directions_and_nodes(mini_scenario, tmp_path, scale,
+                                                      directions, samples):
+    # one node count for every t-integral, scan and sweep, after the 8-sample head
+    assert cli.main(["gunther", "--scenario", str(mini_scenario), "--out", str(tmp_path),
+                     "--resolution-scale", str(scale)]) == 0
+    scan = json.loads((tmp_path / "mini-gunther.json").read_text())["checks"]["gunther"][
+        "bounds"]["scan"]
+    assert (scan["directions"], scan["t_samples"]) == (directions, samples)
+    rows = (tmp_path / "mini-gunther.csv").read_text().splitlines()[1:]
+    assert len(rows) == directions * samples
 
 
 def test_bad_hypothesis_is_config_error(tmp_path, capsys):

@@ -45,6 +45,41 @@ def test_identical_close_and_mismatched_reports(tmp_path):
     assert "extra.csv: only in A" in out
 
 
+def test_a_row_count_change_is_one_mismatch(tmp_path):
+    # a CSV sampled on another grid: one line for the row count, none per cell
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "diag.csv", "t,h\n" + "".join(f"{k},{k * k}\n" for k in range(32)))
+    write(b, "diag.csv", "t,h\n" + "".join(f"{k},{k * k}\n" for k in range(40)))
+    status, out, _ = compare(a, b)
+    assert status == 1
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        "  MISMATCH rows: 32 != 40"]
+
+
+def test_worst_move_per_leaf_class(tmp_path):
+    # list indices and CSV row numbers fold into one class each, per file and over all files
+    a, b = tmp_path / "a", tmp_path / "b"
+    rows = {"results": [{"lhs": 1.0, "tol": 2.0}, {"lhs": 3.0, "tol": 4.0}]}
+    moved = {"results": [{"lhs": 1.0 + 1e-12, "tol": 2.0}, {"lhs": 3.0, "tol": 4.0 + 4e-10}]}
+    write(a, "x.json", json.dumps(rows))
+    write(b, "x.json", json.dumps(moved))
+    write(a, "y.csv", "t,h\n1,2\n3,4\n")
+    write(b, "y.csv", "t,h\n1,2\n3,4.000001\n")
+    write(a, "z.json", json.dumps(rows))
+    write(b, "z.json", json.dumps({"results": [{"lhs": 1.0 + 3e-12, "tol": 2.0},
+                                               rows["results"][1]]}))
+    status, out, _ = compare(a, b)
+    assert status == 0
+    lines = out.splitlines()
+    assert "x.json: worst rel diff 1e-10 at results[1].tol" in lines
+    assert "  class results[*].lhs: worst rel diff 1e-12" in lines
+    assert "  class results[*].tol: worst rel diff 1e-10" in lines
+    assert "  class row *.h: worst rel diff 2.5e-07" in lines
+    assert "all files: class results[*].lhs: worst rel diff 3e-12 in z.json" in lines
+    assert "all files: class results[*].tol: worst rel diff 1e-10 in x.json" in lines
+    assert "all files: class row *.h: worst rel diff 2.5e-07 in y.csv" in lines
+
+
 def test_missing_directory_is_reported_without_traceback(tmp_path):
     (tmp_path / "a").mkdir()
     status, out, err = compare(tmp_path / "a", tmp_path / "missing")

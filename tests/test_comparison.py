@@ -114,6 +114,36 @@ def test_flat_volume_closed_form_and_scaling(mink1, mink2):
     assert abs(v1 - exact) < 1e-8
 
 
+def test_flat_volume_closed_form_n3():
+    # det A = t^3 exactly, so the t-rule is exact at n = 3: the hyperbolic
+    # ball of radius chi = artanh 0.3, times int_0^1 t^3 dt and e^{-0.3}
+    m = models.model_library("minkowski", 3, weight=[("const", 0.3)])
+    data = cmp.build_sclv_data(m, cmp.SCLVSpec(apex=np.zeros(4), radius=0.3, cut=1.0))
+    assert len(data.paths) == 768
+    chi = ATANH(0.3)
+    exact = np.exp(-0.3) * np.pi * (np.sinh(2 * chi) - 2 * chi) / 4
+    v1, _ = cmp.sclv_volume(data, 1.0)
+    assert abs(v1 - exact) <= 1e-12 * exact
+    assert abs(cmp.sclv_volume(data, 0.5)[0] / v1 - 1 / 16) <= 1e-12
+
+
+def test_t_error_covers_a_doubled_node_count():
+    # the t-error a volume reports is never below its move when the node
+    # count doubles (M = 33 -> 2M - 1 = 65 Lobatto points); this scenario
+    # moves most of the bundled ones
+    scen = load_scenario(SCENARIOS / "boosted_sphere_gunther_fail.yaml")
+    m, sclv, scale = scen.model.build(), scen.sclv.build(), scen.numerics.quad_scale
+    data = cmp.build_sclv_data(m, sclv, scale=scale)
+    fine = cmp.build_sclv_data(m, sclv, scale=scale, t_nodes=2 * cmp.T_NODES)
+    assert data.scan_grid.size == cmp.T_NODES + 8
+    for r in (0.3, 0.5, 1.0):
+        vol, err = cmp.sclv_volume(data, r)
+        moved = abs(vol - cmp.sclv_volume(fine, r)[0])
+        assert moved > 0.0 and err >= moved
+    row = cmp.gunther_check(data).results[0]
+    assert row["tol"] - cmp.RATIO_TOL_FLOOR >= abs(row["lhs"] - cmp.sclv_volume(fine, 1.0)[0])
+
+
 def test_constant_weight_scales_volume(mink1):
     m, sclv, data = mink1
     mw = models.model_library("minkowski", 1, weight=[("const", 0.7)])
@@ -471,32 +501,56 @@ def test_sclv_fan_is_integrated_once(monkeypatch):
 
 
 def test_each_sample_set_takes_one_connection_pass(monkeypatch):
-    # volumes and density sweeps read det A = det(V g J) from fundamental_tensor
-    # alone, and the scan scalars project A, A' from their order-5 passes, so
-    # the only order-4 passes are the fan flow's own, over its Q + 1 rows; the
-    # order-5 passes partition the Q x grid points into blocks of whole paths
+    # the scan scalars project A, A' from their order-5 passes, and every
+    # volume, scan and sweep reads those samples, so past the fan flow's own
+    # order-4 pass over its Q + 1 rows no check makes a connection pass; the
+    # order-5 passes partition the Q x grid points into blocks of whole
+    # paths; comparison reads g itself only at the apex (the direction rule)
+    # and in the ball check's epsilon search, at one time per path
     from lfgeom import connection, jacobi
     real, calls = connection.eval_connection, []
+    real_g, reads = models.fundamental_tensor, []
 
     def counting(m, x, v, order=4, validate=True):
         batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)[:-1])
         calls.append((order, int(np.prod(batch))))
         return real(m, x, v, order, validate)
 
+    def reading(module):
+        def fundamental_tensor(m, x, v):
+            reads.append((module, np.shape(x)[:-1], bool(np.all(x == sclv.apex))))
+            return real_g(m, x, v)
+        return fundamental_tensor
+
+    def polar_reads():
+        return [shape for module, shape, at_apex in reads
+                if module == "lfgeom.comparison" and not at_apex]
+
     for name, mod in list(sys.modules.items()):   # wherever a loaded lfgeom module holds it
-        if name.split(".")[0] == "lfgeom" and getattr(mod, "eval_connection", None) is real:
-            monkeypatch.setattr(mod, "eval_connection", counting)
+        if name.split(".")[0] == "lfgeom":
+            if getattr(mod, "eval_connection", None) is real:
+                monkeypatch.setattr(mod, "eval_connection", counting)
+            if getattr(mod, "fundamental_tensor", None) is real_g:
+                monkeypatch.setattr(mod, "fundamental_tensor", reading(name))
     scen = load_scenario(SCENARIOS / "mink2_gunther_weighted.yaml")
-    data = cmp.build_sclv_data(scen.model.build(), scen.sclv.build(),
-                               scale=scen.numerics.quad_scale)
+    sclv = scen.sclv.build()
+    data = cmp.build_sclv_data(scen.model.build(), sclv, scale=scen.numerics.quad_scale)
     Q = len(data.paths)
     assert (4, Q + 1) in calls
+    assert ("lfgeom.comparison", (Q,), True) in reads and polar_reads() == []
     for check in (lambda: cmp.bishop_gromov_check(data, 4.0, [(0.5, 1.0)]),
                   lambda: cmp.gunther_check(data, k=0.3),
-                  lambda: cmp.bg_infinity_check(data, [(0.5, 1.0)]),
-                  lambda: cmp.ball_bound_check(data, 0.05, [0.3, 0.6, 0.9])):
-        check()   # the ball check reads psi of a constant weight, a scalar
-        assert max(b for order, b in calls if order == 4) <= Q + 1
+                  lambda: cmp.bg_infinity_check(data, [(0.5, 1.0)])):
+        calls.clear()
+        check()
+        assert calls == [] and polar_reads() == []
+    cmp.ball_bound_check(data, 0.05, [0.3, 0.6, 0.9])
+    assert calls == []
+    assert polar_reads() and all(shape == (Q, 1) for shape in polar_reads())
+    calls.clear()
+    reads.clear()
+    cmp.sclv_volume(data, 0.37)     # an r no check asked for
+    assert calls == [] and reads == []
     nt = data.scan_grid.size
     for block in (jacobi.BLOCK, 7 * nt, nt - 1):    # the default, uneven, under one path
         monkeypatch.setattr(jacobi, "BLOCK", block)
@@ -512,7 +566,7 @@ def _blocked_values(data):
     the polar density, a volume and the reports of all four checks."""
     from lfgeom import jacobi
     scalars, lo, hi = jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
-    data = dataclasses.replace(data, scalars=scalars, flag_min=lo, flag_max=hi, vol_cache={})
+    data = dataclasses.replace(data, scalars=scalars, flag_min=lo, flag_max=hi)
     fields = [getattr(s, f.name) for s in scalars for f in dataclasses.fields(s)]
     arrays = [*fields, lo, hi, *cmp._density(data, np.linspace(0.01, data.b, 37))]
     reports = [cmp.bishop_gromov_check(data, data.model.n + 2.0, [(0.5, 1.0)]),

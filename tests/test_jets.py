@@ -152,11 +152,11 @@ def composite_b_jets(xs):
 
 
 def composite_c(x):
-    return np.log(2.0 + np.sinh(x[0]) * x[1]) * x[1]
+    return np.sqrt(2.0 + np.exp(x[0]) * x[1]) * np.cosh(x[1])
 
 
 def composite_c_jets(xs):
-    return jets.log(2.0 + jets.sinh(xs[0]) * xs[1]) * xs[1]
+    return jets.sqrt(2.0 + jets.exp(xs[0]) * xs[1]) * jets.cosh(xs[1])
 
 
 @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ def test_algebraic_identities():
     assert np.allclose(one.coeffs[1:], 0.0, atol=1e-14)
 
     x = 2.0 + xs[1]
-    assert np.allclose((jets.exp(jets.log(x)) - x).coeffs, 0.0, atol=1e-13)
+    assert np.allclose((jets.sqrt(jets.exp(2.0 * x)) - jets.exp(x)).coeffs, 0.0, atol=1e-13)
     assert np.allclose((jets.sqrt(x) * jets.sqrt(x) - x).coeffs, 0.0, atol=1e-13)
 
     a = xs[0] * xs[2] + 3.0
@@ -230,7 +230,7 @@ def test_truncation_consistency():
     sp = jetspace(2, 4)
     xs = lift(sp, [0.9, -0.3], active=[0, 1])
     f = jets.exp(xs[0]) * jets.cos(xports := xs[1]) + xs[0] * xports
-    g = jets.sinh(xs[0] * xports)
+    g = jets.cosh(xs[0] * xports)
     full = f * g
     low = f.truncated(2) * g.truncated(2)
     assert np.allclose(full.coeffs[: sp.ncoef_at[2]], low.coeffs)
@@ -397,8 +397,6 @@ def test_domain_errors():
     (x,) = lift(sp, [-2.0], active=[0])
     with pytest.raises(JetDomainError):
         jets.sqrt(x)
-    with pytest.raises(JetDomainError):
-        jets.log(x)
 
 
 def test_order_exceeded():
