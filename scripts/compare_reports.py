@@ -7,9 +7,11 @@ Usage:
 Pairs the same-named ``*.json`` and ``*.csv`` files of the two
 directories and walks every JSON leaf and every CSV cell.  For each file
 it prints ``identical`` when the two files are byte-identical, and
-otherwise the worst relative float difference |a - b| / max(|a|, |b|, 1)
-and where it occurs, then the worst difference of each leaf class that
-moved: the leaf path with list indices and CSV row numbers as ``*``.
+otherwise the worst relative float difference |a - b| / max(|a|, |b|)
+and where it occurs (relative at every size, so a leaf below 1 is not
+compared in absolute terms; a leaf that moves off or onto 0 reads 1),
+then the worst difference of each leaf class that moved: the leaf path
+with list indices and CSV row numbers as ``*``.
 Every other leaf -- a verdict, a count, a string, a key set or a list
 length -- must match exactly; each mismatch is printed.  A CSV whose row
 count differs is one ``rows: A != B`` mismatch, and its cells are not
@@ -71,7 +73,7 @@ def _rel_diff(a, b):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def compare_file(path_a, path_b):

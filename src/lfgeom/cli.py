@@ -45,6 +45,7 @@ SUBCOMMANDS = ("validate-model", "curvature", "geodesic", "jacobi",
                *(name.replace("_", "-") for name in CHECKS), "all")
 _ENV_PREFIX = "LFGEOM_"
 VALIDATE_SAMPLES = 200
+VALIDATE_ROUNDS = 10       # draws of 2 * VALIDATE_SAMPLES candidates before validate-model gives up
 ORACLE_TOL = 1e-4
 
 
@@ -110,10 +111,104 @@ def _report_shell(scen: Scenario, command: str, args) -> dict:
 
 # ------------------------------------------------------------- subcommands
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seed(seed):
+    """(state, increment) of numpy's ``PCG64(SeedSequence(seed))``, seed a Python int."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]                   # the seed's 32-bit words, low first
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+
+    def hasher(const, mult):                # SeedSequence's hashmix: its multiplier moves on
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool * 2))   # generate_state(4, uint64)
+    u64 = [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
+    inc = ((u64[2] << 64 | u64[3]) << 1 | 1) & _M128
+    return ((inc + (u64[0] << 64 | u64[1])) * _PCG_MULT + inc) & _M128, inc
+
+
+def _uniform_rounds(seed, lo, hi, rows, rounds):
+    """Up to `rounds` arrays (rows, len(lo)): successive
+    ``numpy.random.default_rng(seed).uniform(lo, hi, size=(rows, len(lo)))``
+    draws, bit for bit, without importing ``numpy.random``.
+
+    A port of numpy's ``SeedSequence`` (entropy pool and ``generate_state``,
+    numpy/random/bit_generator.pyx), of its PCG64 generator -- a 128-bit LCG
+    with the XSL-RR output (O'Neill, HMC-CS-2014-0905, 2014;
+    numpy/random/src/pcg64) -- and of ``Generator.uniform``: lo + (hi - lo) u
+    with u = (64-bit word >> 11) 2^-53, filled in C order.  The 128-bit
+    arithmetic is on Python ints.  numpy's license, under which this port is
+    distributed (numpy/random is Copyright (c) 2019 Kevin Sheppard, dual
+    NCSA / 3-clause BSD; the 3-clause BSD applies here):
+
+        Copyright (c) 2005-2025, NumPy Developers.
+        All rights reserved.
+
+        Redistribution and use in source and binary forms, with or without
+        modification, are permitted provided that the following conditions
+        are met:
+
+        * Redistributions of source code must retain the above copyright
+          notice, this list of conditions and the following disclaimer.
+
+        * Redistributions in binary form must reproduce the above
+          copyright notice, this list of conditions and the following
+          disclaimer in the documentation and/or other materials provided
+          with the distribution.
+
+        * Neither the name of the NumPy Developers nor the names of any
+          contributors may be used to endorse or promote products derived
+          from this software without specific prior written permission.
+
+        THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+        "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+        LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+        A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+        OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+        SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+        LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+        DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+        THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+        (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+        OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+    """
+    state, inc = _pcg64_seed(seed)
+    span = hi - lo
+    for _ in range(rounds):
+        u = np.empty(rows * len(lo))
+        for k in range(u.size):
+            state = (state * _PCG_MULT + inc) & _M128
+            word, rot = ((state >> 64) ^ state) & _M64, state >> 122
+            u[k] = (((word >> rot) | (word << (-rot & 63)) & _M64) >> 11) * 2.0**-53
+        yield lo + span * u.reshape(rows, len(lo))
+
 
 def _validate_model(scen: Scenario, args):
     m = scen.model.build()
-    rng = np.random.default_rng(args.seed)
     d, samples = m.dim, VALIDATE_SAMPLES
     box = min(1.0, 0.25 * min(min(-lo for lo in m.chart_lo),
                               min(hi for hi in m.chart_hi)))
@@ -122,12 +217,18 @@ def _validate_model(scen: Scenario, args):
     lo = np.concatenate([np.full(d, -box), np.full(m.n, -0.7), [0.5]])
     hi = np.concatenate([np.full(d, box), np.full(m.n, 0.7), [2.0]])
     xs, vs = np.empty((0, d)), np.empty((0, d))
-    while len(xs) < samples:
-        cand = rng.uniform(lo, hi, size=(2 * samples, d + m.n + 1))
+    for cand in _uniform_rounds(args.seed, lo, hi, 2 * samples, VALIDATE_ROUNDS):
         x = cand[:, :d]
         v = np.concatenate([np.ones((len(cand), 1)), cand[:, d:-1]], axis=1) * cand[:, -1:]
         keep = models.classify(m, x, v) == "future-timelike"
         xs, vs = np.vstack([xs, x[keep]])[:samples], np.vstack([vs, v[keep]])[:samples]
+        if len(xs) == samples:
+            break
+    else:
+        raise ConfigError(
+            f"validate-model: {len(xs)} of {VALIDATE_ROUNDS * 2 * samples} sampled "
+            f"velocities are future-timelike, fewer than the {samples} needed; "
+            f"the sampling box holds almost no future-timelike velocity")
 
     s = 1.7
     L = models.lagrangian(m, xs, vs)

@@ -145,12 +145,47 @@ def _chart_jets(m, sclv, params):
     return vals, np.moveaxis(grads, 0, 1)                        # (Q, n, d)
 
 
+def _legval(x, c):
+    """sum_k c[k] P_k(x) for len(c) >= 2 by Clenshaw's recurrence, as numpy's `legval`."""
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.cache
 def _gauss_rule(nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], once per node count (read-only: shared)."""
-    xi, wi = np.polynomial.legendre.leggauss(nodes)
-    xi.flags.writeable = wi.flags.writeable = False
-    return xi, wi
+    """Gauss-Legendre nodes and weights on [-1, 1], once per node count (read-only: shared).
+
+    The float operations of numpy's ``polynomial.legendre.leggauss`` in its
+    order, so the rule is numpy's bit for bit without importing
+    ``numpy.polynomial``: the eigenvalues of the symmetric tridiagonal
+    companion matrix of P_nodes (Golub & Welsch, Math. Comp. 23, 1969), one
+    Newton step on P_nodes / P'_nodes, the weights 1 / (P_{nodes-1} P'_nodes)
+    with both factors scaled to a unit maximum, then symmetrisation and
+    normalisation to total 2.  P'_n = sum (2k + 1) P_k over k = n-1, n-3, ...
+    """
+    k = np.arange(nodes)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = np.arange(1, nodes) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(nodes + 1)
+    c[-1] = 1.0
+    dy = _legval(x, c)
+    df = _legval(x, np.where((nodes - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def build_quadrature(m: FinslerModel, sclv: SCLVSpec, scale=1.0) -> DirectionQuadrature:

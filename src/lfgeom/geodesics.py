@@ -76,7 +76,7 @@ STOPPED = "stopped"        # exit reason of a direction halted by another's exit
 CONJUGATE_POINT = "conjugate-point"
 EXIT_LABELS = ("chart-exit", "degenerate-or-cone", "degenerate-or-cone", CONJUGATE_POINT)
 SCAN_POINTS = 1024         # dense-output margin scan resolution
-SCAN_BLOCK = 8192          # fan states per block of the dense-output margin scan
+SCAN_BLOCK = 4096          # fan states per block of the dense-output margin scan
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
 # sigma = t + (the fan's RMS Euclidean path length), so a fan keeping its start
 # speed reaches t_target at sigma = t_target (1 + |eta'(0)|), and a path out of the

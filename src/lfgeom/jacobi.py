@@ -60,7 +60,7 @@ __all__ = [
 
 UNIT_TOL = 1e-8
 CURVATURE_NODES = 40
-BLOCK = 1024           # sample points (paths x times) per block of a pass over a fan
+BLOCK = 512            # sample points (paths x times) per block of a pass over a fan
 HEAD = 8               # geometric samples of sample_grid below its first Chebyshev node
 
 

@@ -460,6 +460,42 @@ def test_curvature_route_jacobi_loads_no_scipy():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def loaded_numpy_random_or_polynomial(code):
+    """The numpy.random / numpy.polynomial modules that code loads in a fresh
+    interpreter beyond those `import numpy` loads itself (none on numpy 2)."""
+    run = fresh_python("-c", "import sys, numpy\nbase = set(sys.modules)\n" + code +
+                       "\nprint(sorted(m for m in set(sys.modules) - base"
+                       " if m.startswith(('numpy.random', 'numpy.polynomial'))))")
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["all", "gunther", "validate-model"])
+def test_a_run_loads_neither_numpy_random_nor_polynomial(tmp_path, command):
+    # the validate-model draw and the Gauss-Legendre rules are computed in house
+    if command == "gunther":
+        scenario, code = _reject_inputs(tmp_path / "inputs")[1], 2
+    else:
+        scenario, code = SCENARIOS / "flrw1_cosh_all.yaml", 0
+    argv = [command, "--scenario", str(scenario), "--out", str(tmp_path)]
+    assert loaded_numpy_random_or_polynomial(
+        f"from lfgeom import cli\nassert cli.main({argv!r}) == {code}") == "[]"
+
+
+def test_cli_import_time_list_holds_neither_numpy_random_nor_polynomial():
+    base = fresh_python("-X", "importtime", "-c", "import numpy")
+    run = fresh_python("-X", "importtime", "-c", "import lfgeom.cli")
+    assert base.returncode == run.returncode == 0, run.stderr
+
+    def modules(proc):
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "cumulative" not in line}
+
+    assert "lfgeom.cli" in modules(run)
+    assert not {m for m in modules(run) - modules(base)
+                if m.startswith(("numpy.random", "numpy.polynomial"))}
+
+
 def test_missing_scenario_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LFGEOM_SCENARIO", raising=False)
     assert cli.main(["bg", "--out", str(tmp_path)]) == 2
@@ -494,6 +530,54 @@ def test_validate_model_quartic(tmp_path):
     assert body["verdict"] == "PASS"
     assert body["signature"]["ok"] and body["signature"]["min_eig_margin"] > 1e-3
     assert body["homogeneity"]["L_deg2_rel"] < 1e-9
+
+
+def _box(cols):
+    lo = np.concatenate([np.full(cols - 1, -0.25), [0.5]])
+    hi = np.concatenate([np.full(cols - 1, 0.25), [2.0]])
+    return lo, hi
+
+
+def test_validate_draws_are_numpys_generator_bit_for_bit():
+    # the d + n + 1 columns of n = 1, 2, 3 in turn; seeds past 2**32 take several entropy
+    # words, and past 2**128 more words than SeedSequence's pool of four
+    seeds = [*range(996), 2**32 + 5, 2**64 + 1, 2**70 + 3, 2**160 + 7]
+    rows = 2 * cli.VALIDATE_SAMPLES
+    for seed in seeds:
+        lo, hi = _box((4, 6, 8)[seed % 3])
+        ours = list(cli._uniform_rounds(seed, lo, hi, rows, 2))
+        rng = np.random.default_rng(seed)
+        assert len(ours) == 2
+        for draw in ours:   # two consecutive draws of one generator
+            assert np.array_equal(draw, rng.uniform(lo, hi, size=(rows, len(lo)))), seed
+
+
+@pytest.mark.parametrize("command", ["validate-model", "all"])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, command):
+    code = cli.main([command, "--scenario", str(SCENARIOS / "mink2_bg_anchor.yaml"),
+                     "--out", str(tmp_path), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("command", ["validate-model", "all"])
+def test_a_box_without_timelike_velocities_ends_the_draw(tmp_path, capsys, command):
+    # a = 1e6: a sampled velocity is timelike only for |u| < 1e-6, so no round
+    # ever fills the sample; the draw stops after VALIDATE_ROUNDS rounds
+    doc = {"name": "huge-scale",
+           "model": {"name": "flrw", "n": 2,
+                     "params": {"scale": "affine", "a0": 1.0e6, "q": 0.0}},
+           "sclv": {"apex": [0.0, 0.0, 0.0], "radius": 0.3, "cut": 1.0},
+           "checks": {"gunther": {}}}
+    p = tmp_path / "huge-scale.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    assert cli.main([command, "--scenario", str(p), "--out", str(tmp_path)]) == 2
+    drawn = cli.VALIDATE_ROUNDS * 2 * cli.VALIDATE_SAMPLES
+    assert capsys.readouterr().err == (
+        f"configuration error: validate-model: 0 of {drawn} sampled velocities are "
+        f"future-timelike, fewer than the {cli.VALIDATE_SAMPLES} needed; the sampling "
+        "box holds almost no future-timelike velocity\n")
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_jacobi_csv_columns(mini_scenario, tmp_path):

@@ -35,7 +35,7 @@ def test_identical_close_and_mismatched_reports(tmp_path):
     status, out, _ = compare(a, b)
     assert status == 0
     assert "same.json: identical" in out and "same.csv: identical" in out
-    assert "close.json: worst rel diff 1e-13 at margin" in out
+    assert "close.json: worst rel diff 4e-13 at margin" in out
 
     write(b, "close.json", json.dumps({**report, "verdict": "FAIL"}))
     write(a, "extra.csv", "r\n1\n")
@@ -43,6 +43,19 @@ def test_identical_close_and_mismatched_reports(tmp_path):
     assert status == 1
     assert "MISMATCH verdict: 'PASS' != 'FAIL'" in out
     assert "extra.csv: only in A" in out
+
+
+def test_leaves_below_one_are_compared_relatively(tmp_path):
+    # a 3e-31 volume that moves by a third of itself reads a third, not 1e-31
+    a, b = tmp_path / "a", tmp_path / "b"
+    write(a, "tiny.json", json.dumps({"volume": 3e-31, "zero": 0.0}))
+    write(b, "tiny.json", json.dumps({"volume": 2e-31, "zero": 0.0}))
+    status, out, _ = compare(a, b)
+    assert status == 0
+    assert "tiny.json: worst rel diff 0.333 at volume" in out
+    write(b, "tiny.json", json.dumps({"volume": 3e-31, "zero": 1e-300}))
+    status, out, _ = compare(a, b)
+    assert "tiny.json: worst rel diff 1 at zero" in out
 
 
 def test_a_row_count_change_is_one_mismatch(tmp_path):

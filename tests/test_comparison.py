@@ -383,6 +383,21 @@ def test_ball_bound_flat(mink1):
     assert rep.pointwise["concavity_residual"] <= 0
 
 
+def test_gauss_rule_is_numpys_leggauss():
+    # numpy >= 1.24 and 2.x run leggauss in the ported order, so the rule is theirs
+    # bit for bit; a numpy that reorders those operations may round a few ulps apart
+    from numpy.polynomial.legendre import leggauss
+    same_order = int(np.__version__.split(".")[0]) <= 2
+    for k in [*range(4, 161), 128]:
+        x, w = cmp._gauss_rule(k)
+        ref_x, ref_w = leggauss(k)
+        for ours, ref in ((x, ref_x), (w, ref_w)):
+            assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.abs(ref))), k
+            if same_order:
+                assert np.array_equal(ours, ref), k
+        assert not (x.flags.writeable or w.flags.writeable)
+
+
 def test_growth_integral_closed_form():
     mp = pytest.importorskip("mpmath")
     # long double exponents give ~1e-16; plain float64 ones a few 1e-14
