@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets as jr
+from . import geodesics, jets as jr
 from .curvature import ric_N
 from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
 from .jacobi import (
@@ -759,32 +759,46 @@ def _fd4(f, h, axis, periodic=False):
     the two nodes nearest each end take the one-sided stencils, so no sample
     outside the grid is needed."""
     f = np.moveaxis(f, axis, 0)
-    d = (-np.roll(f, -2, axis=0) + 8 * np.roll(f, -1, axis=0)
-         - 8 * np.roll(f, 1, axis=0) + np.roll(f, 2, axis=0))
+    d = np.roll(f, -2, axis=0)
+    np.negative(d, out=d)
+    for shift, c in ((-1, 8.0), (1, -8.0), (2, 1.0)):   # in place, in the stencil's order
+        term = np.roll(f, shift, axis=0)
+        term *= c
+        d += term
+        del term                    # one shifted copy beside d at a time
     if not periodic:
         d[:2] = np.tensordot(_FD4_EDGE, f[:5], axes=1)
         d[-2:] = -np.tensordot(_FD4_EDGE[::-1, ::-1], f[-5:], axes=1)
-    return np.moveaxis(d, 0, axis) / (12.0 * h)
+    d /= 12.0 * h
+    return np.moveaxis(d, 0, axis)
 
 
-def _det(a):
-    """Determinants of a stack of 2x2 or 3x3 matrices, in closed form."""
-    if a.shape[-1] == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+def _det(c):
+    """Determinants of a stack of 2x2 or 3x3 matrices, in closed form, from
+    their columns: c[j][..., i] is entry (i, j).  A list of column arrays
+    serves as well as np.moveaxis(a, -1, 0), so no stacked copy is made."""
+    if len(c) == 2:
+        return c[0][..., 0] * c[1][..., 1] - c[1][..., 0] * c[0][..., 1]
+    return (c[0][..., 0] * (c[1][..., 1] * c[2][..., 2] - c[2][..., 1] * c[1][..., 2])
+            - c[1][..., 0] * (c[0][..., 1] * c[2][..., 2] - c[2][..., 1] * c[0][..., 2])
+            + c[2][..., 0] * (c[0][..., 1] * c[1][..., 2] - c[1][..., 1] * c[0][..., 2]))
 
 
-def _grid_volume(pos, vel, dens, dt, du, dphi):
-    """Volume from samples on (chart, [phi,] t) nodes at spacings dt, du, dphi:
-    Simpson in t and in the chart axis, the periodic trapezoid in phi."""
-    polar = pos.ndim == 4
+def _integrand(pos, vel, dens, du, dphi):
+    """The volume integrand dens |det[vel, d_u pos, d_phi pos]| on (chart,
+    [phi,] t) nodes at chart and phi spacings du, dphi."""
     cols = [vel, _fd4(pos, du, axis=0)]
-    if polar:
+    if pos.ndim == 4:
         cols.append(_fd4(pos, dphi, axis=1, periodic=True))
-    val = simpson(dens * np.abs(_det(np.stack(cols, axis=-1))), dx=dt, axis=-1)
-    if polar:
+    return dens * np.abs(_det(cols))
+
+
+def _grid_volume(f, dt, du, dphi):
+    """Volume from integrand samples f on (chart, [phi,] t) nodes at spacings
+    dt, du, dphi: Simpson in t and in the chart axis, the periodic trapezoid
+    in phi."""
+    val = simpson(f, dx=dt, axis=-1)
+    if f.ndim == 3:
         val = np.sum(val, axis=1) * dphi
     return float(simpson(val, dx=du, axis=0))
 
@@ -807,6 +821,14 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, *, nt=49,
     the coarse grid is asymptotic.  nt and nchart must be 1 mod 4 and >= 9
     (both grids odd Simpson grids with >= 5 nodes per stencil), nphi even
     and >= 16.
+
+    The grid is read in blocks of whole t-nodes, about
+    geodesics.SCAN_BLOCK states each, and only the two integrands are kept
+    (the finite differences run along the chart and phi axes alone), so
+    what grows with nt is one double per fine and per coarse node.  The
+    blocks read the flow at one sigma mapping of all nt times
+    (``RadialFlow.eval_blocks``), so the result is the same bits at any
+    block size.
     """
     if min(nt, nchart) < 9 or (nt - 1) % 4 or (nchart - 1) % 4:
         raise ValueError(f"nt={nt} and nchart={nchart} must be 1 mod 4 and >= 9")
@@ -835,14 +857,28 @@ def coordinate_volume(m: FinslerModel, sclv: SCLVSpec, *, nt=49,
     rays = w / F[:, None]
     T = float(sclv.cut)
     flow = radial_flow(m, apex, rays, T)
-    st = flow.eval_all(np.linspace(0.0, T, nt))
-    pos = st["eta"].reshape(chart_shape + (nt, m.dim))
-    vel = st["etadot"].reshape(chart_shape + (nt, m.dim))
-    g = fundamental_tensor(m, pos, vel)
-    dens = np.exp(-weight(m, pos, vel)) * np.sqrt(-_det(g))
 
-    steps = (T / (nt - 1), du, 2 * np.pi / nphi)
-    fine = _grid_volume(pos, vel, dens, *steps)
-    half = (slice(None, None, 2),) * (n + 1)     # every other chart, phi and t node
-    coarse = _grid_volume(pos[half], vel[half], dens[half], *(2 * h for h in steps))
+    dt, dphi = T / (nt - 1), 2 * np.pi / nphi
+    fine = np.empty(chart_shape + (nt,))
+    coarse = np.empty(tuple((k + 1) // 2 for k in chart_shape) + ((nt + 1) // 2,))
+    half = (slice(None, None, 2),) * n          # every other chart and phi node
+    step = max(1, geodesics.SCAN_BLOCK // len(rays))
+    spans = [slice(k, min(k + step, nt)) for k in range(0, nt, step)]
+    every = np.arange(len(rays))
+    states = flow.eval_blocks([(every, span) for span in spans], np.linspace(0.0, T, nt))
+    for span in spans:
+        st = next(states)           # not zipped: zip's tuple would keep the last block alive
+        shape = chart_shape + (span.stop - span.start, m.dim)
+        pos, vel = st["eta"].reshape(shape), st["etadot"].reshape(shape)
+        dens = np.exp(-weight(m, pos, vel)) * np.sqrt(
+            -_det(np.moveaxis(fundamental_tensor(m, pos, vel), -1, 0)))
+        fine[..., span] = _integrand(pos, vel, dens, du, dphi)
+        lo, hi = (span.start + 1) // 2, (span.stop + 1) // 2
+        if hi > lo:     # coarse t-nodes lo..hi-1: the block's even global t-nodes
+            sub = half + (slice(2 * lo - span.start, None, 2),)
+            coarse[..., lo:hi] = _integrand(pos[sub], vel[sub], dens[sub], 2 * du, 2 * dphi)
+        del st, pos, vel, dens      # free this block's states before the next read
+
+    fine = _grid_volume(fine, dt, du, dphi)
+    coarse = _grid_volume(coarse, 2 * dt, 2 * du, 2 * dphi)
     return fine + (fine - coarse) / 15, abs(fine - coarse) / 15

@@ -91,7 +91,29 @@ def _chart_margin(m: FinslerModel, x):
     return np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
 
 
-def _margins(m: FinslerModel, st, t, L0, parts=False):
+def _conditioning(g, screen=False):
+    """min|eig g| / max|eig g| for a stack of symmetric d x d metrics g.
+
+    With screen, a metric whose certified lower bound
+    b = |det g| (d-1)^((d-1)/2) / |g|_F^d <= min|eig| / max|eig| is at
+    least 2 DIP_THRESHOLD reads b, and ``eigvalsh`` runs only on the rest
+    (b below that, or NaN).  The bound: |det g| is min|eig| times the
+    other d-1 moduli, whose product AM-GM caps at (|g|_F^2 / (d-1))^((d-1)/2),
+    and |g|_F >= max|eig|.
+    """
+    if screen:
+        d = g.shape[-1]
+        with np.errstate(all="ignore"):
+            ratio = (np.abs(np.linalg.det(g)) * (d - 1) ** ((d - 1) / 2)
+                     / np.sum(g * g, axis=(-2, -1)) ** (d / 2))
+        need = ~(ratio >= 2 * DIP_THRESHOLD)
+        ratio[need] = _conditioning(g[need])
+        return ratio
+    aeig = np.abs(np.linalg.eigvalsh(g))
+    return np.min(aeig, axis=-1) / np.max(aeig, axis=-1)
+
+
+def _margins(m: FinslerModel, st, t, L0, parts=False, screen=False):
     """Per-point validity margin of an unpacked flow state at time t:
     positive while the state is usable.
 
@@ -99,12 +121,22 @@ def _margins(m: FinslerModel, st, t, L0, parts=False):
     frame V and Jacobi fields J, conjugate: the singularity measure of A/t
     with A = V g J, read as 1 at t = 0.  Deliberately avoids anything that
     inverts g, so it stays evaluable right at (and past) a degeneration.
+
+    screen (the post-scan's sampled margins only) reads the conditioning
+    part from ``_conditioning``'s screen.  The scan feeds those margins to
+    ``_scan_candidates`` alone, and its candidates come out the same: a
+    screened state's screened and exact conditioning parts are both above
+    DIP_THRESHOLD (2 DIP_THRESHOLD - METRIC_COND_FLOOR at least), so its
+    screened and exact margins are equal wherever either is at or below
+    DIP_THRESHOLD and both exceed it elsewhere, which leaves every
+    ``margin <= 0`` and every ``margin < DIP_THRESHOLD`` local-minimum test
+    as it was.  The event, the exit labels, the refinement and
+    ``check_base_point`` keep the exact margins.
     """
     x, v = st["eta"], st["etadot"]
     g = fundamental_tensor(m, x, v)
-    aeig = np.abs(np.linalg.eigvalsh(g))
     out = [_chart_margin(m, x),
-           np.min(aeig, axis=-1) / np.max(aeig, axis=-1) - METRIC_COND_FLOOR,
+           _conditioning(g, screen) - METRIC_COND_FLOOR,
            -lagrangian(m, x, v) / np.abs(L0) - CAUSAL_FLOOR]
     if "V" in st and "J" in st:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -239,7 +271,14 @@ class _Clock:
         return self._poly(s, k)[0]
 
     def sigma(self, t):
-        """sigma with t(sigma) = t, for t in [0, t_end] (any shape)."""
+        """sigma with t(sigma) = t, for t in [0, t_end] (any shape).
+
+        The Newton loop stops once every time of the call has converged, so
+        a time's last bits depend on which other times share the call: the
+        same t may map to a neighbouring float in a call of its own.  Every
+        blocked reader therefore maps all its times in one call and reads
+        each block at its slice of the result (``RadialFlow.eval_blocks``).
+        """
         t = np.asarray(t, dtype=float)
         s = np.where(t <= 0.0, 0.0, self.s_end)
         inner = (t > 0.0) & (t < self.t_end)
@@ -369,7 +408,10 @@ class RadialFlow:
         Reads only those directions' rows of the dense output, the same bits
         as a whole-fan read, into C-contiguous arrays: a strided view would
         change the summation order of reductions over it, such as the
-        coordinate oracle's Simpson sums.
+        coordinate oracle's Simpson sums.  The times are not independent in
+        the same way: the sigma of a time depends on the other times of the
+        call (see ``_Clock.sigma``), so a reader that splits its times into
+        blocks maps them all at once, as ``eval_blocks`` does.
         """
         ids = np.atleast_1d(i)
         who = f"direction {i}" if np.ndim(i) == 0 else "some direction"
@@ -377,12 +419,17 @@ class RadialFlow:
         return self.layout.unpack(states if np.ndim(i) else states[0])
 
     def eval_blocks(self, blocks, ts):
-        """``eval`` of each index array of ``blocks`` in turn, at shared times
-        ts: an iterator that maps the times to sigma once and reads a block's
+        """``eval`` of each block (ids, span) of ``blocks`` in turn: the
+        directions ids (an index array) at the times ts[span] (a slice), so
+        a fan can be read in blocks of directions, of times, or both.
+
+        An iterator that maps all of ts to sigma once and reads a block's
         rows only when it reaches that block, so the caller holds one
-        block's states at a time."""
-        s = self._sigma(np.concatenate(blocks), ts)
-        return (self.layout.unpack(self._rows(ids, s)) for ids in blocks)
+        block's states at a time.  Mapping once is what keeps every block
+        equal to the same rows and times of ``eval_all`` bit for bit: sigma
+        depends on the times that share a ``clock.sigma`` call."""
+        s = self._sigma(np.concatenate([ids for ids, _ in blocks]), ts)
+        return (self.layout.unpack(self._rows(ids, s[span])) for ids, span in blocks)
 
     def _sigma(self, ids, ts, who="some direction"):
         """clock.sigma(ts), once every time lies in the valid range of directions ids."""
@@ -546,7 +593,7 @@ def _post_scan_flow(m, flow, L0):
         vals = dense(sg[k:k + step], rows)
         tg[k:k + step] = vals[-1]
         st = lay.unpack(np.moveaxis(vals[:-1].reshape(B, mw, -1), 1, 2))
-        ms[:, k:k + step] = _margins(m, st, vals[-1], L0[:, None])
+        ms[:, k:k + step] = _margins(m, st, vals[-1], L0[:, None], screen=True)
     sg, tg, ms = sg[1:], tg[1:], ms[:, 1:]        # sigma = 0 is the base point
     dip, bad = _scan_candidates(ms)
     cand = dip | bad

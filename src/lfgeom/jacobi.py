@@ -355,7 +355,7 @@ def path_blocks(paths: list[JacobiPath], ts):
     step = max(1, BLOCK // max(np.size(ts), 1))
     blocks = [slice(k, k + step) for k in range(0, len(paths), step)]
     index = np.array([p.index for p in paths])
-    return zip(blocks, flow.eval_blocks([index[b] for b in blocks], ts))
+    return zip(blocks, flow.eval_blocks([(index[b], slice(None)) for b in blocks], ts))
 
 
 def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):

@@ -350,19 +350,20 @@ class _Dop853Dense:
 
     def __call__(self, t, rows=None):
         """The state at t, or only its components ``rows`` (an index array):
-        the same per-component arithmetic, so the same bits."""
+        the same per-component arithmetic, so the same bits.  The rows of
+        one coefficient at a time are gathered, never a copy of all of F."""
         t = np.asarray(t)
         if t.ndim > 1:
             raise ValueError("`t` must be a float or a 1-D array.")
-        F, y_old = (self.F, self.y_old) if rows is None else (self.F[:, rows], self.y_old[rows])
+        y_old = self.y_old if rows is None else self.y_old[rows]
         x = (t - self.t_old) / self.h
         if t.ndim == 0:
             y = np.zeros_like(y_old)
         else:
             x = x[:, None]
             y = np.zeros((len(x), len(y_old)), dtype=y_old.dtype)
-        for i, f in enumerate(reversed(F)):
-            y += f
+        for i, f in enumerate(reversed(self.F)):
+            y += f if rows is None else f[rows]
             if i % 2 == 0:
                 y *= x
             else:

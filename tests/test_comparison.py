@@ -10,6 +10,8 @@ flag-curvature volume bound.
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -230,6 +232,66 @@ def test_coordinate_error_bounds_the_fine_grid_move(name):
     assert abs(direct - fine) <= err
 
 
+@pytest.mark.parametrize("name", ["flrw1_cosh_all", "mink2_gunther_weighted"])
+def test_coordinate_volume_is_the_same_bits_at_any_block_size(monkeypatch, name):
+    # blocks of 1, 2 and 5 t-nodes (ragged last blocks) and the whole grid in one
+    scen = load_scenario(SCENARIOS / f"{name}.yaml")
+    m, sclv = scen.model.build(), scen.sclv.build()
+    rays = 25 if m.n == 1 else 25 * 32
+    results = []
+    for nodes in (1, 2, 5, 49):
+        monkeypatch.setattr(cmp.geodesics, "SCAN_BLOCK", rays * nodes)
+        results.append(cmp.coordinate_volume(m, sclv))
+    assert all(r == results[0] for r in results), results
+
+
+def test_eval_blocks_reads_eval_all_bits_in_any_blocking(monkeypatch):
+    # the oracle's own flow, read in blocks of directions, of times and of both
+    scen = load_scenario(SCENARIOS / "desitter2_gunther.yaml")
+    m, sclv = scen.model.build(), scen.sclv.build()
+    flows, real = [], cmp.radial_flow
+    monkeypatch.setattr(cmp, "radial_flow", lambda *a, **k: flows.append(real(*a, **k)) or flows[-1])
+    cmp.coordinate_volume(m, sclv)
+    (flow,) = flows
+    ts = np.linspace(0.0, float(sclv.cut), 49)
+    whole = flow.eval_all(ts)
+    ids = [np.arange(len(flow.dirs)), np.arange(3, len(flow.dirs), 7), np.array([5])]
+    spans = [slice(0, 49), slice(0, 1), slice(1, 3), slice(3, 8), slice(8, 49)]
+    blocks = [(i, span) for i in ids for span in spans]
+    for (i, span), st in zip(blocks, flow.eval_blocks(blocks, ts)):
+        for key, val in st.items():
+            assert val.tobytes() == np.ascontiguousarray(whole[key][i][:, span]).tobytes(), key
+
+
+def test_coordinate_volume_peak_memory_does_not_follow_nt(tmp_path):
+    # the oracle's traced peak as scripts/memory_profile.py reads it (every
+    # live allocation during the call, in a fresh `lfgeom all` process):
+    # 3.2 MB at nt = 49 and 3.5 MB at 97 here; the whole-grid oracle this
+    # replaced held 12.4 MB at 49
+    code = f"""
+import tracemalloc
+from lfgeom import cli, comparison
+real, peaks = comparison.coordinate_volume, []
+def oracle(*args, **kw):
+    for nt in (49, 97):
+        tracemalloc.reset_peak()
+        out = real(*args, **dict(kw, nt=nt))
+        peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+    return out
+comparison.coordinate_volume = oracle
+tracemalloc.start()
+assert cli.main(["all", "--scenario", {str(SCENARIOS / "mink2_bg_anchor.yaml")!r},
+                 "--out", {str(tmp_path)!r}]) == 0
+print(*peaks)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SCENARIOS.parent / "src")] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    peak49, peak97 = map(float, proc.stdout.split()[-2:])
+    assert peak49 <= 4.0 and peak97 <= 1.1 * peak49, (peak49, peak97)
+
+
 @pytest.mark.parametrize("R,verdict", [(0.9, "FAIL"), (0.5, "PASS")])
 def test_oracle_catches_a_coarse_polar_quadrature(R, verdict):
     # at quad_scale 0.5 the 48-direction polar volume is 2.3e-3 low at R = 0.9
@@ -247,7 +309,8 @@ def test_closed_form_determinants_match_lapack():
     rng = np.random.default_rng(3)
     for d in (2, 3):
         a = rng.normal(size=(5, 7, d, d))
-        assert np.allclose(cmp._det(a), np.linalg.det(a), rtol=0, atol=1e-14)
+        assert np.allclose(cmp._det(np.moveaxis(a, -1, 0)), np.linalg.det(a),
+                           rtol=0, atol=1e-14)
 
 
 # ------------------------------------------------------- finite-N ratio

@@ -358,9 +358,90 @@ def test_blocked_scan_margins_equal_whole_fan_margins(monkeypatch, fan):
     _, s1, dense, _ = flow.segments[0]
     vals = dense(np.linspace(0.0, s1, scan.shape[1] + 1)[1:])
     st = flow.layout.unpack(np.moveaxis(vals[:-1].reshape(len(dirs), flow.layout.width, -1), 1, 2))
-    exact = geodesics._margins(m, st, vals[-1], lagrangian(m, x0, dirs)[:, None])
-    assert scan.tobytes() == exact.tobytes()
+    L0 = lagrangian(m, x0, dirs)[:, None]
+    assert scan.tobytes() == geodesics._margins(m, st, vals[-1], L0, screen=True).tobytes()
+    # the screen moves no margin at or below DIP_THRESHOLD, nor any candidate
+    exact = geodesics._margins(m, st, vals[-1], L0)
+    low = np.minimum(scan, exact) <= geodesics.DIP_THRESHOLD
+    assert np.array_equal(scan[low], exact[low])
+    for a, b in zip(geodesics._scan_candidates(scan), geodesics._scan_candidates(exact)):
+        assert np.array_equal(a, b)
     assert np.any(exact < geodesics.DIP_THRESHOLD) == (fan != "minkowski")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("lorentzian", [True, False])
+def test_conditioning_screen_bound_lies_below_the_eigenvalue_ratio(d, lorentzian):
+    # |det g| (d-1)^((d-1)/2) / |g|_F^d <= min|eig| / max|eig|, spread over
+    # condition numbers from 1 to 1e8, and the screen reads it only above 2 DIP_THRESHOLD
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.normal(size=(4000, d, d)))
+    lam = np.exp(rng.uniform(-9.0, 9.0, size=(4000, d)))
+    if lorentzian:
+        lam[:, 0] *= -1.0
+    g = np.einsum("kij,kj,klj->kil", q, lam, q)
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    aeig = np.abs(np.linalg.eigvalsh(g))
+    ratio = aeig.min(axis=1) / aeig.max(axis=1)
+    bound = (np.abs(np.linalg.det(g)) * (d - 1) ** ((d - 1) / 2)
+             / np.linalg.norm(g, axis=(1, 2)) ** d)
+    assert np.all(bound <= ratio + 1e-14)    # both carry rounding errors of a few ulp of 1
+    screened = geodesics._conditioning(g, screen=True)
+    exact = geodesics._conditioning(g)
+    read = bound >= 2 * geodesics.DIP_THRESHOLD
+    assert 0 < read.sum() < len(g)
+    assert np.array_equal(screened[~read], exact[~read])
+    assert np.allclose(screened[read], bound[read], rtol=1e-12, atol=0)
+
+
+def _collapse_input(directory):
+    """The seed-0 ``reject-collapse`` input of ``bench/inputs.py``, written into directory."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.write("reject", 0, directory)[0]
+
+
+def _scans(monkeypatch, run, screen):
+    """The sampled margins of every post-scan of run(), with or without the screen."""
+    seen, real = [], geodesics._scan_candidates
+    monkeypatch.setattr(geodesics, "_scan_candidates", lambda ms: seen.append(ms) or real(ms))
+    if not screen:
+        margins = geodesics._margins
+        monkeypatch.setattr(geodesics, "_margins",
+                            lambda *a, screen=False, **k: margins(*a, **k))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("case", ["reject-collapse", "mink2_gunther_weighted"])
+def test_conditioning_screen_leaves_scan_candidates_unchanged(monkeypatch, tmp_path, case):
+    # the collapse fan runs into a -> 0, where the screen falls back to eigvalsh
+    from lfgeom import cli
+    if case == "reject-collapse":
+        scenario = _collapse_input(tmp_path)
+    else:
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / f"{case}.yaml"
+    argv = ["gunther", "--scenario", str(scenario), "--out", str(tmp_path)]
+    fallback, real = [], geodesics._conditioning
+
+    def conditioning(g, screen=False):
+        fallback.append(0 if screen else g.shape[:-2])
+        return real(g, screen)
+
+    monkeypatch.setattr(geodesics, "_conditioning", conditioning)
+    screened = _scans(monkeypatch, lambda: cli.main(argv), screen=True)
+    # each screened call's eigvalsh fallback is the unscreened call right after it
+    states = sum(np.prod(s) for tag, s in zip(fallback, fallback[1:]) if tag == 0)
+    exact = _scans(monkeypatch, lambda: cli.main(argv), screen=False)
+    assert len(screened) == len(exact) > 0
+    for a, b in zip(screened, exact):
+        for x, y in zip(geodesics._scan_candidates(a), geodesics._scan_candidates(b)):
+            assert np.array_equal(x, y)
+    assert any(np.any(a != b) for a, b in zip(screened, exact))     # the screen ran
+    assert (states > 0) == (case == "reject-collapse")
 
 
 def test_post_scan_holds_one_block_of_states():
