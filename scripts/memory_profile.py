@@ -12,8 +12,11 @@ functions of each pipeline stage:
     record         jets.record (each jet program, on its first use)
     fan flow       comparison.variational_paths (the SCLV fan's one flow)
     post-scan      geodesics._post_scan_flow (the flow's validity scan)
-    curvature pass jacobi.scalars_for_paths (the one order-5 sample pass)
-    density        comparison._density (the ball check's epsilon search)
+    curvature pass jacobi.scalars_for_paths(flow, ids, ts) (the one order-5
+                   sample pass: one PathScalars of (direction x sample)
+                   arrays; the center's one-direction pass too)
+    density        comparison._density(data, ts) (the ball check's epsilon
+                   search: (direction x time) arrays)
     checks         the check functions of `cli.CHECKS`
     oracle         comparison.coordinate_volume
 

@@ -362,10 +362,11 @@ def _diagnostic_rows(data, scen: Scenario):
     N, c_flag = _flag_params(scen, data.model.n)
     header = ["direction", "t", "detA", "lambda", "ric", "psi", "dpsi",
               "d2psi", "h", "f"]
-    return header, np.vstack([
-        np.column_stack([np.full(sc.ts.size, i), sc.ts, sc.detA, sc.lam, sc.ric, sc.psi,
-                         sc.dpsi, sc.d2psi, weighted_density(sc, N)[0], gunther_f(sc, c_flag)])
-        for i, sc in enumerate(data.scalars)])
+    sc = data.scalars
+    direction, ts = np.meshgrid(np.arange(len(sc.detA)), sc.ts, indexing="ij")
+    cols = (direction, ts, sc.detA, sc.lam, sc.ric, sc.psi, sc.dpsi, sc.d2psi,
+            weighted_density(sc, N)[0], gunther_f(sc, c_flag))
+    return header, np.column_stack([np.ravel(c) for c in cols])
 
 
 def run(args) -> int:

@@ -10,7 +10,9 @@ computed by the polar decomposition
 
 where sigma is the g_v-induced area form on the unit hyperboloid and A
 = V g J is the frame Jacobi tensor, so the density needs the metric g
-alone.  An independent coordinate-space route
+alone.  The fan's data are therefore (direction x t) arrays, sampled by
+one pass over the fan, and every volume, scan and check below reduces
+them along their axes.  An independent coordinate-space route
 (forward-mapping a fine polar grid and integrating the model measure
 with a finite-difference Jacobian) cross-checks the decomposition.
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import geodesics, jets as jr
 from .curvature import ric_N
-from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, radial_flow
+from .geodesics import CONJUGATE_POINT, DEFAULT_ATOL, DEFAULT_RTOL, RadialFlow, radial_flow
 from .jacobi import (
     HEAD,
     JacobiPath,
@@ -242,18 +244,16 @@ def center_direction(m: FinslerModel, sclv: SCLVSpec) -> np.ndarray:
 
 @dataclass
 class SCLVData:
-    """Per-scenario bundle: quadrature, Jacobi paths, and their sampled scalars."""
+    """Per-scenario bundle: quadrature, the fan's flow, and its sampled scalars."""
 
     model: FinslerModel
     sclv: SCLVSpec
     quad: DirectionQuadrature
     b: float                           # cut value
-    paths: list                        # JacobiPath per node
+    flow: RadialFlow                   # the fan: rows 0..Q-1 the nodes, row Q the center
     center: JacobiPath                 # the patch center: row Q of the same flow
     scan_grid: np.ndarray              # the one t-grid (`sample_grid`), shared by all nodes
-    scalars: list                      # PathScalars per node on scan_grid
-    flag_min: np.ndarray               # (Q,) min frame-flag eigenvalue
-    flag_max: np.ndarray               # (Q,)
+    scalars: PathScalars               # the Q node rows on scan_grid: (Q, len(scan_grid)) fields
 
     @property
     def sigma(self) -> float:
@@ -272,25 +272,25 @@ def build_sclv_data(m: FinslerModel, sclv: SCLVSpec, *, scale=1.0,
     and t, and chains the ValidityExit that carries them.  Scans, volumes
     and checks read the Q node rows only, each sampled once, on
     ``sample_grid(b, t_nodes)``, by one order-5 pass that streams them in
-    blocks of whole paths (`path_blocks`): past the flow and its validity
-    scan, memory does not grow with Q.  Every volume, scan and sweep reads
-    those samples.
+    blocks of whole directions (`path_blocks`): past the flow and its
+    validity scan, memory does not grow with Q.  Every volume, scan and
+    sweep reads those samples, one (direction x sample) array per scalar,
+    by reductions over its axes.
     """
     quad = build_quadrature(m, sclv, scale)
     b = float(sclv.cut)
     dirs = np.vstack([quad.nodes, center_direction(m, sclv)])
     try:
-        *paths, center = variational_paths(m, sclv.apex, dirs, b, rtol=rtol, atol=atol)
+        center = variational_paths(m, sclv.apex, dirs, b, rtol=rtol, atol=atol)[-1]
     except ValidityExit as exc:
         why = "conjugate point" if exc.reason == CONJUGATE_POINT else exc.reason
         raise ValueError(
             f"cut b={b:.6g} exceeds the valid range of direction {exc.index} "
             f"(reaches t={exc.t:.6g}, {why}); not an SCLV") from exc
     grid = sample_grid(b, t_nodes)
-    scalars, flag_lo, flag_hi = scalars_for_paths(paths, grid, flag_range=True)
-    return SCLVData(model=m, sclv=sclv, quad=quad, b=b, paths=paths, center=center,
-                    scan_grid=grid, scalars=scalars,
-                    flag_min=flag_lo, flag_max=flag_hi)
+    scalars = scalars_for_paths(center.flow, np.arange(len(quad.nodes)), grid)
+    return SCLVData(model=m, sclv=sclv, quad=quad, b=b, flow=center.flow, center=center,
+                    scan_grid=grid, scalars=scalars)
 
 
 # ----------------------------------------------------------------- volumes
@@ -305,12 +305,12 @@ def _density(data: SCLVData, ts):
     node states, block by block (`path_blocks`); every entry is computed per
     point, the same whatever the block size.
     """
-    m, paths = data.model, data.paths
-    density, detA = np.empty((len(paths), len(ts))), np.empty((len(paths), len(ts)))
-    for blk, st in path_blocks(paths, ts):
-        detA[blk] = np.linalg.det(
-            st["V"] @ fundamental_tensor(m, st["eta"], st["etadot"]) @ st["J"])
-        density[blk] = np.exp(-weight(m, st["eta"], st["etadot"]))
+    m, blocks = data.model, []
+    for st in path_blocks(data.flow, np.arange(len(data.quad.nodes)), ts):
+        x, v = st["eta"], st["etadot"]
+        detA = np.linalg.det(st["V"] @ fundamental_tensor(m, x, v) @ st["J"])
+        blocks.append(np.broadcast_arrays(np.exp(-weight(m, x, v)), detA))  # a constant weight is 0-d
+    density, detA = (np.concatenate(f) for f in zip(*blocks))
     return density, detA
 
 
@@ -341,7 +341,7 @@ def sclv_volume(data: SCLVData, r):
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("the scaling parameter r lies in (0, 1]")
-    f = np.array([np.exp(-s.psi[HEAD:]) * s.detA[HEAD:] for s in data.scalars])
+    f = np.exp(-data.scalars.psi[:, HEAD:]) * data.scalars.detA[:, HEAD:]
     K = f.shape[1]
     c = f @ _lobatto_coeffs(K)[:, 1:].T
     delta = 2.0 * math.asin(math.sqrt(r))
@@ -360,22 +360,18 @@ def sclv_volume(data: SCLVData, r):
 
 def radial_bound_scan(data: SCLVData, N=None) -> dict:
     """Empirical hypothesis bounds over all node geodesics and scan times."""
-    n = data.model.n
-    ric = np.concatenate([s.ric for s in data.scalars])
-    d2 = np.concatenate([s.d2psi for s in data.scalars])
-    d1 = np.concatenate([s.dpsi for s in data.scalars])
-    psi = np.concatenate([s.psi for s in data.scalars])
+    s = data.scalars
     out = {
-        "inf_ric_inf": float(np.min(ric + d2)),
-        "sup_flag": float(np.max(data.flag_max)),
-        "inf_flag": float(np.min(data.flag_min)),
-        "sup_psi": float(np.max(psi)),
-        "inf_dpsi": float(np.min(d1)),
+        "inf_ric_inf": float(np.min(s.ric + s.d2psi)),
+        "sup_flag": float(np.max(s.flag_max)),
+        "inf_flag": float(np.min(s.flag_min)),
+        "sup_psi": float(np.max(s.psi)),
+        "inf_dpsi": float(np.min(s.dpsi)),
         "t_samples": int(data.scan_grid.size),
-        "directions": int(len(data.paths)),
+        "directions": int(len(data.quad.nodes)),
     }
     if N is not None:
-        out["inf_ric_N"] = float(np.min(ric_N(ric, d1, d2, N, n)))
+        out["inf_ric_N"] = float(np.min(ric_N(s.ric, s.dpsi, s.d2psi, N, s.n)))
     return out
 
 
@@ -542,6 +538,8 @@ def _verdict(ok: bool, conditional: bool) -> str:
 def _ratio_rows(data: SCLVData, pairs, profile, Tx):
     """Rows comparing rho(U(r)) / rho(U(R)) with the model ratio
     int_0^{r T_x} profile / int_0^{R T_x} profile; returns (rows, all passed)."""
+    if not pairs:
+        raise ValueError("pairs is empty: the ratio bound needs at least one (r, R) pair")
     for r, R in pairs:
         if not (0 < r <= R <= 1):
             raise ValueError(f"need 0 < r <= R <= 1, got ({r}, {R})")
@@ -573,19 +571,14 @@ def bishop_gromov_check(data: SCLVData, N, pairs, *, c=None) -> ComparisonReport
     results, ok = _ratio_rows(data, pairs, lambda t: s_kappa(c / N, t) ** N, Tx)
 
     # per-direction density inequality and ratio monotonicity
-    hric_res = max(check_hric(s, c, N) for s in data.scalars)
-    worst = {"max_step": -np.inf, "max_integral_step": -np.inf}
-    mono_ok = True
+    hric_res = check_hric(data.scalars, c, N)
     hi = b if c <= 0 else min(b, 0.999 * np.pi * np.sqrt(N / c))
     sweep = data.scan_grid <= hi
     ts = data.scan_grid[sweep]
-    sk = s_kappa(c / N, ts)
-    for s in data.scalars:
-        res = monotone_ratio_check(ts, weighted_density(s, N)[0][sweep], sk)
-        mono_ok &= res["pointwise_ok"] and res["integral_ok"]
-        worst["max_step"] = max(worst["max_step"], res["max_step"])
-        worst["max_integral_step"] = max(worst["max_integral_step"],
-                                         res["max_integral_step"])
+    mono = monotone_ratio_check(ts, weighted_density(data.scalars, N)[0][:, sweep],
+                                s_kappa(c / N, ts))
+    mono_ok = mono["pointwise_ok"] and mono["integral_ok"]
+    worst = {k: mono[k] for k in ("max_step", "max_integral_step")}
     point_ok = hric_res <= POINTWISE_TOL and mono_ok
     ok &= point_ok
 
@@ -622,7 +615,7 @@ def gunther_check(data: SCLVData, *, c=None, k=None) -> ComparisonReport:
     rhs = np.exp(-k) * data.sigma * _gauss_integral(
         lambda t: s_kappa(-c, t) ** data.model.n, 0.0, data.b)
     row, good = _margin_row(lhs, rhs, lhs - rhs, RATIO_TOL_FLOOR + err)
-    f_min = min(float(np.min(gunther_f(s, c))) for s in data.scalars)
+    f_min = float(np.min(gunther_f(data.scalars, c)))
     point_ok = f_min >= 1.0 - POINTWISE_TOL
     ok = good and point_ok and hypothesis_ok
     return ComparisonReport(
@@ -650,13 +643,11 @@ def bg_infinity_check(data: SCLVData, pairs, *, c=None, a=None) -> ComparisonRep
     # Pointwise conclusion of the proof: lam_psi <= lam_c + a below T_x.
     # Both sides diverge like n/t at 0, so the floor keeps the cancellation
     # from amplifying integrator error in A.
-    res_max = -np.inf
-    for s in data.scalars:
-        sel = (s.ts >= 0.05 * Tx) & (s.ts < Tx)
-        ts = s.ts[sel]
-        lam_c = n * s_kappa_prime(c, ts) / s_kappa(c, ts)
-        res = (s.lam[sel] - s.dpsi[sel]) - lam_c - a
-        res_max = max(res_max, float(np.max(res)))
+    s = data.scalars
+    sel = (s.ts >= 0.05 * Tx) & (s.ts < Tx)
+    ts = s.ts[sel]
+    lam_c = n * s_kappa_prime(c, ts) / s_kappa(c, ts)
+    res_max = float(np.max((s.lam[:, sel] - s.dpsi[:, sel]) - lam_c - a))
     point_ok = res_max <= POINTWISE_TOL
     ok &= point_ok
     return ComparisonReport(
@@ -683,6 +674,8 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None) -> ComparisonReport
     small lengths) passes its row vacuously, and the notes name its r.
     """
     r_grid = np.asarray(r_grid, dtype=float)
+    if not r_grid.size:
+        raise ValueError("r_grid is empty: the ball bound needs at least one radius")
     if np.max(r_grid) > data.b + 1e-12:
         raise ValueError("r grid exceeds the validity range (the cut b)")
     scan = radial_bound_scan(data)
@@ -714,9 +707,7 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None) -> ComparisonReport
 
     base, base_err = sclv_volume(data, min(4 * eps_ok, data.b) / data.b)
     results, ok = [], True
-    for r in r_grid:
-        if r <= 4 * eps_ok:
-            continue
+    for r in r_grid:    # every r > 4 eps_ok: the search above only accepts such eps
         vol, err = sclv_volume(data, min(float(r), data.b) / data.b)
         with np.errstate(over="ignore"):    # an overflow is inf, named in the notes
             bound = base + _growth_integral(C0, c, 4 * eps_ok, float(r), data.sigma)
@@ -726,13 +717,11 @@ def ball_bound_check(data: SCLVData, eps, r_grid, *, c=None) -> ComparisonReport
                                 r=float(r), **closed)
         ok &= good
         results.append(row)
-    if not results:
-        raise ValueError("r grid has no entries beyond 4 epsilon")
     overflow = ", ".join(f"{row['r']:.6g}" for row in results if row["rhs"] == np.inf)
     if overflow:
         notes.append(f"growth bound overflows to inf at r = {overflow}: those rows pass vacuously")
 
-    conc = max(check_concavity(s, c) for s in data.scalars)
+    conc = check_concavity(data.scalars, c)
     point_ok = conc <= POINTWISE_TOL
     ok &= point_ok
     return ComparisonReport(

@@ -388,7 +388,7 @@ class RadialFlow:
     the other directions' t_reached are upper bounds of their valid range
     (see ``_post_scan_flow``).  A completed flow has t_reached == t_target
     exactly.  The solve runs in the speed clock sigma; ``eval`` and
-    ``eval_all`` take times t and read the dense output at clock.sigma(t).
+    ``eval_blocks`` take times t and read the dense output at clock.sigma(t).
     """
 
     model: FinslerModel
@@ -426,8 +426,9 @@ class RadialFlow:
         An iterator that maps all of ts to sigma once and reads a block's
         rows only when it reaches that block, so the caller holds one
         block's states at a time.  Mapping once is what keeps every block
-        equal to the same rows and times of ``eval_all`` bit for bit: sigma
-        depends on the times that share a ``clock.sigma`` call."""
+        equal to the same rows and times of one ``eval`` of the whole fan
+        bit for bit: sigma depends on the times that share a
+        ``clock.sigma`` call."""
         s = self._sigma(np.concatenate([ids for ids, _ in blocks]), ts)
         return (self.layout.unpack(self._rows(ids, s[span])) for ids, span in blocks)
 
@@ -445,10 +446,6 @@ class RadialFlow:
         rows = (ids[:, None] * w + np.arange(w)).ravel()
         vals = self.segments[0][2](s, rows)     # (len(ids) * w, len(s))
         return np.ascontiguousarray(np.swapaxes(vals.reshape(len(ids), w, -1), 1, 2))
-
-    def eval_all(self, ts):
-        """States of every direction at shared times ts, from one dense evaluation."""
-        return self.eval(np.arange(len(self.dirs)), ts)
 
 
 def _fused_rhs(m, layout, order):

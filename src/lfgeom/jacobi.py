@@ -17,11 +17,18 @@ lam' = -Ric - tr(C^2) with C = A'A^{-1}, the weight derivatives, the
 comparison function s_kappa (f'' + kappa f = 0, f(0)=0, f'(0)=1), the
 weighted density h = e^{-psi/N} (det A)^{1/N}, and the pointwise
 residual checks used by the volume-comparison verdicts.
+
+A fan's data are arrays over (direction x sample): one pass over the
+directions ids of a flow (`sample_all`, `scalars_for_paths`) returns one
+record whose fields lead with a direction axis, read in blocks of whole
+directions (`path_blocks`); one path's record (`JacobiPath.sample`,
+`riccati_quantities`) is row 0 of a one-direction pass.  The residual
+checks reduce over every axis, so they take a fan or one path alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -102,7 +109,8 @@ def frame_gram_det(m: FinslerModel, x, v, E):
 
 @dataclass
 class JacobiSamples:
-    """States and frame-expressed Jacobi data at sample times along one path."""
+    """States and frame-expressed Jacobi data at sample times along one path;
+    from `sample_all`, every field but ts has a leading direction axis."""
 
     ts: np.ndarray      # (m,)
     x: np.ndarray       # (m, d)
@@ -140,7 +148,7 @@ class JacobiPath:
 
     def sample(self, ts) -> JacobiSamples:
         if self.route == "variational":
-            return sample_all([self], ts)[0]
+            return _row(sample_all(self.flow, [self.index], ts), 0)
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         st = self.flow.eval(self.index, ts)
         n = self.model.n
@@ -156,21 +164,29 @@ class JacobiPath:
         return float(np.max(np.abs(dets + 1.0)))
 
 
-def sample_all(paths: list[JacobiPath], ts) -> list[JacobiSamples]:
-    """Sample variational paths sharing one flow on one common grid.
+def sample_all(flow: RadialFlow, ids, ts) -> JacobiSamples:
+    """Samples of the directions ids of one variational flow on one common
+    grid: every field but ts has a leading direction axis, len(ids).
 
-    Per block of paths (`path_blocks`), one dense evaluation of their own
-    rows of the flow and one batched projection, whatever else the flow
+    Per block of directions (`path_blocks`), one dense evaluation of their
+    own rows of the flow and one batched projection, whatever else the flow
     carries.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = []
-    for _, st in path_blocks(paths, ts):
-        conn = eval_connection(paths[0].model, st["eta"], st["etadot"], order=4, validate=False)
-        A, Adot = _project_variational(st, conn.g, conn.N)
-        out += [JacobiSamples(ts=ts, x=x, v=v, E=E, A=a, Adot=ad)
-                for x, v, E, a, ad in zip(st["eta"], st["etadot"], st["V"], A, Adot)]
-    return out
+    blocks = []
+    for st in path_blocks(flow, ids, ts):
+        conn = eval_connection(flow.model, st["eta"], st["etadot"], order=4, validate=False)
+        blocks.append((st["eta"], st["etadot"], st["V"],
+                       *_project_variational(st, conn.g, conn.N)))
+    x, v, E, A, Adot = (np.concatenate(f) for f in zip(*blocks))
+    return JacobiSamples(ts=ts, x=x, v=v, E=E, A=A, Adot=Adot)
+
+
+def _row(fan, i):
+    """Direction i of a fan's samples (JacobiSamples or PathScalars): row i
+    of every field that has a direction axis."""
+    return replace(fan, **{f.name: getattr(fan, f.name)[i] for f in fields(fan)
+                           if f.name not in ("n", "ts")})
 
 
 def _check_unit(m, x0, v0):
@@ -315,7 +331,14 @@ def sample_grid(t_end, nodes):
 
 @dataclass
 class PathScalars:
-    """Expansion/weight scalars sampled along one Jacobi path (t > 0)."""
+    """Expansion/weight scalars of a fan of Jacobi paths on one grid ts (t > 0).
+
+    Each sampled field is a (directions, samples) array, row i for the i-th
+    direction read; flag_min and flag_max, (directions,), are each
+    direction's extreme eigenvalues of the symmetrized frame curvature
+    matrix over ts.  One direction's row (`riccati_quantities`) has
+    (samples,) fields and scalar flags.
+    """
 
     n: int
     ts: np.ndarray
@@ -327,20 +350,25 @@ class PathScalars:
     psi: np.ndarray
     dpsi: np.ndarray
     d2psi: np.ndarray
+    flag_min: np.ndarray
+    flag_max: np.ndarray
 
 
 def riccati_quantities(path: JacobiPath, ts) -> PathScalars:
-    """Expansion scalars of one path at strictly positive sample times."""
+    """Expansion scalars of one variational path at strictly positive
+    sample times: row 0 of a one-direction pass over its flow."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.min() <= 0:
         raise ValueError("expansion scalars need t > 0 (A(0) is singular)")
-    return scalars_for_paths([path], ts)[0]
+    if path.route != "variational":
+        raise ValueError("expansion scalars are read off a variational path's flow")
+    return _row(scalars_for_paths(path.flow, [path.index], ts), 0)
 
 
-def path_blocks(paths: list[JacobiPath], ts):
-    """(slice, states) for each block of consecutive paths, ``max(1, BLOCK //
-    len(ts))`` to a block and in path order: the states of the variational
-    paths in the slice at ts, their own rows of the flow they share.
+def path_blocks(flow: RadialFlow, ids, ts):
+    """The states at ts of the directions ids of a variational flow, one
+    block of ``max(1, BLOCK // len(ts))`` consecutive ids at a time, in
+    order.
 
     Every sample pass over a fan reads it this way, so it holds one block's
     states and temporaries at a time: its peak memory is set by `BLOCK`,
@@ -349,69 +377,46 @@ def path_blocks(paths: list[JacobiPath], ts):
     Modern Architectures*, 2001, ch. 9).  The times map to the flow's
     clock once for all blocks.
     """
-    flow = paths[0].flow
-    if any(p.flow is not flow or p.route != "variational" for p in paths):
-        raise ValueError("variational paths on one shared flow are needed")
+    ids = np.asarray(ids)
     step = max(1, BLOCK // max(np.size(ts), 1))
-    blocks = [slice(k, k + step) for k in range(0, len(paths), step)]
-    index = np.array([p.index for p in paths])
-    return zip(blocks, flow.eval_blocks([(index[b], slice(None)) for b in blocks], ts))
+    return flow.eval_blocks([(ids[k:k + step], slice(None))
+                             for k in range(0, len(ids), step)], ts)
 
 
-def scalars_for_paths(paths: list[JacobiPath], ts, *, flag_range=False):
-    """Per-direction scalars on one grid, with the curvature/weight work batched.
+def scalars_for_paths(flow: RadialFlow, ids, ts) -> PathScalars:
+    """The scalars of the directions ids of one variational flow on one grid.
 
-    The paths are variational paths sharing one flow (see ``sample_all``).
-    They are streamed in blocks of whole paths (`path_blocks`): each block
-    reads its states once, and one order-5 `riemann_matrix` pass over it
-    gives the curvature, the weight derivatives and the (g, N) that project
-    A, A'.  Every value is computed per sample point, so the results do not
-    depend on the block size.  With ``flag_range`` also returns
-    per-direction (min, max) eigenvalues of the symmetrized frame curvature
-    matrix over the sample times, from the same curvature pass:
-    ``(scalars, flag_lo, flag_hi)``.
+    The directions are streamed in blocks (`path_blocks`): each block reads
+    its states once, and one order-5 `riemann_matrix` pass over it gives the
+    curvature, the flag eigenvalues, the weight derivatives and the (g, N)
+    that project A, A'.  Every value is computed per sample point, so the
+    results do not depend on the block size.
     """
-    if not paths:
-        return ([], np.empty(0), np.empty(0)) if flag_range else []
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out, flags = [], []
-    for _, st in path_blocks(paths, ts):
-        scal, flag = _block_scalars(paths[0].model, ts, st, flag_range)
-        out += scal
-        flags.append(flag)
-    if not flag_range:
-        return out
-    lo, hi = (np.concatenate(f) for f in zip(*flags))
-    return out, lo, hi
+    blocks = [_block_scalars(flow.model, st) for st in path_blocks(flow, ids, ts)]
+    return PathScalars(flow.model.n, ts, *(np.concatenate(f) for f in zip(*blocks)))
 
 
-def _block_scalars(m, ts, st, flag_range):
-    """(PathScalars per path, (flag_lo, flag_hi) or None) of one block of
-    paths, from their states st at ts."""
+def _block_scalars(m, st):
+    """The sampled fields of `PathScalars`, in its order from detA on, of one
+    block of directions from their states st: one batched pass."""
     xs, vs = np.concatenate(st["eta"]), np.concatenate(st["etadot"])
     data = riemann_matrix(m, xs, vs)
     c = data.center
-    grid = st["eta"].shape[:-1]     # one row of sample times per path
-    As, Adots = _project_variational(st, c.g.reshape(grid + c.g.shape[1:]),
-                                     c.N.reshape(grid + c.N.shape[1:]))
-    rows = [a.reshape(grid) for a in (data.ric, *weight_along(m, xs, vs, conn=c))]
-    out = []
-    for A, Adot, ric, psi, dpsi, d2psi in zip(As, Adots, *rows):
-        C = np.swapaxes(np.linalg.solve(np.swapaxes(A, -1, -2),
-                                        np.swapaxes(Adot, -1, -2)), -1, -2)
-        lam = np.einsum("...ii->...", C)
-        trC2 = np.einsum("...ij,...ji->...", C, C)
-        out.append(PathScalars(
-            n=m.n, ts=ts, detA=np.linalg.det(A), lam=lam, trC2=trC2,
-            lam_prime=-ric - trC2, ric=ric, psi=psi, dpsi=dpsi, d2psi=d2psi))
-    if not flag_range:
-        return out, None
+    grid = st["eta"].shape[:-1]     # (directions, samples)
+    A, Adot = _project_variational(st, c.g.reshape(grid + c.g.shape[1:]),
+                                   c.N.reshape(grid + c.N.shape[1:]))
+    ric, psi, dpsi, d2psi = (a.reshape(grid) for a in (data.ric, *weight_along(m, xs, vs, conn=c)))
+    C = np.swapaxes(np.linalg.solve(np.swapaxes(A, -1, -2), np.swapaxes(Adot, -1, -2)), -1, -2)
+    lam = np.einsum("...ii->...", C)
+    trC2 = np.einsum("...ij,...ji->...", C, C)
     Es = np.concatenate(st["V"])
     RE = np.einsum("...ab,...jb->...ja", data.R, Es)
     Rhat = np.einsum("...ka,...ab,...jb->...kj", Es, c.g, RE)
     Rhat = 0.5 * (Rhat + np.swapaxes(Rhat, -1, -2))
     eigs = np.linalg.eigvalsh(Rhat).reshape(grid[0], -1)
-    return out, (eigs.min(axis=1), eigs.max(axis=1))
+    return (np.linalg.det(A), lam, trC2, -ric - trC2, ric, psi, dpsi, d2psi,
+            eigs.min(axis=1), eigs.max(axis=1))
 
 
 def s_kappa(kappa, t):
@@ -500,17 +505,16 @@ def gunther_f(scal: PathScalars, c):
 
 
 def monotone_ratio_check(ts, numer, denom):
-    """Non-increase of numer/denom and of the running-integral ratio, up to a
-    slack of 1e-8 + 1e-6 |ratio| per step."""
+    """Non-increase along ts (the last axis) of numer/denom and of the
+    running-integral ratio, up to a slack of 1e-8 + 1e-6 |ratio| per step;
+    numer and denom broadcast, so one call checks a fan's rows at once."""
     ts = np.asarray(ts, dtype=float)
     ratio = np.asarray(numer, dtype=float) / np.asarray(denom, dtype=float)
-    slack = 1e-8 + 1e-6 * np.abs(ratio[:-1])
+    slack = 1e-8 + 1e-6 * np.abs(ratio[..., :-1])
     steps = np.diff(ratio)
-    In = cumulative_trapezoid(numer, ts, initial=0.0)
-    Id = cumulative_trapezoid(denom, ts, initial=0.0)
-    iratio = In[1:] / Id[1:]
+    iratio = cumulative_trapezoid(numer, ts) / cumulative_trapezoid(denom, ts)
     isteps = np.diff(iratio)
-    islack = 1e-8 + 1e-6 * np.abs(iratio[:-1])
+    islack = 1e-8 + 1e-6 * np.abs(iratio[..., :-1])
     return {
         "pointwise_ok": bool(np.all(steps <= slack)),
         "integral_ok": bool(np.all(isteps <= islack)),

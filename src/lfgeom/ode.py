@@ -641,24 +641,19 @@ def _tupleset(t, i, value):
     return tuple(lst)
 
 
-def cumulative_trapezoid(y, x, initial=None):
-    """Running trapezoid integral of the 1-D samples y over the points x;
-    ``initial=0.0`` prepends a zero, so the result has y's shape."""
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integrals of the samples y over the 1-D points x,
+    along y's last axis: len(x) - 1 values per row, the first over [x0, x1]."""
     y = np.asarray(y)
     x = np.asarray(x)
-    if y.ndim != 1 or x.ndim != 1:
-        raise ValueError("y and x must be 1-D")
-    if y.shape[0] == 0:
+    if x.ndim != 1:
+        raise ValueError("x must be 1-D")
+    if y.ndim == 0 or y.shape[-1] == 0:
         raise ValueError("At least one point is required.")
     d = np.diff(x)
-    if d.shape[0] != y.shape[0] - 1:
+    if d.shape[0] != y.shape[-1] - 1:
         raise ValueError("If given, length of x along axis must be the same as y.")
-    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0)
-    if initial is not None:
-        if initial != 0:
-            raise ValueError("`initial` must be `None` or `0`.")
-        res = np.concatenate((np.full((1,), initial, dtype=res.dtype), res))
-    return res
+    return np.cumsum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def simpson(y, *, dx=1.0, axis=-1):

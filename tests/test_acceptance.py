@@ -214,10 +214,10 @@ def test_criterion_03_two_route_jacobi(jacobi_sweep):
     ts = np.linspace(0.0, 1.0, 21)[1:]
     worst = 0.0
     for name, (m, x0, dirs, paths) in jacobi_sweep.items():
-        svar = sample_all(paths, ts)
+        svar = sample_all(paths[0].flow, np.arange(len(paths)), ts)
         for i, p in enumerate(paths):
             sc = jacobi_curvature(m, x0, dirs[i], 1.0, frame=p.frame0).sample(ts)
-            worst = max(worst, float(np.max(np.abs(svar[i].A - sc.A))))
+            worst = max(worst, float(np.max(np.abs(svar.A[i] - sc.A))))
     dt = time.perf_counter() - t0
     ok = worst < 1e-5 and dt < 120.0
     _report(3, ok, f"max |A_variational - A_curvature| {worst:.2e} (<1e-5) "
@@ -240,19 +240,18 @@ def test_criterion_04_radial_density_vs_dexp(jacobi_sweep):
                             np.array([1.0, -1.0]), frames))     # (20,n,2,2,d)
         W = pert.reshape(-1, d)
         flow = radial_flow(m, x0, W, 1.0)
-        eta = flow.eval_all(ts_fd)["eta"].reshape(20, n, 2, 2, len(ts_fd), d)
+        eta = flow.eval(np.arange(len(W)), ts_fd)["eta"].reshape(20, n, 2, 2, len(ts_fd), d)
         diff = (eta[:, :, 0] - eta[:, :, 1]) / 2.0              # (20,n,2,t,d)
         dexp = ((4.0 * diff[:, :, 1] / eps_pair[1]
                  - diff[:, :, 0] / eps_pair[0]) / 3.0)          # (20,n,t,d)
 
-        svar = sample_all(paths, ts_fd)
+        s = sample_all(paths[0].flow, np.arange(20), ts_fd)
         for i in range(20):
-            s = svar[i]
             for j, t in enumerate(ts_fd):
-                g = fundamental_tensor(m, s.x[j], s.v[j])
-                A_fd = np.einsum("kd,de,je->kj", s.E[j], g, dexp[i, :, j])
+                g = fundamental_tensor(m, s.x[i, j], s.v[i, j])
+                A_fd = np.einsum("kd,de,je->kj", s.E[i, j], g, dexp[i, :, j])
                 worst = max(worst, abs(
-                    t**-n * np.linalg.det(A_fd) - t**-n * np.linalg.det(s.A[j])))
+                    t**-n * np.linalg.det(A_fd) - t**-n * np.linalg.det(s.A[i, j])))
     ok = worst < 1e-5
     _report(4, ok, f"max |t^-n det A - det(d exp)| {worst:.2e} (<1e-5), "
                    f"finite-difference oracle at t in {{0.5, 1}}")
@@ -265,13 +264,12 @@ def test_criterion_05_riccati_inequality(jacobi_sweep):
     grid = sample_grid(1.0, 160)
     worst_ineq, worst_flat = -np.inf, 0.0
     for name, (m, x0, dirs, paths) in jacobi_sweep.items():
-        scals = scalars_for_paths(paths, grid)
-        for scal in scals:
-            worst_ineq = max(worst_ineq, check_riccati(scal))
-            if name == "minkowski":
-                res = scal.lam**2 / scal.n - scal.trC2
-                worst_flat = max(worst_flat, float(np.max(
-                    np.abs(res / (1.0 + scal.lam**2 / scal.n)))))
+        scal = scalars_for_paths(paths[0].flow, np.arange(len(paths)), grid)
+        worst_ineq = max(worst_ineq, check_riccati(scal))
+        if name == "minkowski":
+            res = scal.lam**2 / scal.n - scal.trC2
+            worst_flat = max(worst_flat, float(np.max(
+                np.abs(res / (1.0 + scal.lam**2 / scal.n)))))
     ok = worst_ineq <= 1e-6 and worst_flat <= 1e-10
     _report(5, ok, f"max residual {worst_ineq:.2e} (<=1e-6); flat equality "
                    f"|residual| {worst_flat:.2e} (<=1e-10)")
@@ -298,17 +296,16 @@ def test_criterion_06_weighted_density_concavity():
         dirs = _unit_fan(m, x0, offs)
         paths = variational_paths(m, x0, dirs, t_end)
         grid = sample_grid(t_end, 96)
-        scals = scalars_for_paths(paths, grid)
+        scal = scalars_for_paths(paths[0].flow, np.arange(len(paths)), grid)
         for N in (n + 0.5, n + 2.0, 1.0e6, -1.0):
-            ric_N = [s.ric + s.d2psi - s.dpsi**2 / (N - n) for s in scals]
-            c = min(float(np.min(r)) for r in ric_N)
-            worst = max(worst, max(check_hric(s, c, N) for s in scals))
+            c = float(np.min(scal.ric + scal.d2psi - scal.dpsi**2 / (N - n)))
+            worst = max(worst, check_hric(scal, c, N))
 
     # negative control: inflating c on flat space must break the bound
     m = model_library("minkowski", 2)
     dirs = _unit_fan(m, np.zeros(3), np.array([[0.3, 0.0]]))
     paths = variational_paths(m, np.zeros(3), dirs, 2.0)
-    scal = scalars_for_paths(paths, sample_grid(2.0, 96))[0]
+    scal = scalars_for_paths(paths[0].flow, [0], sample_grid(2.0, 96))
     control = check_hric(scal, 1.0, 4.0)
     ok = worst <= 1e-6 and control > 1e-3
     _report(6, ok, f"max N h'' + c h residual {worst:.2e} (<=1e-6) over 5 "

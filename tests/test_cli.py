@@ -207,6 +207,38 @@ def test_reversed_ratio_pair_is_config_error(tmp_path, capsys, command, key):
     assert "need 0 < r <= R <= 1, got (1.0, 0.5)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,field", [("bg", "bg", "pairs"), ("bg-inf", "bg_inf", "pairs"),
+                                               ("ball", "ball", "r_grid")])
+def test_an_empty_check_list_is_config_error(tmp_path, capsys, command, key, field):
+    # an empty pairs list would PASS with no ratio row, an empty r_grid end
+    # in numpy's "zero-size array" error: each is refused, naming the list
+    doc = yaml.safe_load(MINK1_ALL)
+    doc["checks"][key][field] = []
+    p = tmp_path / "empty-list.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    code = cli.main([command, "--scenario", str(p), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {field} is empty: ")
+    assert not list(tmp_path.glob("mini-*"))
+
+
+def test_a_non_positive_resolution_scale_is_config_error(tmp_path, capsys, mini_scenario):
+    code = cli.main(["all", "--scenario", str(mini_scenario), "--out", str(tmp_path),
+                     "--resolution-scale", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: --resolution-scale must be positive\n"
+    assert not list(tmp_path.glob("mini-*"))
+
+
+def test_a_check_the_scenario_does_not_configure_is_config_error(tmp_path, capsys):
+    code = cli.main(["ball", "--scenario", str(SCENARIOS / "desitter2_gunther.yaml"),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: scenario desitter2-gunther "
+                                       "does not configure the ball check\n")
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_falsified_override_fails(tmp_path):
     doc = yaml.safe_load(MINK1_ALL)
     doc["checks"]["bg"]["c"] = 0.3  # flat space cannot certify c > 0

@@ -121,7 +121,7 @@ def test_flat_volume_closed_form_n3():
     # ball of radius chi = artanh 0.3, times int_0^1 t^3 dt and e^{-0.3}
     m = models.model_library("minkowski", 3, weight=[("const", 0.3)])
     data = cmp.build_sclv_data(m, cmp.SCLVSpec(apex=np.zeros(4), radius=0.3, cut=1.0))
-    assert len(data.paths) == 768
+    assert data.scalars.detA.shape == (768, data.scan_grid.size)
     chi = ATANH(0.3)
     exact = np.exp(-0.3) * np.pi * (np.sinh(2 * chi) - 2 * chi) / 4
     v1, _ = cmp.sclv_volume(data, 1.0)
@@ -254,7 +254,7 @@ def test_eval_blocks_reads_eval_all_bits_in_any_blocking(monkeypatch):
     cmp.coordinate_volume(m, sclv)
     (flow,) = flows
     ts = np.linspace(0.0, float(sclv.cut), 49)
-    whole = flow.eval_all(ts)
+    whole = flow.eval(np.arange(len(flow.dirs)), ts)
     ids = [np.arange(len(flow.dirs)), np.arange(3, len(flow.dirs), 7), np.array([5])]
     spans = [slice(0, 49), slice(0, 1), slice(1, 3), slice(3, 8), slice(8, 49)]
     blocks = [(i, span) for i in ids for span in spans]
@@ -573,8 +573,9 @@ def test_sclv_fan_is_integrated_once(monkeypatch):
     sclv = cmp.SCLVSpec(apex=np.zeros(2), radius=0.6, cut=2.0)
     data = cmp.build_sclv_data(m, sclv, scale=0.25)
     # the Q quadrature nodes and, as row Q, the patch center
-    assert fans == [len(data.paths) + 1]
-    assert data.center.flow is data.paths[0].flow and data.center.index == len(data.paths)
+    Q = len(data.quad.nodes)
+    assert fans == [Q + 1] and len(data.flow.dirs) == Q + 1
+    assert data.center.flow is data.flow and data.center.index == Q
     assert np.array_equal(data.center.v0, cmp.center_direction(m, sclv))
 
 
@@ -613,7 +614,7 @@ def test_each_sample_set_takes_one_connection_pass(monkeypatch):
     scen = load_scenario(SCENARIOS / "mink2_gunther_weighted.yaml")
     sclv = scen.sclv.build()
     data = cmp.build_sclv_data(scen.model.build(), sclv, scale=scen.numerics.quad_scale)
-    Q = len(data.paths)
+    Q = len(data.quad.nodes)
     assert (4, Q + 1) in calls
     assert ("lfgeom.comparison", (Q,), True) in reads and polar_reads() == []
     for check in (lambda: cmp.bishop_gromov_check(data, 4.0, [(0.5, 1.0)]),
@@ -633,7 +634,7 @@ def test_each_sample_set_takes_one_connection_pass(monkeypatch):
     for block in (jacobi.BLOCK, 7 * nt, nt - 1):    # the default, uneven, under one path
         monkeypatch.setattr(jacobi, "BLOCK", block)
         calls.clear()
-        jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
+        jacobi.scalars_for_paths(data.flow, np.arange(Q), data.scan_grid)
         widths = [b for order, b in calls if order == 5]
         assert len(widths) == len(calls) and sum(widths) == Q * nt
         assert all(b % nt == 0 and (b <= block or b == nt) for b in widths)
@@ -643,10 +644,10 @@ def _blocked_values(data):
     """Every value a pass over the fan feeds: the scan scalars and flag range,
     the polar density, a volume and the reports of all four checks."""
     from lfgeom import jacobi
-    scalars, lo, hi = jacobi.scalars_for_paths(data.paths, data.scan_grid, flag_range=True)
-    data = dataclasses.replace(data, scalars=scalars, flag_min=lo, flag_max=hi)
-    fields = [getattr(s, f.name) for s in scalars for f in dataclasses.fields(s)]
-    arrays = [*fields, lo, hi, *cmp._density(data, np.linspace(0.01, data.b, 37))]
+    scalars = jacobi.scalars_for_paths(data.flow, np.arange(len(data.quad.nodes)), data.scan_grid)
+    data = dataclasses.replace(data, scalars=scalars)
+    fields = [getattr(scalars, f.name) for f in dataclasses.fields(scalars)]
+    arrays = [*fields, *cmp._density(data, np.linspace(0.01, data.b, 37))]
     reports = [cmp.bishop_gromov_check(data, data.model.n + 2.0, [(0.5, 1.0)]),
                cmp.gunther_check(data),
                cmp.bg_infinity_check(data, [(0.5, 1.0)]),
@@ -669,7 +670,7 @@ def test_blocked_passes_are_bit_identical(case, monkeypatch):
         scen = load_scenario(SCENARIOS / f"{case}.yaml")
         m, sclv, scale = scen.model.build(), scen.sclv.build(), scen.numerics.quad_scale
     data = cmp.build_sclv_data(m, sclv, scale=scale)
-    Q, nt = len(data.paths), data.scan_grid.size
+    Q, nt = len(data.quad.nodes), data.scan_grid.size
     assert Q * nt > jacobi.BLOCK        # the default splits the scan pass
     arrays, vol, reports = _blocked_values(data)
     for block in (1, 5 * nt):           # one path per block; 5 paths, Q % 5 != 0
@@ -680,6 +681,29 @@ def test_blocked_passes_are_bit_identical(case, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(got_arrays, arrays))
         assert got_vol == vol
         assert json.dumps(got_reports) == json.dumps(reports)
+
+
+def test_one_pass_serves_the_center_and_the_nodes():
+    # the cli's center scalars (riccati_quantities on data.center) and the
+    # checks' node scalars (data.scalars) are rows of one pass over the fan
+    from lfgeom import jacobi
+    scen = load_scenario(SCENARIOS / "mink2_gunther_weighted.yaml")
+    data = cmp.build_sclv_data(scen.model.build(), scen.sclv.build(),
+                               scale=scen.numerics.quad_scale)
+    Q = len(data.quad.nodes)
+    every = np.arange(Q + 1)
+    for ts in (np.linspace(data.b / 64, data.b, 64), data.scan_grid):
+        fan = jacobi.scalars_for_paths(data.flow, every, ts)
+        one = jacobi.riccati_quantities(data.center, ts)
+        for f in dataclasses.fields(fan):
+            got, want = getattr(one, f.name), getattr(fan, f.name)
+            if f.name not in ("n", "ts"):
+                assert np.shape(want)[0] == Q + 1
+                want = want[Q]
+            assert np.shape(got) == np.shape(want), f.name
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+    for f in dataclasses.fields(fan)[2:]:
+        assert getattr(fan, f.name)[:Q].tobytes() == getattr(data.scalars, f.name).tobytes()
 
 
 # ---------------------------------------------------------------- reports

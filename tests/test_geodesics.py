@@ -161,7 +161,7 @@ def test_radial_flow_agrees_with_single_geodesics():
     assert all(r is None for r in flow.exit_reason)
     assert len(flow.segments) == 1
     ts = np.linspace(0.0, t_target, 7)
-    every = flow.eval_all(ts)
+    every = flow.eval(np.arange(len(dirs)), ts)
     for i in range(3):
         st = flow.eval(i, ts)
         assert np.array_equal(st["eta"], every["eta"][i])
@@ -268,7 +268,7 @@ def test_clock_inverse_is_exact_on_straight_lines():
     rng = np.random.default_rng(7)
     ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.5, 40)), [2.5]])
     want = x0 + ts[None, :, None] * dirs[:, None, :]
-    every = flow.eval_all(ts)
+    every = flow.eval(np.arange(len(dirs)), ts)
     assert np.max(np.abs(every["eta"] - want)) < 1e-14
     for i in range(3):
         assert np.max(np.abs(flow.eval(i, ts)["eta"] - want[i])) < 1e-14

@@ -136,9 +136,12 @@ def test_route_agreement_on_anisotropic_model():
     v0 = unit(m, x0, np.array([1.0, 0.3, 0.15]))
     ts = np.linspace(0.1, 1.0, 10)
     sv = jacobi_variational(m, x0, v0, 1.0).sample(ts)
-    sc = jacobi_curvature(m, x0, v0, 1.0).sample(ts)
+    curv = jacobi_curvature(m, x0, v0, 1.0)
+    sc = curv.sample(ts)
     assert np.max(np.abs(sv.A - sc.A)) < 1e-5
     assert np.max(np.abs(sv.Adot - sc.Adot)) < 1e-5
+    with pytest.raises(ValueError, match="variational path"):   # its flow has no Jacobi rows
+        riccati_quantities(curv, ts)
 
 
 def test_boosted_circle_determinant_and_conjugate_zero():
@@ -346,6 +349,15 @@ def test_monotone_ratio_check_basics():
     assert dec["pointwise_ok"] and dec["integral_ok"]
     inc = monotone_ratio_check(ts, ts**2, ts)
     assert not inc["pointwise_ok"] and not inc["integral_ok"]
+    # a stack of rows is checked at once: the per-row verdicts and/or-ed, the
+    # per-row worst steps maxed, bit for bit
+    rows = [ts**0.5, ts**2, ts**0.25]
+    fan = monotone_ratio_check(ts, np.stack(rows), ts)
+    each = [monotone_ratio_check(ts, r, ts) for r in rows]
+    for key in ("pointwise_ok", "integral_ok"):
+        assert fan[key] is all(e[key] for e in each)
+    for key in ("max_step", "max_integral_step"):
+        assert fan[key] == max(e[key] for e in each)
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,15 +379,16 @@ def test_batched_scalars_match_per_path():
     dirs = np.array([unit(m, x0, [1.0, 0.4, -0.2]), unit(m, x0, [1.0, -0.3, 0.1])])
     paths = variational_paths(m, x0, dirs, 2.0)
     ts = sample_grid(2.0, 60)
-    batched = scalars_for_paths(paths, ts)
-    for p, sc in zip(paths, batched):
+    batched = scalars_for_paths(paths[0].flow, np.arange(len(paths)), ts)
+    assert batched.detA.shape == (len(paths), ts.size) and batched.flag_min.shape == (len(paths),)
+    for i, p in enumerate(paths):
         single = riccati_quantities(p, ts)
         for field in ("detA", "lam", "trC2", "psi", "dpsi", "d2psi"):
-            assert np.allclose(getattr(single, field), getattr(sc, field),
+            assert np.allclose(getattr(single, field), getattr(batched, field)[i],
                                rtol=1e-12, atol=1e-12)
         # ric differs at the FD-step level (step scales with the batch)
         for field in ("ric", "lam_prime"):
-            assert np.allclose(getattr(single, field), getattr(sc, field),
+            assert np.allclose(getattr(single, field), getattr(batched, field)[i],
                                rtol=1e-9, atol=1e-9)
 
 

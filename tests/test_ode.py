@@ -314,8 +314,9 @@ def test_fminbound_stops_at_the_evaluation_cap_as_scipy_does(monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9])
 def test_simpson_and_trapezoid_match_scipy(N):
-    # ported: Simpson on odd N along any axis, the running trapezoid on 1-D y;
-    # even N and N-D trapezoids are refused, since no caller needs them
+    # ported: Simpson on odd N along any axis, the running trapezoid along
+    # the last axis of y over 1-D points x; even N is refused, since no
+    # caller needs it
     rng = np.random.default_rng(N)
     y = rng.normal(size=(3, N, 2))
     x = np.cumsum(rng.uniform(0.1, 1.0, size=N))
@@ -326,7 +327,8 @@ def test_simpson_and_trapezoid_match_scipy(N):
         else:
             with pytest.raises(ValueError, match="odd"):
                 ode.simpson(yy, dx=0.37, axis=axis)
-    assert agree(ode.cumulative_trapezoid(y1, x, initial=0.0),
-                 sp_cumulative_trapezoid(y1, x, initial=0.0))
+    yt = np.swapaxes(y, 1, 2)
+    for yy in (y1, yt):
+        assert agree(ode.cumulative_trapezoid(yy, x), sp_cumulative_trapezoid(yy, x))
     with pytest.raises(ValueError, match="1-D"):
-        ode.cumulative_trapezoid(y, x, initial=0.0)
+        ode.cumulative_trapezoid(y1, np.stack([x, x]))
