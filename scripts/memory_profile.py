@@ -21,11 +21,12 @@ functions of each pipeline stage:
     oracle         comparison.coordinate_volume
 
 For each stage it prints how often it ran, the process's peak RSS
-(``ru_maxrss``) before its first call and after its last, and the highest
+(``ru_maxrss``) before its first call and after its last, the highest
 traced memory (every live allocation, numpy arrays included, not only
-the stage's own) seen during one of its calls.  A stage nested in another
+the stage's own) seen during one of its calls, and the minor page faults
+(``ru_minflt``) taken during its calls, summed over them.  A stage nested in another
 (the post-scan runs inside the fan flow, records inside both) counts
-toward both peaks.
+toward both peaks and both fault counts.
 `tracemalloc` keeps its own tables in the process, so the RSS column runs
 higher than an untraced run's.  A stage that did not run prints "-".
 """
@@ -53,13 +54,18 @@ def _maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Profile:
-    """Per-stage calls, RSS before the first call and after the last, and
-    the largest traced peak of one call; nested stages fold their peak into
-    the stage that encloses them."""
+    """Per-stage calls, RSS before the first call and after the last, the
+    largest traced peak of one call and the minor faults of all calls;
+    nested stages fold their peak into the stage that encloses them."""
 
     def __init__(self):
-        self.rows = {name: {"calls": 0, "rss_before": None, "rss_after": None, "peak": 0}
+        self.rows = {name: {"calls": 0, "rss_before": None, "rss_after": None, "peak": 0,
+                            "faults": 0}
                      for name in STAGES}
         self.stack = []     # traced peak so far of each open call, outermost first
 
@@ -73,9 +79,11 @@ class Profile:
                 row["rss_before"] = _maxrss_mb()
             tracemalloc.reset_peak()
             self.stack.append(0)
+            faults = _minflt()
             try:
                 return fn(*args, **kwargs)
             finally:
+                row["faults"] += _minflt() - faults
                 peak = max(self.stack.pop(), tracemalloc.get_traced_memory()[1])
                 row["calls"] += 1
                 row["rss_after"] = _maxrss_mb()
@@ -91,13 +99,13 @@ class Profile:
 
     def table(self):
         lines = [f"{'stage':<16}{'calls':>6}{'rss before MB':>15}{'rss after MB':>14}"
-                 f"{'traced peak MB':>16}"]
+                 f"{'traced peak MB':>16}{'minor faults':>14}"]
         for name, r in self.rows.items():
             if not r["calls"]:
-                lines.append(f"{name:<16}{0:>6}{'-':>15}{'-':>14}{'-':>16}")
+                lines.append(f"{name:<16}{0:>6}{'-':>15}{'-':>14}{'-':>16}{'-':>14}")
                 continue
             lines.append(f"{name:<16}{r['calls']:>6}{r['rss_before']:>15.1f}"
-                         f"{r['rss_after']:>14.1f}{r['peak'] / 2**20:>16.1f}")
+                         f"{r['rss_after']:>14.1f}{r['peak'] / 2**20:>16.1f}{r['faults']:>14}")
         return "\n".join(lines)
 
 

@@ -47,6 +47,7 @@ _ENV_PREFIX = "LFGEOM_"
 VALIDATE_SAMPLES = 200
 VALIDATE_ROUNDS = 10       # draws of 2 * VALIDATE_SAMPLES candidates before validate-model gives up
 ORACLE_TOL = 1e-4
+CSV_CHUNK = 256            # CSV rows formatted per write
 
 
 def _env_default(name, cast, fallback):
@@ -88,11 +89,18 @@ def _write_json(out_dir: Path, stem: str, payload: dict) -> Path:
 
 
 def _write_csv(out_dir: Path, stem: str, header, rows) -> Path:
-    """The header, then one line of %.17g cells per row of the 2-D array rows."""
+    """The header, then one line of %.17g cells per row of the array rows (a
+    1-D rows is one column): the bytes of ``np.savetxt(fh, rows, fmt="%.17g",
+    delimiter=",", newline="\\r\\n")``, formatted CSV_CHUNK rows per ``%``."""
+    rows = np.asarray(rows)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     path = out_dir / f"{stem}.csv"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
+        for k in range(0, len(rows), CSV_CHUNK):
+            chunk = rows[k:k + CSV_CHUNK]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     return path
 
 

@@ -309,7 +309,7 @@ def _density(data: SCLVData, ts):
     for st in path_blocks(data.flow, np.arange(len(data.quad.nodes)), ts):
         x, v = st["eta"], st["etadot"]
         detA = np.linalg.det(st["V"] @ fundamental_tensor(m, x, v) @ st["J"])
-        blocks.append(np.broadcast_arrays(np.exp(-weight(m, x, v)), detA))  # a constant weight is 0-d
+        blocks.append((np.exp(-weight(m, x, v)), detA))
     density, detA = (np.concatenate(f) for f in zip(*blocks))
     return density, detA
 

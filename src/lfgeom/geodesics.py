@@ -33,9 +33,10 @@ sqrt(n) det(A/t) / |adj(A/t)|_F is 1 at t = 0, changes sign at a
 conjugate point of odd multiplicity and touches zero at one of even
 multiplicity, which the post-scan's dip refinement finds.
 The post-scan (``post_scan=True``) reads the dense output in blocks of
-about SCAN_BLOCK fan states and only the rows the margins read, and
-refines candidate directions in the order of their first candidate:
-only the earliest exit is located exactly.
+about POST_SCAN_BLOCK fan states and only the rows the margins read,
+folds each block's margins one component view at a time, and refines
+candidate directions in the order of their first candidate: only the
+earliest exit is located exactly.
 At a validity event the directions on the boundary record their exit
 ("chart-exit", "degenerate-or-cone" or "conjugate-point"), and the
 others stop there too (reason "stopped"), since every caller needs each
@@ -48,6 +49,7 @@ the same flow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,8 @@ STOPPED = "stopped"        # exit reason of a direction halted by another's exit
 CONJUGATE_POINT = "conjugate-point"
 EXIT_LABELS = ("chart-exit", "degenerate-or-cone", "degenerate-or-cone", CONJUGATE_POINT)
 SCAN_POINTS = 1024         # dense-output margin scan resolution
-SCAN_BLOCK = 4096          # fan states per block of the dense-output margin scan
+POST_SCAN_BLOCK = 1024     # fan states per block of the dense-output margin scan
+SCAN_BLOCK = 4096          # fan states per block of the coordinate oracle's dense reads
 DIP_THRESHOLD = 1e-2       # local margin minima below this get refined
 # sigma = t + (the fan's RMS Euclidean path length), so a fan keeping its start
 # speed reaches t_target at sigma = t_target (1 + |eta'(0)|), and a path out of the
@@ -86,9 +89,13 @@ SIGMA_SPAN = 2.0
 
 
 def _chart_margin(m: FinslerModel, x):
-    lo = np.asarray(m.chart_lo)
-    hi = np.asarray(m.chart_hi)
-    return np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
+    """Distance of points x (..., d) to the chart's nearest face, folded one
+    component view at a time (a minimum is exact in any order)."""
+    out = None
+    for i, (lo, hi) in enumerate(zip(m.chart_lo, m.chart_hi)):
+        part = np.minimum(x[..., i] - lo, hi - x[..., i])
+        out = part if out is None else np.minimum(out, part)
+    return out
 
 
 def _conditioning(g, screen=False):
@@ -99,18 +106,45 @@ def _conditioning(g, screen=False):
     least 2 DIP_THRESHOLD reads b, and ``eigvalsh`` runs only on the rest
     (b below that, or NaN).  The bound: |det g| is min|eig| times the
     other d-1 moduli, whose product AM-GM caps at (|g|_F^2 / (d-1))^((d-1)/2),
-    and |g|_F >= max|eig|.
+    and |g|_F >= max|eig|.  Rounding: ``_det``'s closed form errs by at
+    most (2d + 2) 2^-53 times the sum of the |products| it expands into,
+    the permanent of |g|, which is at most the product of the row
+    1-norms, so at most |g|_F^d (Cauchy-Schwarz, then AM-GM).  The
+    computed b thus errs by a few ulp of 1 (below 1e-14 for d <= 4), and a
+    screened metric's exact ratio exceeds 2 DIP_THRESHOLD less that, far
+    above the DIP_THRESHOLD + METRIC_COND_FLOOR that ``_margins`` needs.
     """
     if screen:
         d = g.shape[-1]
         with np.errstate(all="ignore"):
-            ratio = (np.abs(np.linalg.det(g)) * (d - 1) ** ((d - 1) / 2)
+            ratio = (np.abs(_det(g)) * (d - 1) ** ((d - 1) / 2)
                      / np.sum(g * g, axis=(-2, -1)) ** (d / 2))
         need = ~(ratio >= 2 * DIP_THRESHOLD)
         ratio[need] = _conditioning(g[need])
         return ratio
     aeig = np.abs(np.linalg.eigvalsh(g))
     return np.min(aeig, axis=-1) / np.max(aeig, axis=-1)
+
+
+def _det(g):
+    """det of a stack of d x d matrices, on entry views: cofactor expansion
+    for d <= 3, for d = 4 the 2 x 2 minors of the first two rows against
+    their complements in the last two (Laplace); ``np.linalg.det`` above."""
+    d = g.shape[-1]
+    if not 2 <= d <= 4:
+        return np.linalg.det(g)
+    a = [[g[..., i, j] for j in range(d)] for i in range(d)]
+
+    def minor(r, i, j):
+        return a[r][i] * a[r + 1][j] - a[r][j] * a[r + 1][i]
+
+    if d == 2:
+        return minor(0, 0, 1)
+    if d == 3:
+        return a[0][0] * minor(1, 1, 2) - a[0][1] * minor(1, 0, 2) + a[0][2] * minor(1, 0, 1)
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
 
 
 def _margins(m: FinslerModel, st, t, L0, parts=False, screen=False):
@@ -121,17 +155,19 @@ def _margins(m: FinslerModel, st, t, L0, parts=False, screen=False):
     frame V and Jacobi fields J, conjugate: the singularity measure of A/t
     with A = V g J, read as 1 at t = 0.  Deliberately avoids anything that
     inverts g, so it stays evaluable right at (and past) a degeneration.
+    The margin is the parts' elementwise minimum, exact in any order.
 
     screen (the post-scan's sampled margins only) reads the conditioning
     part from ``_conditioning``'s screen.  The scan feeds those margins to
     ``_scan_candidates`` alone, and its candidates come out the same: a
     screened state's screened and exact conditioning parts are both above
-    DIP_THRESHOLD (2 DIP_THRESHOLD - METRIC_COND_FLOOR at least), so its
-    screened and exact margins are equal wherever either is at or below
-    DIP_THRESHOLD and both exceed it elsewhere, which leaves every
-    ``margin <= 0`` and every ``margin < DIP_THRESHOLD`` local-minimum test
-    as it was.  The event, the exit labels, the refinement and
-    ``check_base_point`` keep the exact margins.
+    DIP_THRESHOLD (2 DIP_THRESHOLD - METRIC_COND_FLOOR, less the screen's
+    few ulp of rounding, at least), so its screened and exact margins are
+    equal wherever either is at or below DIP_THRESHOLD and both exceed it
+    elsewhere, which leaves every ``margin <= 0`` and every
+    ``margin < DIP_THRESHOLD`` local-minimum test as it was.  The event,
+    the exit labels, the refinement and ``check_base_point`` keep the
+    exact margins.
     """
     x, v = st["eta"], st["etadot"]
     g = fundamental_tensor(m, x, v)
@@ -142,7 +178,7 @@ def _margins(m: FinslerModel, st, t, L0, parts=False, screen=False):
         with np.errstate(divide="ignore", invalid="ignore"):
             sing = _singularity(st["V"] @ g @ st["J"]) / t
         out.append(np.where(t > 0, sing, 1.0) - CONJUGATE_FLOOR)
-    return out if parts else np.min(np.broadcast_arrays(*out), axis=0)
+    return out if parts else functools.reduce(np.minimum, out)
 
 
 def _singularity(A):
@@ -155,14 +191,22 @@ def _singularity(A):
     if n > 3:
         s = np.linalg.svd(A, compute_uv=False)
         return np.sign(np.linalg.det(A)) * np.sqrt(n / np.sum(s ** -2.0, axis=-1))
-    a = np.moveaxis(A, -1, 0)                       # the columns of A
     if n == 1:
-        return a[0][..., 0]
+        return A[..., 0, 0]
     if n == 2:
-        det = a[0][..., 0] * a[1][..., 1] - a[0][..., 1] * a[1][..., 0]
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 1, 0] * A[..., 0, 1]
         return det * np.sqrt(2.0 / np.sum(A * A, axis=(-2, -1)))
-    adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])     # the rows of adj A
-    det = np.sum(a[0] * adj[0], axis=-1)
+    # row r of adj A is column r+1 x column r+2 (indices mod 3): np.cross's
+    # products on entry views, written where np.cross would put them, so
+    # the two sums below reduce the same array layout as np.cross's output
+    adj = np.empty((3,) + A.shape[:-2] + (3,))
+    for r in range(3):
+        j, k = (r + 1) % 3, (r + 2) % 3
+        for i in range(3):
+            p, q = (i + 1) % 3, (i + 2) % 3
+            np.subtract(A[..., p, j] * A[..., q, k], A[..., q, j] * A[..., p, k],
+                        out=adj[r, ..., i])
+    det = np.sum(A[..., :, 0] * adj[0], axis=-1)
     return det * np.sqrt(3.0 / np.sum(adj * adj, axis=(0, -1)))
 
 
@@ -567,11 +611,15 @@ def radial_flow(m: FinslerModel, x0, dirs, t_target, *, frames=None, jac_seeds=N
 def _post_scan_flow(m, flow, L0):
     """Tighten t_reached by scanning the dense solution for margin dips.
 
-    The scan reads the dense output in blocks of about SCAN_BLOCK fan
-    states and only the rows the margins read (eta, eta', V, J and the
+    The scan reads the dense output in blocks of about POST_SCAN_BLOCK
+    fan states and only the rows the margins read (eta, eta', V, J and the
     clock), so it holds no more than one block's states next to the
     (directions x samples) margins (cache blocking: Lam, Rothberg & Wolf,
-    ASPLOS 1991).  Every candidate direction is
+    ASPLOS 1991).  Blocks this small keep their temporaries inside the
+    heap the fan solve leaves: on a 97-direction order-4 fan, 4,096-state
+    blocks grew the heap past glibc's trim threshold and gave it back
+    after every block, faulting its pages in anew (38,314 minor faults
+    against 420).  Every candidate direction is
     refined on the exact margins of its own rows, in the order of its
     first candidate, and only the earliest exit is located exactly: once
     a candidate lies after the earliest crossing found, the remaining
@@ -585,7 +633,7 @@ def _post_scan_flow(m, flow, L0):
     sg = np.linspace(0.0, s1, max(3, int(np.ceil(frac * SCAN_POINTS)) + 1))
     rows = np.append(np.arange(B)[:, None] * w + np.arange(mw), B * w)
     ms, tg = np.empty((B, len(sg))), np.empty(len(sg))
-    step = max(1, SCAN_BLOCK // B)
+    step = max(1, POST_SCAN_BLOCK // B)
     for k in range(0, len(sg), step):
         vals = dense(sg[k:k + step], rows)
         tg[k:k + step] = vals[-1]

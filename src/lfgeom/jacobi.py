@@ -75,13 +75,18 @@ def build_frame(m: FinslerModel, x, v) -> np.ndarray:
     """g_v-orthonormal spacelike frame orthogonal to unit timelike v; (n, d)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = fundamental_tensor(m, x, v)
+    return _frame(fundamental_tensor(m, x, v), v)
+
+
+def _frame(g, v):
+    """``build_frame`` at one point, given the fundamental tensor g there."""
+    n = len(v) - 1
     L = v @ g @ v
     if abs(L + 1.0) > UNIT_TOL:
         raise ValueError(f"frame requires a unit future timelike vector, got L={L}")
     frame = []
     scale = float(np.max(np.abs(g)))
-    for seed in np.eye(m.dim):
+    for seed in np.eye(n + 1):
         w = seed - (v @ g @ seed) / L * v
         for e in frame:
             w = w - (e @ g @ w) * e
@@ -89,9 +94,9 @@ def build_frame(m: FinslerModel, x, v) -> np.ndarray:
         if nrm2 <= 1e-10 * scale:
             continue  # seed (numerically) inside span{v, frame}
         frame.append(w / np.sqrt(nrm2))
-        if len(frame) == m.n:
+        if len(frame) == n:
             break
-    if len(frame) < m.n:
+    if len(frame) < n:
         raise DegenerateMetricError("orthonormalization broke down; metric too degenerate")
     return np.array(frame)
 
@@ -217,8 +222,9 @@ def variational_paths(m: FinslerModel, x0, dirs, t_end, *,
     x0 = np.asarray(x0, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     t_end = float(t_end)
-    check_base_point(m, x0, dirs)   # before build_frame, whose breakdown names no cause
-    frames = np.array([build_frame(m, x0, v) for v in dirs])
+    check_base_point(m, x0, dirs)   # before the frames, whose breakdown names no cause
+    g = fundamental_tensor(m, np.broadcast_to(x0, dirs.shape), dirs)
+    frames = np.array([_frame(gi, v) for gi, v in zip(g, dirs)])
     B, n, d = frames.shape
     seeds = (np.zeros((B, d, n)), np.swapaxes(frames, -1, -2).copy())
     flow = radial_flow(m, x0, dirs, t_end, frames=frames, jac_seeds=seeds,

@@ -226,12 +226,12 @@ def lagrangian(m: FinslerModel, x, v):
 
 
 def weight(m: FinslerModel, x, v):
-    """psi(x, v); zero when the model is unweighted."""
-    if m.weight_fn is None:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], np.asarray(v).shape[:-1]))
-    out = m.weight_fn(components(x, m.dim), components(v, m.dim))
-    return np.asarray(out, dtype=float)
+    """psi(x, v), one value per point of the batch shape of x and v (a
+    constant weight too); zero when the model is unweighted."""
+    out = np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)[:-1]))
+    if m.weight_fn is not None:
+        out[...] = m.weight_fn(components(x, m.dim), components(v, m.dim))
+    return out
 
 
 def fundamental_tensor(m: FinslerModel, x, v) -> np.ndarray:

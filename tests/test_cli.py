@@ -771,3 +771,20 @@ def test_run_scenarios_reads_each_scenario_own_report(tmp_path, monkeypatch, cap
     assert "a_collapse  (exit 3, no report)" in out
     assert "mini  (exit 0)\n  overall: PASS" in out
     assert "unexpected outcomes: a_collapse" in err
+
+
+@pytest.mark.parametrize("shape", [(700, 5), (3, 1), (0, 4), (600,), (0,)])
+def test_write_csv_matches_savetxt_bytes(tmp_path, shape):
+    # several chunks of rows, with nan, +-inf, -0.0 and subnormals among the cells
+    rng = np.random.default_rng(len(shape))
+    rows = rng.normal(size=shape) * np.exp(rng.uniform(-40, 40, size=shape))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308]
+    flat = rows.reshape(-1)
+    flat[:len(special)] = special[:flat.size]
+    header = [f"c{i}" for i in range(1 if rows.ndim == 1 else shape[1])]
+    path = cli._write_csv(tmp_path, "rows", header, rows)
+    with (tmp_path / "want.csv").open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert path.read_bytes().count(b"\r\n") == 1 + shape[0]

@@ -10,6 +10,9 @@ Anchors used here:
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +355,7 @@ def test_blocked_scan_margins_equal_whole_fan_margins(monkeypatch, fan):
     seen = []
     real = geodesics._scan_candidates
     monkeypatch.setattr(geodesics, "_scan_candidates", lambda ms: seen.append(ms) or real(ms))
-    monkeypatch.setattr(geodesics, "SCAN_BLOCK", 1000)   # several blocks, the last one ragged
+    monkeypatch.setattr(geodesics, "POST_SCAN_BLOCK", 1000)   # several blocks, the last ragged
     flow = radial_flow(m, x0, dirs, t_target, post_scan=True, **kw)
     (scan,) = seen
     _, s1, dense, _ = flow.segments[0]
@@ -388,19 +391,56 @@ def test_conditioning_screen_bound_lies_below_the_eigenvalue_ratio(d, lorentzian
     assert np.all(bound <= ratio + 1e-14)    # both carry rounding errors of a few ulp of 1
     screened = geodesics._conditioning(g, screen=True)
     exact = geodesics._conditioning(g)
+    assert np.all(screened <= exact + 1e-14)     # the closed-form det's rounding included
     read = bound >= 2 * geodesics.DIP_THRESHOLD
     assert 0 < read.sum() < len(g)
     assert np.array_equal(screened[~read], exact[~read])
     assert np.allclose(screened[read], bound[read], rtol=1e-12, atol=0)
 
 
-def _collapse_input(directory):
-    """The seed-0 ``reject-collapse`` input of ``bench/inputs.py``, written into directory."""
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_form_det_matches_linalg_det(d):
+    # Lorentzian and Riemannian metrics of condition number up to e^3, about where
+    # the screen reads its bound (min|eig| / max|eig| >= 2 DIP_THRESHOLD)
+    rng = np.random.default_rng(10 + d)
+    q, _ = np.linalg.qr(rng.normal(size=(2000, d, d)))
+    sign = np.where(rng.uniform(size=(2000, 1)) < 0.5, [-1.0] + [1.0] * (d - 1), 1.0)
+    lam = np.exp(rng.uniform(-1.5, 1.5, size=(2000, d))) * sign
+    g = np.einsum("kij,kj,klj->kil", q, lam, q)
+    want = np.linalg.det(g)
+    assert np.allclose(geodesics._det(g), want, rtol=1e-13, atol=0)
+    assert geodesics._det(g[:7].reshape(7, 1, d, d)).shape == (7, 1)
+
+
+def test_margin_folds_are_the_axis_reductions_bit_for_bit():
+    # the per-component chart margin and n = 3 singularity measure against the axis
+    # reductions and np.cross they replaced, on fan blocks, fan rows and single points
+    rng = np.random.default_rng(3)
+    m = model_library("minkowski", 3, chart_half_width=0.7)
+    for shape in [(), (1,), (5,), (1, 1), (12, 9)]:
+        x = rng.uniform(-1.0, 1.0, size=shape + (4,))
+        lo, hi = np.asarray(m.chart_lo), np.asarray(m.chart_hi)
+        want = np.minimum(np.min(x - lo, axis=-1), np.min(hi - x, axis=-1))
+        assert np.asarray(geodesics._chart_margin(m, x)).tobytes() == want.tobytes()
+        A = rng.normal(size=shape + (3, 3)) * np.exp(rng.uniform(-20, 20, size=shape + (3, 3)))
+        a = np.moveaxis(A, -1, 0)
+        adj = np.cross(a[[1, 2, 0]], a[[2, 0, 1]])
+        want = np.sum(a[0] * adj[0], axis=-1) * np.sqrt(3.0 / np.sum(adj * adj, axis=(0, -1)))
+        assert np.asarray(geodesics._singularity(A)).tobytes() == want.tobytes()
+
+
+def _bench_input(workload, seed, index, directory):
+    """Input index of ``bench/inputs.py``'s workload at seed, written into directory."""
     spec = importlib.util.spec_from_file_location(
         "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return inputs.write("reject", 0, directory)[0]
+    return inputs.write(workload, seed, directory)[index]
+
+
+def _collapse_input(directory):
+    """The seed-0 ``reject-collapse`` input of ``bench/inputs.py``, written into directory."""
+    return _bench_input("reject", 0, 0, directory)
 
 
 def _scans(monkeypatch, run, screen):
@@ -447,7 +487,8 @@ def test_conditioning_screen_leaves_scan_candidates_unchanged(monkeypatch, tmp_p
 def test_post_scan_holds_one_block_of_states():
     # a 96-direction order-4 fan (44 state components per direction, as on
     # finsler3d): the whole-fan scan this replaced peaked at 97.6 MB here,
-    # the blocked one at 8.2 MB
+    # 4,096-state blocks at 8.2 MB, 1,024-state blocks with per-component
+    # margin folds at 1.6 MB
     import tracemalloc
     m = model_library("minkowski", 3)
     x0 = np.zeros(4)
@@ -461,4 +502,90 @@ def test_post_scan_holds_one_block_of_states():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 3e6
+
+
+FAULT_PROBE = """
+import resource, sys
+from lfgeom import cli, geodesics
+scan, faults = geodesics._post_scan_flow, []
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    scan(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+geodesics._post_scan_flow = counted
+status = cli.main(["all", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(status, sum(faults))
+"""
+
+
+def test_post_scan_does_not_fault_its_blocks_in_afresh(tmp_path):
+    # a fresh finsler3d seed-1 `lfgeom all` (97 order-4 directions): with 4,096-state
+    # blocks the post-scan grew the heap past glibc's trim threshold and gave it back
+    # after every block, 35,897 minor faults in this probe; 1,024-state blocks took 299
+    pytest.importorskip("resource")
+    scenario = _bench_input("finsler3d", 1, 0, tmp_path)
+    src = str(Path(geodesics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(scenario), str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, faults = map(int, proc.stdout.split()[-2:])
+    assert status == 0 and faults < 5000, proc.stdout
+
+
+def _decision_inputs(case, directory):
+    """The seed-0 ``reject`` and ``finsler3d`` inputs of ``bench/inputs.py``, or
+    ``even-conjugate-n3`` as ``scripts/snapshot_reports.py`` writes it."""
+    if case == "even-conjugate-n3":
+        spec = importlib.util.spec_from_file_location(
+            "snapshot_reports", Path(__file__).resolve().parents[1] / "scripts"
+            / "snapshot_reports.py")
+        snap = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(snap)
+        return snap._write_input(snap.EVEN_CONJUGATE, directory)
+    workload, index = {"reject-collapse": ("reject", 0), "reject-conjugate": ("reject", 1),
+                       "finsler3d": ("finsler3d", 0)}[case]
+    return _bench_input(workload, 0, index, directory)
+
+
+def _post_scan_decisions(monkeypatch, argv, exact):
+    """(dip, bad) of every post-scan of ``cli.main(argv)`` and each flow's
+    t_reached and exit reasons after it; exact reads every margin unscreened,
+    in one block."""
+    from lfgeom import cli
+    seen = []
+    real_candidates, real_scan = geodesics._scan_candidates, geodesics._post_scan_flow
+
+    def candidates(ms):
+        seen.append(real_candidates(ms))
+        return seen[-1]
+
+    def scan(m, flow, L0):
+        real_scan(m, flow, L0)
+        seen.append((flow.t_reached.tobytes(), list(flow.exit_reason)))
+
+    monkeypatch.setattr(geodesics, "_scan_candidates", candidates)
+    monkeypatch.setattr(geodesics, "_post_scan_flow", scan)
+    if exact:
+        margins = geodesics._margins
+        monkeypatch.setattr(geodesics, "_margins", lambda *a, screen=False, **k: margins(*a, **k))
+        monkeypatch.setattr(geodesics, "POST_SCAN_BLOCK", 10 ** 9)
+    status = cli.main(argv)
+    monkeypatch.undo()
+    return status, seen
+
+
+@pytest.mark.parametrize("case", ["reject-collapse", "reject-conjugate", "even-conjugate-n3",
+                                  "finsler3d"])
+def test_post_scan_decisions_equal_one_exact_block(monkeypatch, tmp_path, case):
+    # quarter-size blocks, per-component folds and the closed-form screen against
+    # exact, unscreened margins read as one block: the same candidates and exits
+    argv = ["gunther", "--scenario", str(_decision_inputs(case, tmp_path)), "--out", str(tmp_path)]
+    status, blocked = _post_scan_decisions(monkeypatch, argv, exact=False)
+    exact_status, exact = _post_scan_decisions(monkeypatch, argv, exact=True)
+    assert status == exact_status == (0 if case == "finsler3d" else 2)
+    assert len(blocked) == len(exact) >= 2
+    for got, want in zip(blocked, exact):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -79,6 +79,21 @@ def test_frame_gram_is_minkowski(name, kw):
         build_frame(m, x, 2.0 * v)
 
 
+@pytest.mark.parametrize("name,kw", [
+    ("quartic_flrw", {"eps": 0.05, "H": 0.1}),
+    ("einstein_static", {"radius": 1.0}),
+])
+def test_fan_frames_are_build_frame_bit_for_bit(name, kw):
+    # variational_paths reads g once for the whole fan, build_frame once per point
+    m = model_library(name, n=3, **kw)
+    x0 = np.array([0.01, 0.2, 0.0, 0.0])
+    dirs = np.array([unit(m, x0, np.array([1.0, 0.3 * c, 0.2 * s, 0.1]))
+                     for c, s in zip(np.cos(np.arange(6)), np.sin(np.arange(6)))])
+    paths = variational_paths(m, x0, dirs, 0.05)
+    for path, v in zip(paths, dirs):
+        assert path.frame0.tobytes() == build_frame(m, x0, v).tobytes()
+
+
 @pytest.mark.parametrize("route", ["variational", "curvature"])
 def test_minkowski_path_is_linear(route):
     m = model_library("minkowski", n=2)

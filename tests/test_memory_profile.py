@@ -18,6 +18,8 @@ def test_memory_profile_reports_every_stage(tmp_path):
          "--scenario", str(ROOT / "scenarios" / "mink2_bg_anchor.yaml"), "--out", str(tmp_path)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    rows = {line[:16].strip(): line.split()[-4:] for line in proc.stdout.splitlines()}
+    rows = {line[:16].strip(): line.split()[-5:] for line in proc.stdout.splitlines()}
+    assert rows["stage"][-2:] == ["minor", "faults"]
     for stage in STAGES:    # each ran at least once: no "-" columns
         assert stage in rows and "-" not in rows[stage], proc.stdout
+        assert int(rows[stage][-1]) >= 0

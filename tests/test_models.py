@@ -15,6 +15,7 @@ from lfgeom.models import (
     model_library,
     signature_check,
     weight,
+    WEIGHT_TERMS,
 )
 
 RNG = np.random.default_rng(42)
@@ -193,6 +194,20 @@ def test_weight_terms():
     assert weight(m, x, v) == pytest.approx(0.3 + 1.0 - 0.08)
     # zero-homogeneity in v
     assert weight(m, x, 3.7 * v) == pytest.approx(weight(m, x, v), rel=1e-14)
+
+
+@pytest.mark.parametrize("terms", [None, *([(kind, 0.3)] for kind in WEIGHT_TERMS)])
+def test_weight_has_the_batch_shape_for_every_kind(terms):
+    # a constant weight too: one value per point, as a blocked reader concatenates them
+    m = model_library("minkowski", n=2, weight=terms)
+    x = RNG.uniform(-1.0, 1.0, size=(5, 3))
+    v = np.column_stack([np.full(5, 2.0), RNG.uniform(-1.0, 1.0, size=(5, 2))])
+    for xs, vs, shape in [(x, v, (5,)), (x[0], v, (5,)), (x[:, None], v, (5, 5)),
+                          (x[0], v[0], ())]:
+        psi = weight(m, xs, vs)
+        assert isinstance(psi, np.ndarray) and psi.shape == shape
+    psi = weight(m, x, v)
+    assert all(psi[i] == weight(m, x[i], v[i]) for i in range(5))
 
 
 def test_weight_defaults_to_zero():
